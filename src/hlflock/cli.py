@@ -55,16 +55,15 @@ def _default_out() -> Path:
     return Path(os.environ.get("HLFLOCK_OUT", "."))
 
 
+def _with_overrides(scenario: Scenario, config: CliConfig) -> Scenario:
+    """Apply the --dt / --t-end overrides and revalidate."""
+    overrides = {name: value for name, value in (("dt", config.dt), ("t_end", config.t_end))
+                 if value is not None}
+    return replace(scenario, **overrides).validate()
+
+
 def _load(config: CliConfig) -> Scenario:
-    scenario = load_scenario(config.scenario, seed=config.seed)
-    overrides = {}
-    if config.dt is not None:
-        overrides["dt"] = config.dt
-    if config.t_end is not None:
-        overrides["t_end"] = config.t_end
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario.validate()
+    return _with_overrides(load_scenario(config.scenario, seed=config.seed), config)
 
 
 def _summary(traj) -> dict:
@@ -152,10 +151,7 @@ def cmd_check(config: CliConfig) -> int:
     all_reports = []
     failed = 0
     for k, scenario in enumerate(scenarios):
-        if config.dt is not None or config.t_end is not None:
-            scenario = replace(scenario, dt=config.dt or scenario.dt,
-                               t_end=config.t_end or scenario.t_end).validate()
-        reports = run_probes(scenario, config.probes)
+        reports = run_probes(_with_overrides(scenario, config), config.probes)
         for rep in reports:
             print(rep.to_text() if not config.verbose
                   else rep.to_text() + f"  {rep.details}")

@@ -13,7 +13,12 @@ Two schemes are provided on purpose:
 * :func:`simulate` - Heun's predictor-corrector with composite-trapezoid
   quadrature of the delay integral on the step grid (the delay span must be
   an integer number of steps, so quadrature nodes coincide with stored
-  samples).
+  samples). The integrand's history-only factors, the potential on every
+  edge and the leaders' velocities, are evaluated once per stored node and
+  kept in a doubled ring of 2(m+1) rows, so each window is one contiguous
+  slice and the cache is O(m * edges * d) however long the run.
+  :func:`step` and :func:`delay_coupling` go through the same ring,
+  coupling and step functions.
 * :func:`simulate_oracle` - explicit Euler on a refined grid with
   left-rectangle quadrature; deliberately different discretization used to
   cross-validate the main one.
@@ -113,25 +118,53 @@ def _trapezoid_mu_weights(scenario: Scenario) -> np.ndarray:
     return w * scenario.kernel((m - np.arange(m + 1)) * h)
 
 
-def _coupling_all(xw: np.ndarray, vw: np.ndarray, v_now: np.ndarray,
-                  fol: np.ndarray, led: np.ndarray, weights: np.ndarray,
-                  potential: Potential) -> np.ndarray:
-    """Delay-coupling acceleration for every agent at once.
+class _NodeRing:
+    """The history-only factors of the delay integrand at the last m+1 nodes.
 
-    xw, vw hold the window samples (m+1, N, d), oldest first; v_now is the
-    current-time velocity entering the integrand. Positions inside the
-    potential are both delayed, velocities of the leaders are delayed, the
-    follower's velocity is current.
+    The integrand at a stored node s is w(s) * psi(|x_i(s) - x_j(s)|) *
+    (v_j(s) - v_i(now)): only the follower's current velocity changes between
+    Heun stages. Each node therefore gets one row, filled once when the node
+    is stored: psi on every edge (E,) and the gathered leader velocities
+    (E, d). Rows live in a doubled ring of 2L rows, L = m+1: node r sits in
+    rows r % L and r % L + L, so the window of nodes r..r+m is the contiguous
+    slice starting at row r % L. Memory is O(m * E * d) whatever the horizon.
     """
-    n_agents, dim = v_now.shape
-    acc = np.zeros((n_agents, dim))
-    if fol.size == 0:
-        return acc
-    dp = xw[:, fol, :] - xw[:, led, :]
-    dist = np.sqrt(np.einsum("kef,kef->ke", dp, dp))
-    psi = potential(dist)
-    rel = vw[:, led, :] - v_now[fol][None, :, :]
-    contrib = np.einsum("k,ke,kef->ef", weights, psi, rel)
+
+    def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
+                 potential: Potential):
+        self.fol, self.led, self.potential = fol, led, potential
+        self.size = size = xw.shape[0]
+        self.psi = np.empty((2 * size, fol.size))
+        self.vl = np.empty((2 * size, fol.size, xw.shape[2]))
+        self.psi[:size], self.vl[:size] = self._factors(xw, vw)
+        self.psi[size:], self.vl[size:] = self.psi[:size], self.vl[:size]
+
+    def _factors(self, xw: np.ndarray, vw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi per edge (k, E) and leader velocities (k, E, d) for nodes (k, N, d)."""
+        dp = xw[:, self.fol, :] - xw[:, self.led, :]
+        return self.potential(np.sqrt(np.einsum("kef,kef->ke", dp, dp))), vw[:, self.led, :]
+
+    def store(self, node: int, x: np.ndarray, v: np.ndarray) -> None:
+        """Fill the row of window node ``node`` from its state x, v (N, d)."""
+        psi, vl = self._factors(x[None], v[None])
+        rows = slice(node % self.size, None, self.size)
+        self.psi[rows] = psi
+        self.vl[rows] = vl
+
+
+def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray,
+              weights: np.ndarray) -> np.ndarray:
+    """Delay-coupling acceleration for every agent at once, over the window of
+    nodes first..first+m held in ``ring``; v_now is the current-time velocity
+    entering the integrand. Positions inside the potential are both delayed,
+    velocities of the leaders are delayed, the follower's velocity is current.
+    """
+    acc = np.zeros_like(v_now)
+    fol = ring.fol
+    lo = first % ring.size
+    window = slice(lo, lo + ring.size)
+    rel = ring.vl[window] - v_now[fol]
+    contrib = np.einsum("k,ke,kef->ef", weights, ring.psi[window], rel)
     np.add.at(acc, fol, contrib)
     return acc
 
@@ -156,42 +189,45 @@ def delay_coupling(i: int, t: float, hist: HistoryBuffer, v_i_now: np.ndarray,
     weights = trap * scenario.kernel(t - hist.times)
     v_now = np.zeros((scenario.n_agents, dim))
     v_now[i - 1] = np.asarray(v_i_now, dtype=float)
-    acc = _coupling_all(hist.x, hist.v, v_now, fol, led, weights, scenario.potential)
-    return acc[i - 1]
+    ring = _NodeRing(hist.x, hist.v, fol, led, scenario.potential)
+    return _coupling(ring, 0, v_now, weights)[i - 1]
 
 
 # ---------------------------------------------------------------------------
 # Heun stepping
 # ---------------------------------------------------------------------------
 
-def _heun_step(xw: np.ndarray, vw: np.ndarray, t: float, scenario: Scenario,
-               fol: np.ndarray, led: np.ndarray, weights: np.ndarray
+def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
+               ring: _NodeRing, weights: np.ndarray, scenario: Scenario
                ) -> tuple[np.ndarray, np.ndarray]:
-    """One Heun step from the window ending at time t; returns the new state.
+    """One Heun step from the window of nodes first..first+m, whose newest
+    node x_cur, v_cur is the state at time t; returns the new state and
+    stores it in ``ring`` as node first+m+1.
 
     The predictor is an Euler step; the corrector re-evaluates the coupling at
-    t+h against the window extended by the predictor, and both positions and
+    t+h against the window extended by the predictor, whose row holds node
+    first+m+1 until the corrected state overwrites it. Both positions and
     velocities advance with the average of the two stage derivatives.
     """
     h = scenario.dt
     dim = scenario.dim
     forcing = scenario.forcing
-    x_cur, v_cur = xw[-1], vw[-1]
+    new_node = first + ring.size
 
-    a0 = _coupling_all(xw, vw, v_cur, fol, led, weights, scenario.potential)
+    a0 = _coupling(ring, first, v_cur, weights)
     a0[0] = forcing.eval(t, dim)
     vp = v_cur + h * a0
     xp = x_cur + h * v_cur
 
-    xw2 = np.concatenate([xw[1:], xp[None]])
-    vw2 = np.concatenate([vw[1:], vp[None]])
-    a1 = _coupling_all(xw2, vw2, vp, fol, led, weights, scenario.potential)
+    ring.store(new_node, xp, vp)
+    a1 = _coupling(ring, first + 1, vp, weights)
     a1[0] = forcing.eval(t + h, dim)
 
     v_new = v_cur + 0.5 * h * (a0 + a1)
     x_new = x_cur + 0.5 * h * (v_cur + vp)
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(x_new))):
         raise BlowUpError(t + h)
+    ring.store(new_node, x_new, v_new)
     return x_new, v_new
 
 
@@ -205,7 +241,8 @@ def step(hist: HistoryBuffer, scenario: Scenario) -> HistoryBuffer:
         raise ScenarioError(f"step past t_end: t={hist.t}, t_end={scenario.t_end}")
     fol, led = scenario.dag.edge_arrays()
     weights = _trapezoid_mu_weights(scenario)
-    x_new, v_new = _heun_step(hist.x, hist.v, hist.t, scenario, fol, led, weights)
+    ring = _NodeRing(hist.x, hist.v, fol, led, scenario.potential)
+    x_new, v_new = _heun_step(hist.x[-1], hist.v[-1], hist.t, 0, ring, weights, scenario)
     return HistoryBuffer(hist.times + h,
                          np.concatenate([hist.x[1:], x_new[None]]),
                          np.concatenate([hist.v[1:], v_new[None]]))
@@ -261,10 +298,9 @@ def simulate(scenario: Scenario,
 
     fol, led = scenario.dag.edge_arrays()
     weights = _trapezoid_mu_weights(scenario)
+    ring = _NodeRing(X[: m + 1], V[: m + 1], fol, led, scenario.potential)
     for k in range(n):
-        t = k * h
-        x_new, v_new = _heun_step(X[k:k + m + 1], V[k:k + m + 1], t,
-                                  scenario, fol, led, weights)
+        x_new, v_new = _heun_step(X[k + m], V[k + m], k * h, k, ring, weights, scenario)
         X[k + m + 1] = x_new
         V[k + m + 1] = v_new
         if on_step is not None:
@@ -412,7 +448,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
         v_ring[slot_old] = v_new
 
         if (sub + 1) % k_ref == 0:
-            if not all(map(math.isfinite, v_new)):
+            if not (all(map(math.isfinite, v_new)) and all(map(math.isfinite, x_new))):
                 raise BlowUpError((sub + 1) * h2)
             i = (sub + 1) // k_ref
             for a in range(n_agents):

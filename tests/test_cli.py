@@ -108,6 +108,16 @@ class TestCheckCommand:
         assert names["ball_invariance"] is True
         assert names["positivity"] is None      # needs a 1-d scenario
 
+    @pytest.mark.parametrize("flag,message", [("--dt", "dt must be positive"),
+                                              ("--t-end", "t_end")])
+    def test_zero_override_is_usage_error(self, two_flock_file, tmp_path, capsys,
+                                          flag, message):
+        out = tmp_path / "chk"
+        assert main(["check", "--scenario", str(two_flock_file), "--out", str(out),
+                     flag, "0"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "check_report.json").exists()
+
     def test_unstable_fixture_fails(self, tmp_path):
         # Heun is unstable at this kernel mass and step; the invariance
         # probes must catch the (finite) numerical explosion.

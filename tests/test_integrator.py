@@ -292,6 +292,20 @@ class TestOracle:
         with pytest.raises(ScenarioError):
             simulate_oracle(two_agent(), 0)
 
+    @pytest.mark.parametrize("refinement", [1, 3])
+    def test_position_overflow_is_blow_up(self, refinement):
+        # Both agents start at the largest float and move together, so the
+        # velocities stay at consensus (and finite) while the positions
+        # overflow to inf on the first step.
+        big = np.finfo(float).max
+        scen = two_agent(x0=((big,), (big,)), v0=((1e300,), (1e300,)), t_end=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as err:
+                simulate_oracle(scen, refinement)
+            with pytest.raises(BlowUpError):
+                simulate(scen)
+        assert err.value.t == pytest.approx(scen.dt)
+
     def test_forced_root_integrates_forcing(self):
         forcing = LeaderForcing.power_law(1.0, 2.0, dim=1)
         scen = two_agent(t_end=1.0, forcing=forcing)
@@ -375,6 +389,100 @@ class TestSchemeAccuracy:
                     dist = np.linalg.norm(xw[k, agent - 1] - xw[k, j - 1])
                     expected += weight * (1 + dist ** 2) ** (-beta) * (vw[k, j - 1] - v_now)
             np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def _reference_simulate(scen):
+    """The Heun stepper written the direct way: distances, potential and
+    leader velocities recomputed at every window node in every stage, with
+    the predictor appended to a copied window. Returns (x, v) on the grid."""
+    m, n, h, dim = scen.delay_steps, scen.n_steps, scen.dt, scen.dim
+    fol, led = scen.dag.edge_arrays()
+    trap = np.full(m + 1, h)
+    trap[0] = trap[-1] = 0.5 * h
+    weights = trap * scen.kernel((m - np.arange(m + 1)) * h)
+
+    def coupling(xw, vw, v_now):
+        acc = np.zeros(v_now.shape)
+        if fol.size:
+            dp = xw[:, fol, :] - xw[:, led, :]
+            psi = scen.potential(np.sqrt(np.einsum("kef,kef->ke", dp, dp)))
+            rel = vw[:, led, :] - v_now[fol][None, :, :]
+            np.add.at(acc, fol, np.einsum("k,ke,kef->ef", weights, psi, rel))
+        return acc
+
+    X = np.empty((m + n + 1, scen.n_agents, dim))
+    V = np.empty_like(X)
+    X[: m + 1], V[: m + 1] = scen.history.sample((np.arange(m + 1) - m) * h)
+    for k in range(n):
+        xw, vw = X[k:k + m + 1], V[k:k + m + 1]
+        x_cur, v_cur = xw[-1], vw[-1]
+        a0 = coupling(xw, vw, v_cur)
+        a0[0] = scen.forcing.eval(k * h, dim)
+        vp = v_cur + h * a0
+        xp = x_cur + h * v_cur
+        a1 = coupling(np.concatenate([xw[1:], xp[None]]), np.concatenate([vw[1:], vp[None]]), vp)
+        a1[0] = scen.forcing.eval((k + 1) * h, dim)
+        V[k + m + 1] = v_cur + 0.5 * h * (a0 + a1)
+        X[k + m + 1] = x_cur + 0.5 * h * (v_cur + vp)
+    return X[m:], V[m:]
+
+
+def _random_scenario(seed, dim, m, kernel_shape, potential, forced):
+    rng = np.random.default_rng(seed)
+    n_agents, h = int(rng.integers(3, 7)), 0.05
+    tau = m * h
+    leaders = {i: set(int(j) for j in
+                      rng.choice(i - 1, size=int(rng.integers(1, i)), replace=False) + 1)
+               for i in range(2, n_agents + 1)}
+    kernel = {"uniform": lambda: DelayKernel.uniform(tau),
+              "triangular": lambda: DelayKernel.triangular(tau),
+              "table": lambda: DelayKernel.table([0.0, 0.4 * tau, tau], [3.0, 1.0, 0.5])
+              }[kernel_shape]()
+    x0, xs, v0, vs = rng.normal(size=(4, n_agents, dim))
+    history = HistorySpec([HistoryFn("affine", value=a, slope=b) for a, b in zip(x0, xs)],
+                          [HistoryFn("affine", value=a, slope=b) for a, b in zip(v0, vs)])
+    return Scenario(dag=LeadershipDag(n_agents, leaders), dim=dim, potential=potential,
+                    kernel=kernel, history=history,
+                    forcing=(LeaderForcing.power_law(0.7, 1.5, dim=dim) if forced
+                             else LeaderForcing.zero()),
+                    t_end=2.0, dt=h)
+
+
+_TABLE_POTENTIAL = Potential.table([0.0, 0.5, 2.0], [1.0, 0.6, 0.2])
+_CUSTOM_POTENTIAL = Potential.custom(lambda s: np.exp(-s))
+
+
+class TestNodeCacheMatchesWindowRecompute:
+    @pytest.mark.parametrize("seed,dim,m,kernel_shape,potential,forced", [
+        (0, 1, 1, "uniform", Potential.cucker_smale(0.0), False),
+        (1, 2, 3, "triangular", Potential.cucker_smale(0.25), True),
+        (2, 3, 10, "table", Potential.cucker_smale(0.5), False),
+        (3, 1, 3, "uniform", Potential.cucker_smale(1.0), True),
+        (4, 2, 10, "triangular", _TABLE_POTENTIAL, False),
+        (5, 3, 1, "table", _CUSTOM_POTENTIAL, True),
+        (6, 2, 1, "triangular", Potential.cucker_smale(0.5), False),
+        (7, 1, 10, "table", Potential.cucker_smale(1.0), True),
+    ])
+    def test_simulate_is_bitwise_equal(self, seed, dim, m, kernel_shape, potential, forced):
+        scen = _random_scenario(seed, dim, m, kernel_shape, potential, forced)
+        traj = simulate(scen)
+        x_ref, v_ref = _reference_simulate(scen)
+        np.testing.assert_array_equal(traj.x, x_ref)
+        np.testing.assert_array_equal(traj.v, v_ref)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_potential_evaluated_once_per_edge_and_node(self, m):
+        seen = []
+
+        def psi(s):
+            seen.append(np.size(s))
+            return 1.0 / (1.0 + s * s)
+
+        scen = _random_scenario(11, 2, m, "uniform", Potential.custom(psi), False)
+        seen.clear()
+        simulate(scen)
+        n_edges = scen.dag.edge_arrays()[0].size
+        assert sum(seen) == n_edges * (m + 1 + 2 * scen.n_steps)
 
 
 # ---------------------------------------------------------------------------
