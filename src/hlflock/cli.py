@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .integrator import BlowUpError, read_trajectory_csv, simulate, write_trajectory_csv
+from .integrator import (BlowUpError, Trajectory, read_trajectory_csv, simulate,
+                         write_trajectory_csv)
 from .model import Scenario, ScenarioError
 from .scenarios import (_generator_from_dict, generate, load_scenario,
                         save_run, save_scenario)
@@ -95,10 +96,10 @@ def cmd_simulate(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def run_probes(scenario: Scenario, probes=PROBE_NAMES) -> list[diag.ProbeReport]:
-    """Simulate once and run every selected probe, mapping unmet preconditions
-    to skipped reports."""
-    traj = simulate(scenario)
+def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[diag.ProbeReport]:
+    """Run every selected probe on one simulated trajectory, mapping unmet
+    preconditions to skipped reports."""
+    scenario = traj.scenario
     slack = None
     reports = []
 
@@ -110,7 +111,7 @@ def run_probes(scenario: Scenario, probes=PROBE_NAMES) -> list[diag.ProbeReport]
                                             details={"status": f"skipped: {e}"}))
 
     if "positivity" in probes:
-        attempt("positivity", lambda: diag.positivity_probe(scenario))
+        attempt("positivity", lambda: diag.positivity_probe(traj))
     if "ball" in probes:
         attempt("ball_invariance", lambda: diag.ball_invariance_probe(traj))
     needs_slack = (("two-flock" in probes and scenario.n_agents == 2)
@@ -151,7 +152,7 @@ def cmd_check(config: CliConfig) -> int:
     all_reports = []
     failed = 0
     for k, scenario in enumerate(scenarios):
-        reports = run_probes(_with_overrides(scenario, config), config.probes)
+        reports = run_probes(simulate(_with_overrides(scenario, config)), config.probes)
         for rep in reports:
             print(rep.to_text() if not config.verbose
                   else rep.to_text() + f"  {rep.details}")
@@ -183,7 +184,7 @@ def cmd_fit_decay(config: CliConfig) -> int:
         return EXIT_PROBE_FAILURE
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    mask = (series.times >= fit.window[0]) & (series.times <= fit.window[1])
+    mask = diag.window_mask(series.times, fit.window)
     t_w = series.times[mask]
     dv_w = series.velocity_diameter[mask]
     with np.errstate(divide="ignore"):
@@ -206,10 +207,10 @@ def cmd_fit_decay(config: CliConfig) -> int:
 def _sweep_worker(args: tuple) -> tuple[int, bool, str]:
     gen_dict, seed, out_str, probes = args
     spec = _generator_from_dict({**gen_dict, "rng_seed": seed}, "sweep")
-    scenario = generate(spec)
-    reports = run_probes(scenario, probes)
+    traj = simulate(generate(spec))
+    reports = run_probes(traj, probes)
     rundir = Path(out_str) / f"run_{seed:05d}"
-    save_run(simulate(scenario), reports, rundir)
+    save_run(traj, reports, rundir)
     ok = all(r.passed is not False for r in reports)
     return seed, ok, str(rundir)
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .integrator import Trajectory, simulate, simulate_oracle
+# No probe simulates; ``simulate`` stays importable here because the
+# benchmark tracer (perfbench/tracing.py) wraps it in this module's namespace.
+from .integrator import Trajectory, simulate, simulate_oracle  # noqa: F401
 from .model import LeadershipDag, Scenario, check_forcing_conditions
 
 DIAMETER_FLOOR = 1e-12      # dV values at or below this are rounding noise
@@ -49,9 +51,29 @@ class ConsensusSeries:
 
 
 def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
-    # arr: (T, N, d) -> (T,) max Euclidean distance over agent pairs
-    diff = arr[:, :, None, :] - arr[:, None, :, :]
-    return np.sqrt(np.einsum("tijd,tijd->tij", diff, diff)).max(axis=(1, 2))
+    """(T, N, d) -> (T,) max Euclidean distance over agent pairs.
+
+    One sweep over the agents: agent i against itself and every later agent,
+    for all steps at once, with squared norms summed coordinate by
+    coordinate. Each pair is visited once, in O(T*N*d) working memory. The
+    i == i term is 0, or NaN where agent i's state is not finite, so
+    non-finite input gives NaN as the all-pairs form does. The square root is
+    taken once, of the running maximum; sqrt is monotone and correctly
+    rounded, so this equals the maximum of the distances bit for bit.
+    """
+    # (d, N, T): one contiguous row per agent and coordinate, so every
+    # difference and the max over agents run along contiguous memory.
+    planes = np.ascontiguousarray(arr.transpose(2, 1, 0))
+    best = np.zeros(arr.shape[0])
+    for i in range(arr.shape[1]):
+        sq = planes[0, i:] - planes[0, i]
+        sq *= sq
+        for plane in planes[1:]:
+            diff = plane[i:] - plane[i]
+            diff *= diff
+            sq += diff
+        np.maximum(best, sq.max(axis=0), out=best)
+    return np.sqrt(best)
 
 
 def consensus_series(traj: Trajectory) -> ConsensusSeries:
@@ -73,6 +95,13 @@ class DecayFit:
     n_censored: int
 
 
+def window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Samples inside the closed window [t_a, t_b], widened by 1e-12 so a grid
+    time that rounding puts just outside an edge still counts."""
+    t_a, t_b = window
+    return (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+
+
 def fit_decay_rate(series: ConsensusSeries, window: tuple[float, float] | None = None,
                    floor: float = DIAMETER_FLOOR) -> DecayFit:
     """Least-squares line through (t, ln dV(t)) on the window; rate = -slope.
@@ -85,7 +114,7 @@ def fit_decay_rate(series: ConsensusSeries, window: tuple[float, float] | None =
     if window is None:
         window = (float(times[0] + 0.5 * (times[-1] - times[0])), float(times[-1]))
     t_a, t_b = window
-    in_window = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+    in_window = window_mask(times, window)
     usable = in_window & (values > floor)
     n_censored = int(np.count_nonzero(in_window) - np.count_nonzero(usable))
     n_used = int(np.count_nonzero(usable))
@@ -212,24 +241,22 @@ def check_two_flock_bound(traj: Trajectory, tol: float = DEFAULT_BOUND_TOL,
 # Positivity and invariance
 # ---------------------------------------------------------------------------
 
-def positivity_probe(scenario: Scenario) -> ProbeReport:
-    """Run the scalar companion system and verify values never go negative.
+def positivity_probe(traj: Trajectory) -> ProbeReport:
+    """Check the scalar companion system's values never go negative.
 
     Realized as the velocity component of a one-dimensional flock whose
     velocity prehistories are all nonnegative (the positions evolve and feed
-    the potential, which exercises the production code path). Supplying a
-    negative prehistory violates the hypothesis and is an error.
+    the potential, which exercises the production code path). A negative
+    prehistory sample violates the hypothesis and is an error.
     """
-    scenario.validate()
+    scenario = _require_scenario(traj)
     if scenario.dim != 1:
         raise PreconditionError("positivity probe runs on one-dimensional scenarios")
     if not scenario.forcing.is_zero:
         raise PreconditionError("positivity probe assumes the unforced system")
-    grid = (np.arange(scenario.delay_steps + 1) - scenario.delay_steps) * scenario.dt
-    _, vs = scenario.history.sample(grid)
-    if vs.min() < 0:
-        raise PreconditionError(f"negative history value {vs.min()} violates the hypothesis")
-    traj = simulate(scenario)
+    hist_min = traj.hist_v.min()
+    if hist_min < 0:
+        raise PreconditionError(f"negative history value {hist_min} violates the hypothesis")
     values = traj.v[:, :, 0]
     k, agent = np.unravel_index(np.argmin(values), values.shape)
     min_value = float(values[k, agent])

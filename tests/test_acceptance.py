@@ -81,7 +81,7 @@ def test_criterion_3_positivity_suite():
     for seed in range(100):
         spec = GeneratorSpec(topology="random_hl", n_agents=2 + seed % 5, dim=1,
                              velocity_range=(0.0, 1.0), rng_seed=seed)
-        result = positivity_probe(generate(spec))
+        result = positivity_probe(simulate(generate(spec)))
         worst = min(worst, result.details["min_value"])
         assert result.passed, f"seed {seed}: {result.to_text()}"
     elapsed = time.perf_counter() - start

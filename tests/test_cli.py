@@ -3,11 +3,26 @@ import json
 import numpy as np
 import pytest
 
+import hlflock.cli
+import hlflock.diagnostics
 from hlflock.cli import main
 from hlflock.integrator import Trajectory, simulate, write_trajectory_csv
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
 from hlflock.scenarios import load_scenario, save_scenario
+
+
+@pytest.fixture
+def simulate_calls(monkeypatch):
+    """Count every simulate call the CLI and the probes make."""
+    calls = []
+
+    def counted(scenario, on_step=None):
+        calls.append(scenario.rng_seed)
+        return simulate(scenario, on_step)
+    for module in (hlflock.cli, hlflock.diagnostics):
+        monkeypatch.setattr(module, "simulate", counted)
+    return calls
 
 
 @pytest.fixture
@@ -108,6 +123,14 @@ class TestCheckCommand:
         assert names["ball_invariance"] is True
         assert names["positivity"] is None      # needs a 1-d scenario
 
+    def test_one_simulation_per_scenario(self, tmp_path, simulate_calls):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 3, "dim": 1, "rng_seed": 0}}))
+        assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "chk"),
+                     "--count", "2", "--seed", "5"]) == 0
+        assert simulate_calls == [5, 6]
+
     @pytest.mark.parametrize("flag,message", [("--dt", "dt must be positive"),
                                               ("--t-end", "t_end")])
     def test_zero_override_is_usage_error(self, two_flock_file, tmp_path, capsys,
@@ -178,21 +201,35 @@ class TestCheckCommand:
 
 
 class TestFitDecayCommand:
-    def test_planted_rate_from_csv(self, tmp_path):
-        times = np.linspace(0.0, 3.0, 301)
-        v = np.zeros((301, 2, 1))
+    @staticmethod
+    def planted_csv(path, times):
+        """Two agents whose velocity gap is exp(-2 t), as a trajectory CSV."""
+        v = np.zeros((times.size, 2, 1))
         v[:, 1, 0] = np.exp(-2.0 * times)
-        traj = Trajectory(times=times, x=np.zeros((301, 2, 1)), v=v,
-                          hist_times=np.empty(0), hist_x=np.empty((0, 2, 1)),
-                          hist_v=np.empty((0, 2, 1)))
-        csv_path = tmp_path / "planted.csv"
-        write_trajectory_csv(traj, csv_path)
+        write_trajectory_csv(Trajectory(times=times, x=np.zeros_like(v), v=v,
+                                        hist_times=np.empty(0), hist_x=np.empty((0, 2, 1)),
+                                        hist_v=np.empty((0, 2, 1))), path)
+        return path
+
+    def test_planted_rate_from_csv(self, tmp_path):
+        csv_path = self.planted_csv(tmp_path / "planted.csv", np.linspace(0.0, 3.0, 301))
         out = tmp_path / "fit"
         assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out),
                      "--window", "0", "3"]) == 0
         result = json.loads((out / "decay_fit.json").read_text())
         assert abs(result["rate"] - 2.0) <= 1e-6
         assert (out / "decay_fit.csv").exists()
+
+    def test_csv_rows_are_the_samples_the_fit_used(self, tmp_path):
+        # 7 * 0.01 rounds to just above 0.07, so an exact window test drops t = 0.07.
+        csv_path = self.planted_csv(tmp_path / "grid.csv", np.arange(301) * 0.01)
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out),
+                     "--window", "0.07", "0.7"]) == 0
+        result = json.loads((out / "decay_fit.json").read_text())
+        table = np.loadtxt(out / "decay_fit.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert result["n_used"] == 64
+        assert np.count_nonzero(table[:, 1] > 1e-12) == result["n_used"]
 
     def test_scenario_input_uses_tail_window(self, two_flock_file, tmp_path):
         out = tmp_path / "fit"
@@ -224,6 +261,14 @@ class TestSweepCommand:
             rundir = out / f"run_{seed:05d}"
             assert (rundir / "trajectory.csv").exists()
             assert load_scenario(rundir / "scenario.json").rng_seed == seed
+
+    def test_one_simulation_per_seed(self, tmp_path, simulate_calls):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 3, "dim": 1, "rng_seed": 0}}))
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "sweep"),
+                     "--count", "3", "--seed", "7"]) == 0
+        assert simulate_calls == [7, 8, 9]
 
     def test_requires_generator_file(self, two_flock_file, tmp_path):
         assert main(["sweep", "--scenario", str(two_flock_file),

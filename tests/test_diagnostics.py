@@ -1,15 +1,19 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
-                                 PreconditionError, ball_invariance_probe,
-                                 calibrate_step_slack, check_two_flock_bound,
-                                 consensus_series, fit_decay_rate,
-                                 free_will_consensus_probe, hat_leader_series,
-                                 history_speed_bound, lyapunov_probe,
-                                 positivity_probe)
+                                 PreconditionError, _pairwise_diameter,
+                                 ball_invariance_probe, calibrate_step_slack,
+                                 check_two_flock_bound, consensus_series,
+                                 fit_decay_rate, free_will_consensus_probe,
+                                 hat_leader_series, history_speed_bound,
+                                 lyapunov_probe, positivity_probe)
 from hlflock.integrator import Trajectory, simulate
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
@@ -67,6 +71,63 @@ class TestConsensusSeries:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             consensus_series(synthetic_traj(np.empty(0), np.empty((0, 2, 1)), np.empty((0, 2, 1))))
+
+    def test_working_memory_is_linear_in_the_trajectory(self):
+        # The all-pairs form allocates a (T, N, N, d) array: over 600 MB here.
+        rng = np.random.default_rng(0)
+        traj = synthetic_traj(np.arange(1001.0), rng.normal(size=(1001, 200, 2)),
+                              rng.normal(size=(1001, 200, 2)))
+        tracemalloc.start()
+        try:
+            consensus_series(traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * traj.v.nbytes
+
+
+def broadcast_diameter(arr):
+    """The all-pairs form: a (T, N, N, d) difference array, reduced at once."""
+    diff = arr[:, :, None, :] - arr[:, None, :, :]
+    return np.sqrt(np.einsum("tijd,tijd->tij", diff, diff)).max(axis=(1, 2))
+
+
+@st.composite
+def diameter_inputs(draw):
+    t, n, d = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = sorted((draw(st.integers(-8, 8)), draw(st.integers(-8, 8))))
+    arr = rng.uniform(-1.0, 1.0, (t, n, d)) * 10.0 ** rng.integers(lo, hi + 1, (t, n, d))
+    for _ in range(draw(st.integers(0, 3))):          # coincident agents
+        arr[:, rng.integers(n)] = arr[:, rng.integers(n)]
+    if draw(st.booleans()):
+        arr[rng.integers(t), rng.integers(n), rng.integers(d)] = np.nan
+    return arr
+
+
+class TestPairwiseDiameterMatchesAllPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(diameter_inputs())
+    def test_matches_broadcast_reference(self, arr):
+        got, ref = _pairwise_diameter(arr), broadcast_diameter(arr)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        if arr.shape[2] <= 2:
+            assert got[~nan].tobytes() == ref[~nan].tobytes()
+        else:
+            np.testing.assert_allclose(got[~nan], ref[~nan], rtol=1e-15, atol=0.0)
+        if arr.shape[1] == 1:
+            assert np.all(got[~nan] == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_non_finite_state_gives_nan_at_that_step(self, bad, n):
+        arr = np.zeros((3, n, 2))
+        arr[1, n - 1, 0] = bad
+        with np.errstate(invalid="ignore"):
+            got, ref = _pairwise_diameter(arr), broadcast_diameter(arr)
+        assert np.array_equal(np.isnan(got), [False, True, False])
+        assert np.array_equal(np.isnan(ref), [False, True, False])
 
 
 # ---------------------------------------------------------------------------
@@ -176,37 +237,42 @@ class TestTwoFlockBound:
 
 class TestPositivityProbe:
     def test_all_zero_histories(self):
-        report = positivity_probe(make_scenario(v0=[[0.0], [0.0]], t_end=1.0))
+        report = positivity_probe(simulate(make_scenario(v0=[[0.0], [0.0]], t_end=1.0)))
         assert report.passed
         assert report.details["min_value"] == 0.0
 
     def test_follower_pulled_up_toward_leader(self):
         scen = make_scenario(v0=[[1.0], [0.0]], t_end=10.0)
-        report = positivity_probe(scen)
-        assert report.passed
         traj = simulate(scen)
+        report = positivity_probe(traj)
+        assert report.passed
         assert traj.v[-1, 1, 0] == pytest.approx(1.0, abs=1e-3)
         assert traj.v[:, 1, 0].min() >= -1e-8
 
     def test_negative_history_is_an_error(self):
         with pytest.raises(PreconditionError, match="negative"):
-            positivity_probe(make_scenario(v0=[[0.5], [-0.1]], t_end=1.0))
+            positivity_probe(simulate(make_scenario(v0=[[0.5], [-0.1]], t_end=1.0)))
 
     def test_needs_one_dimension(self):
         with pytest.raises(PreconditionError):
-            positivity_probe(make_scenario(dim=2, t_end=1.0))
+            positivity_probe(simulate(make_scenario(dim=2, t_end=1.0)))
 
     def test_needs_zero_forcing(self):
         scen = make_scenario(v0=[[0.5], [0.5]], t_end=1.0,
                              forcing=LeaderForcing.power_law(1.0, 3.0, dim=1))
         with pytest.raises(PreconditionError):
-            positivity_probe(scen)
+            positivity_probe(simulate(scen))
+
+    def test_needs_the_scenario(self):
+        traj = simulate(make_scenario(v0=[[0.5], [0.5]], t_end=1.0))
+        with pytest.raises(PreconditionError):
+            positivity_probe(replace(traj, scenario=None))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_randomized_nonnegative_histories(self, seed):
         spec = GeneratorSpec(topology="random_hl", n_agents=6, dim=1,
                              velocity_range=(0.0, 1.0), rng_seed=seed)
-        report = positivity_probe(generate(spec))
+        report = positivity_probe(simulate(generate(spec)))
         assert report.passed, report.to_text()
 
 
