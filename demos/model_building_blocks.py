@@ -11,8 +11,7 @@ import numpy as np
 
 from hlflock import (DelayKernel, HistorySpec, LeadershipDag, Potential,
                      Scenario, simulate, simulate_oracle)
-from hlflock.model import (check_divergent_tail, kernel_mass, leader_levels,
-                           validate_hierarchy)
+from hlflock.model import check_divergent_tail, leader_levels, validate_hierarchy
 
 
 def main():
@@ -43,7 +42,7 @@ def main():
                    DelayKernel.triangular(0.2),
                    DelayKernel.truncated_bump(0.2),
                    DelayKernel.table([0.0, 0.15, 0.2], [0.0, 2.0, 0.0])):
-        print(f"  {kernel.shape:>14}: mass {kernel_mass(kernel):.6f}")
+        print(f"  {kernel.shape:>14}: mass {kernel.mu0:.6f}")
 
     # --- two schemes, one answer -------------------------------------------
     scenario = Scenario(

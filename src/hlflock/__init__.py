@@ -24,21 +24,16 @@ from .model import (
     check_divergent_tail,
     check_forcing_conditions,
     eval_potential,
-    kernel_mass,
     leader_levels,
     validate_hierarchy,
 )
 from .integrator import (
     BlowUpError,
     FlockState,
-    HistoryBuffer,
     Trajectory,
-    delay_coupling,
-    init_history,
     read_trajectory_csv,
     simulate,
     simulate_oracle,
-    step,
     write_trajectory_csv,
 )
 from .diagnostics import (

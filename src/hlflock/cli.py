@@ -25,7 +25,7 @@ from . import diagnostics as diag
 from .integrator import (BlowUpError, Trajectory, read_trajectory_csv, simulate,
                          write_trajectory_csv)
 from .model import Scenario, ScenarioError
-from .scenarios import (_generator_from_dict, generate, load_scenario,
+from .scenarios import (generate, load_generator, load_scenario,
                         save_run, save_scenario)
 
 EXIT_OK = 0
@@ -141,12 +141,11 @@ def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[diag.ProbeReport]:
 
 
 def cmd_check(config: CliConfig) -> int:
-    base = load_scenario(config.scenario, seed=config.seed)
-    scenarios = [base]
-    if config.count > 1:
-        first = config.seed if config.seed is not None else 0
-        scenarios = [load_scenario(config.scenario, seed=first + k)
-                     for k in range(config.count)]
+    # one scenario keeps the file's own seed unless --seed is given; several
+    # are drawn from consecutive seeds starting at --seed (default 0)
+    seeds = ([config.seed] if config.count == 1
+             else [(config.seed or 0) + k for k in range(config.count)])
+    scenarios = [load_scenario(config.scenario, seed=seed) for seed in seeds]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     all_reports = []
@@ -205,9 +204,8 @@ def cmd_fit_decay(config: CliConfig) -> int:
 
 
 def _sweep_worker(args: tuple) -> tuple[int, bool, str]:
-    gen_dict, seed, out_str, probes = args
-    spec = _generator_from_dict({**gen_dict, "rng_seed": seed}, "sweep")
-    traj = simulate(generate(spec))
+    spec, seed, out_str, probes = args
+    traj = simulate(generate(replace(spec, rng_seed=seed)))
     reports = run_probes(traj, probes)
     rundir = Path(out_str) / f"run_{seed:05d}"
     save_run(traj, reports, rundir)
@@ -216,14 +214,11 @@ def _sweep_worker(args: tuple) -> tuple[int, bool, str]:
 
 
 def cmd_sweep(config: CliConfig) -> int:
-    data = json.loads(Path(config.scenario).read_text())
-    if "generator" not in data:
-        print("error: sweep needs a generator-spec scenario file", file=sys.stderr)
-        return EXIT_USAGE
+    spec = load_generator(config.scenario)
     base_seed = config.seed if config.seed is not None else 0
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(data["generator"], base_seed + k, str(out), config.probes)
+    jobs = [(spec, base_seed + k, str(out), config.probes)
             for k in range(config.count)]
     results = []
     if config.workers <= 1:
@@ -285,10 +280,13 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     unknown = set(probes) - set(PROBE_NAMES)
     if unknown:
         raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; choose from {PROBE_NAMES}")
+    count = getattr(args, "count", 1)
+    if count < 1:
+        raise ScenarioError(f"--count must be >= 1, got {count}")
     return CliConfig(command=args.command, scenario=getattr(args, "scenario", None),
                      traj=getattr(args, "traj", None), out=args.out, dt=args.dt,
                      t_end=args.t_end, seed=args.seed, probes=probes,
-                     workers=getattr(args, "workers", 1), count=getattr(args, "count", 1),
+                     workers=getattr(args, "workers", 1), count=count,
                      window=tuple(args.window) if getattr(args, "window", None) else None,
                      verbose=args.verbose)
 

@@ -17,8 +17,6 @@ Two schemes are provided on purpose:
   edge and the leaders' velocities, are evaluated once per stored node and
   kept in a doubled ring of 2(m+1) rows, so each window is one contiguous
   slice and the cache is O(m * edges * d) however long the run.
-  :func:`step` and :func:`delay_coupling` go through the same ring,
-  coupling and step functions.
 * :func:`simulate_oracle` - explicit Euler on a refined grid with
   left-rectangle quadrature; deliberately different discretization used to
   cross-validate the main one.
@@ -51,58 +49,6 @@ class FlockState:
     t: float
     x: np.ndarray     # (N, d) positions
     v: np.ndarray     # (N, d) velocities
-
-
-class HistoryBuffer:
-    """The last tau of states on the step grid: m+1 samples spanning [t-tau, t]."""
-
-    def __init__(self, times: np.ndarray, x: np.ndarray, v: np.ndarray):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size < 2 or x.shape[0] != times.size or v.shape != x.shape:
-            raise ScenarioError("history buffer needs matching times (m+1,) and states (m+1, N, d)")
-        steps = np.diff(times)
-        if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
-            raise ScenarioError("history buffer time stamps must be uniformly spaced")
-        self.times = times
-        self.x = x
-        self.v = v
-
-    @property
-    def t(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def current(self) -> FlockState:
-        return FlockState(self.t, self.x[-1], self.v[-1])
-
-    def lookup(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """State at time s in [t-tau, t]: stored sample at a grid node, linear
-        interpolation between the neighboring samples otherwise."""
-        tol = 1e-9 * max(1.0, abs(self.t))
-        if s < self.times[0] - tol or s > self.times[-1] + tol:
-            raise ScenarioError(f"lookup time {s} outside buffer window "
-                                f"[{self.times[0]}, {self.times[-1]}]")
-        k = int(np.searchsorted(self.times, s, side="right")) - 1
-        k = min(max(k, 0), self.times.size - 2)
-        for node in (k, k + 1):
-            if abs(s - self.times[node]) <= tol:
-                return self.x[node], self.v[node]
-        lam = (s - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return ((1.0 - lam) * self.x[k] + lam * self.x[k + 1],
-                (1.0 - lam) * self.v[k] + lam * self.v[k + 1])
-
-
-def init_history(scenario: Scenario) -> HistoryBuffer:
-    """Sample the prehistory on the step grid -tau, -tau+h, ..., 0."""
-    scenario.validate()
-    m, h = scenario.delay_steps, scenario.dt
-    s_grid = (np.arange(m + 1) - m) * h
-    xs, vs = scenario.history.sample(s_grid)
-    return HistoryBuffer(s_grid, xs, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +115,6 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray,
     return acc
 
 
-def delay_coupling(i: int, t: float, hist: HistoryBuffer, v_i_now: np.ndarray,
-                   scenario: Scenario) -> np.ndarray:
-    """Acceleration of agent ``i`` (1-based) from its leaders' past states."""
-    if not 1 <= i <= scenario.n_agents:
-        raise ScenarioError(f"agent index {i} outside 1..{scenario.n_agents}")
-    tol = 1e-9 * max(1.0, abs(t))
-    if abs(hist.t - t) > tol or abs((hist.t - hist.times[0]) - scenario.tau) > tol:
-        raise ScenarioError(f"history buffer window [{hist.times[0]}, {hist.t}] "
-                            f"does not span [t-tau, t] for t={t}")
-    leaders = scenario.dag.leaders_of(i)
-    dim = scenario.dim
-    if not leaders:
-        return np.zeros(dim)
-    fol = np.full(len(leaders), i - 1, dtype=np.intp)
-    led = np.asarray(sorted(j - 1 for j in leaders), dtype=np.intp)
-    trap = np.full(hist.times.size, hist.step)
-    trap[0] = trap[-1] = 0.5 * hist.step
-    weights = trap * scenario.kernel(t - hist.times)
-    v_now = np.zeros((scenario.n_agents, dim))
-    v_now[i - 1] = np.asarray(v_i_now, dtype=float)
-    ring = _NodeRing(hist.x, hist.v, fol, led, scenario.potential)
-    return _coupling(ring, 0, v_now, weights)[i - 1]
-
-
 # ---------------------------------------------------------------------------
 # Heun stepping
 # ---------------------------------------------------------------------------
@@ -229,23 +151,6 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
         raise BlowUpError(t + h)
     ring.store(new_node, x_new, v_new)
     return x_new, v_new
-
-
-def step(hist: HistoryBuffer, scenario: Scenario) -> HistoryBuffer:
-    """Advance one step; the returned buffer's newest sample is the next state."""
-    scenario.validate()
-    h = scenario.dt
-    if hist.times.size != scenario.delay_steps + 1 or abs(hist.step - h) > 1e-9 * h:
-        raise ScenarioError("history buffer grid does not match the scenario step")
-    if hist.t + h > scenario.t_end + 1e-9 * max(1.0, scenario.t_end):
-        raise ScenarioError(f"step past t_end: t={hist.t}, t_end={scenario.t_end}")
-    fol, led = scenario.dag.edge_arrays()
-    weights = _trapezoid_mu_weights(scenario)
-    ring = _NodeRing(hist.x, hist.v, fol, led, scenario.potential)
-    x_new, v_new = _heun_step(hist.x[-1], hist.v[-1], hist.t, 0, ring, weights, scenario)
-    return HistoryBuffer(hist.times + h,
-                         np.concatenate([hist.x[1:], x_new[None]]),
-                         np.concatenate([hist.v[1:], v_new[None]]))
 
 
 # ---------------------------------------------------------------------------

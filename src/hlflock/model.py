@@ -29,6 +29,12 @@ class ScenarioError(ValueError):
     """A scenario (or one of its components) violates a structural invariant."""
 
 
+def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Both absent, or both present and elementwise equal."""
+    return (a is None and b is None) or (a is not None and b is not None
+                                         and np.array_equal(a, b))
+
+
 # ---------------------------------------------------------------------------
 # Leadership structure
 # ---------------------------------------------------------------------------
@@ -238,6 +244,25 @@ class Potential:
                     and np.array_equal(self.values, other.values))
         return self is other
 
+    def to_dict(self) -> dict:
+        """JSON form of a built-in family; a custom callable has none."""
+        if self.family == "cucker_smale":
+            return {"family": "cucker_smale", "beta": self.beta}
+        if self.family == "table":
+            return {"family": "table", "distances": self.distances.tolist(),
+                    "values": self.values.tolist()}
+        raise ScenarioError("custom potentials hold arbitrary callables and cannot be saved")
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str) -> "Potential":
+        """Inverse of :meth:`to_dict`; ``where`` names ``d`` in errors."""
+        family = d.get("family")
+        if family == "cucker_smale":
+            return cls.cucker_smale(float(d["beta"]))
+        if family == "table":
+            return cls.table(d["distances"], d["values"])
+        raise ScenarioError(f"{where}: unknown family {family!r}")
+
     def __repr__(self) -> str:
         if self.family == "cucker_smale":
             return f"Potential.cucker_smale({self.beta})"
@@ -301,6 +326,8 @@ class DelayKernel:
     must reproduce to 1e-10 relative; tables are trapezoid-only.
     """
 
+    BUILTIN_SHAPES = ("uniform", "triangular", "truncated_bump")
+
     def __init__(self, shape: str, tau: float, *, height: float | None = None,
                  times: np.ndarray | None = None, values: np.ndarray | None = None):
         if not (tau > 0 and math.isfinite(tau)):
@@ -319,7 +346,7 @@ class DelayKernel:
                 raise ScenarioError("kernel weights must be finite and >= 0")
             self._grid_t, self._grid_v = t, v
         else:
-            if shape not in ("uniform", "triangular", "truncated_bump"):
+            if shape not in self.BUILTIN_SHAPES:
                 raise ScenarioError(f"unknown kernel shape {shape!r}")
             self._grid_t = np.linspace(0.0, tau, _KERNEL_GRID_POINTS)
             self._grid_v = self._eval_builtin(self._grid_t)
@@ -387,15 +414,30 @@ class DelayKernel:
                     and np.array_equal(self._grid_v, other._grid_v))
         return self.height == other.height
 
+    def to_dict(self) -> dict:
+        """JSON form: the samples of a table, else tau and the height parameter."""
+        if self.shape == "table":
+            return {"shape": "table", "times": self._grid_t.tolist(),
+                    "values": self._grid_v.tolist()}
+        param = "peak" if self.shape == "triangular" else "height"
+        return {"shape": self.shape, "tau": self.tau, param: self.height}
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str) -> "DelayKernel":
+        """Inverse of :meth:`to_dict`; a missing height parameter gives unit mass."""
+        shape = d.get("shape")
+        if shape == "uniform":
+            return cls.uniform(float(d["tau"]), d.get("height"))
+        if shape == "triangular":
+            return cls.triangular(float(d["tau"]), d.get("peak"))
+        if shape == "truncated_bump":
+            return cls.truncated_bump(float(d["tau"]), d.get("height"))
+        if shape == "table":
+            return cls.table(d["times"], d["values"])
+        raise ScenarioError(f"{where}: unknown shape {shape!r}")
+
     def __repr__(self) -> str:
         return f"DelayKernel({self.shape!r}, tau={self.tau}, mu0={self.mu0:.6g})"
-
-
-def kernel_mass(k: DelayKernel) -> float:
-    """Total kernel mass over [0, tau] (composite trapezoid on the stored grid)."""
-    if not k.mu0 > 0:
-        raise ScenarioError("kernel mass must be positive")
-    return k.mu0
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +499,31 @@ class HistoryFn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HistoryFn) or self.kind != other.kind:
             return False
-        def same(a, b):
-            return (a is None and b is None) or (a is not None and b is not None
-                                                 and np.array_equal(a, b))
-        return (same(self.value, other.value) and same(self.slope, other.slope)
-                and same(self.times, other.times) and same(self.values, other.values))
+        return (_same_array(self.value, other.value) and _same_array(self.slope, other.slope)
+                and _same_array(self.times, other.times)
+                and _same_array(self.values, other.values))
+
+    def to_dict(self) -> dict:
+        if self.kind == "constant":
+            return {"kind": "constant", "value": self.value.tolist()}
+        if self.kind == "affine":
+            return {"kind": "affine", "value": self.value.tolist(), "slope": self.slope.tolist()}
+        return {"kind": "table", "times": self.times.tolist(), "values": self.values.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str) -> "HistoryFn":
+        """Inverse of :meth:`to_dict`; ``where`` names ``d`` in errors."""
+        kind = d.get("kind")
+        try:
+            if kind == "constant":
+                return cls("constant", value=d["value"])
+            if kind == "affine":
+                return cls("affine", value=d["value"], slope=d["slope"])
+            if kind == "table":
+                return cls("table", times=d["times"], values=d["values"])
+        except KeyError as e:
+            raise ScenarioError(f"{where}: missing key {e.args[0]!r} for {kind} history") from None
+        raise ScenarioError(f"{where}: unknown history kind {kind!r}")
 
 
 class HistorySpec:
@@ -633,13 +695,40 @@ class LeaderForcing:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LeaderForcing) or self.family != other.family:
             return False
-        def same(a, b):
-            return (a is None and b is None) or (a is not None and b is not None
-                                                 and np.array_equal(a, b))
         return (self.amplitude == other.amplitude and self.exponent == other.exponent
                 and self.decay_power == other.decay_power
-                and same(self.times, other.times) and same(self.magnitudes, other.magnitudes)
-                and same(self.direction, other.direction))
+                and _same_array(self.times, other.times)
+                and _same_array(self.magnitudes, other.magnitudes)
+                and _same_array(self.direction, other.direction))
+
+    def to_dict(self) -> dict:
+        if self.family == "zero":
+            return {"family": "zero"}
+        if self.family == "power_law":
+            return {"family": "power_law", "amplitude": self.amplitude,
+                    "exponent": self.exponent, "direction": self.direction.tolist()}
+        if self.family == "log_damped":
+            return {"family": "log_damped", "amplitude": self.amplitude,
+                    "decay_power": self.decay_power, "direction": self.direction.tolist()}
+        return {"family": "table", "times": self.times.tolist(),
+                "magnitudes": self.magnitudes.tolist(), "direction": self.direction.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str) -> "LeaderForcing":
+        """Inverse of :meth:`to_dict`; a missing family means zero forcing."""
+        family = d.get("family", "zero")
+        if family == "zero":
+            return cls.zero()
+        if family == "power_law":
+            return cls.power_law(float(d["amplitude"]), float(d["exponent"]),
+                                 direction=d["direction"])
+        if family == "log_damped":
+            return cls("log_damped", amplitude=float(d["amplitude"]),
+                       decay_power=float(d["decay_power"]),
+                       direction=np.asarray(d["direction"], dtype=float))
+        if family == "table":
+            return cls.table(d["times"], d["magnitudes"], direction=d["direction"])
+        raise ScenarioError(f"{where}: unknown family {family!r}")
 
     def __repr__(self) -> str:
         if self.family == "zero":

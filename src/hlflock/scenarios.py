@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -78,8 +78,15 @@ def _topology_dag(spec: GeneratorSpec, rng: np.random.Generator) -> LeadershipDa
 
 def generate(spec: GeneratorSpec) -> Scenario:
     """Draw a concrete scenario; deterministic for a given seed."""
-    if spec.n_agents < 1:
-        raise ScenarioError(f"n_agents must be >= 1, got {spec.n_agents}")
+    for name in ("n_agents", "dim", "delay_steps"):
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+    if not spec.beta_choices:
+        raise ScenarioError("beta_choices must not be empty")
+    if not spec.kernel_shapes or not all(s in DelayKernel.BUILTIN_SHAPES for s in spec.kernel_shapes):
+        raise ScenarioError(f"kernel_shapes must be a non-empty list of {DelayKernel.BUILTIN_SHAPES}, "
+                            f"got {list(spec.kernel_shapes)}")
     rng = np.random.default_rng(spec.rng_seed)
     dag = _topology_dag(spec, rng)
 
@@ -87,15 +94,8 @@ def generate(spec: GeneratorSpec) -> Scenario:
     dt = tau / spec.delay_steps
     n_steps = max(spec.delay_steps, int(math.ceil(spec.sim_span / dt)))
     beta = float(rng.choice(np.asarray(spec.beta_choices, dtype=float)))
-    shape = str(spec.kernel_shapes[int(rng.integers(len(spec.kernel_shapes)))])
-    if shape == "uniform":
-        kernel = DelayKernel.uniform(tau)
-    elif shape == "triangular":
-        kernel = DelayKernel.triangular(tau)
-    elif shape == "truncated_bump":
-        kernel = DelayKernel.truncated_bump(tau)
-    else:
-        raise ScenarioError(f"unknown kernel shape {shape!r} in generator spec")
+    shape = spec.kernel_shapes[int(rng.integers(len(spec.kernel_shapes)))]
+    kernel = DelayKernel.from_dict({"shape": shape, "tau": tau}, "generator spec")
 
     x0 = rng.uniform(*spec.position_range, size=(spec.n_agents, spec.dim))
     v0 = rng.uniform(*spec.velocity_range, size=(spec.n_agents, spec.dim))
@@ -109,68 +109,14 @@ def generate(spec: GeneratorSpec) -> Scenario:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _history_fn_to_dict(fn: HistoryFn) -> dict:
-    if fn.kind == "constant":
-        return {"kind": "constant", "value": fn.value.tolist()}
-    if fn.kind == "affine":
-        return {"kind": "affine", "value": fn.value.tolist(), "slope": fn.slope.tolist()}
-    return {"kind": "table", "times": fn.times.tolist(), "values": fn.values.tolist()}
-
-
-def _history_fn_from_dict(d: dict, where: str) -> HistoryFn:
-    kind = d.get("kind")
-    try:
-        if kind == "constant":
-            return HistoryFn("constant", value=np.asarray(d["value"], dtype=float))
-        if kind == "affine":
-            return HistoryFn("affine", value=np.asarray(d["value"], dtype=float),
-                             slope=np.asarray(d["slope"], dtype=float))
-        if kind == "table":
-            return HistoryFn("table", times=np.asarray(d["times"], dtype=float),
-                             values=np.asarray(d["values"], dtype=float))
-    except KeyError as e:
-        raise ScenarioError(f"{where}: missing key {e.args[0]!r} for {kind} history") from None
-    raise ScenarioError(f"{where}: unknown history kind {kind!r}")
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
-    pot = scenario.potential
-    if pot.family == "cucker_smale":
-        pot_d = {"family": "cucker_smale", "beta": pot.beta}
-    elif pot.family == "table":
-        pot_d = {"family": "table", "distances": pot.distances.tolist(),
-                 "values": pot.values.tolist()}
-    else:
-        raise ScenarioError("custom potentials hold arbitrary callables and cannot be saved")
-
-    ker = scenario.kernel
-    if ker.shape == "table":
-        ker_d = {"shape": "table", "times": ker._grid_t.tolist(),
-                 "values": ker._grid_v.tolist()}
-    else:
-        param = "peak" if ker.shape == "triangular" else "height"
-        ker_d = {"shape": ker.shape, "tau": ker.tau, param: ker.height}
-
-    forc = scenario.forcing
-    if forc.family == "zero":
-        forc_d = {"family": "zero"}
-    elif forc.family == "power_law":
-        forc_d = {"family": "power_law", "amplitude": forc.amplitude,
-                  "exponent": forc.exponent, "direction": forc.direction.tolist()}
-    elif forc.family == "log_damped":
-        forc_d = {"family": "log_damped", "amplitude": forc.amplitude,
-                  "decay_power": forc.decay_power, "direction": forc.direction.tolist()}
-    else:
-        forc_d = {"family": "table", "times": forc.times.tolist(),
-                  "magnitudes": forc.magnitudes.tolist(),
-                  "direction": forc.direction.tolist()}
-
-    history = [{"position": _history_fn_to_dict(p), "velocity": _history_fn_to_dict(v)}
+    history = [{"position": p.to_dict(), "velocity": v.to_dict()}
                for p, v in zip(scenario.history.positions, scenario.history.velocities)]
     leaders = {str(i): sorted(scenario.dag.leaders_of(i))
                for i in range(1, scenario.n_agents + 1) if scenario.dag.leaders_of(i)}
     return {"n_agents": scenario.n_agents, "dim": scenario.dim, "leaders": leaders,
-            "potential": pot_d, "kernel": ker_d, "history": history, "forcing": forc_d,
+            "potential": scenario.potential.to_dict(), "kernel": scenario.kernel.to_dict(),
+            "history": history, "forcing": scenario.forcing.to_dict(),
             "t_end": scenario.t_end, "dt": scenario.dt, "rng_seed": scenario.rng_seed}
 
 
@@ -188,52 +134,14 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
                    for i, js in _require(data, "leaders", where).items()}
         dag = LeadershipDag(n_agents, leaders)
 
-        pot_d = _require(data, "potential", where)
-        family = pot_d.get("family")
-        if family == "cucker_smale":
-            potential = Potential.cucker_smale(float(pot_d["beta"]))
-        elif family == "table":
-            potential = Potential.table(pot_d["distances"], pot_d["values"])
-        else:
-            raise ScenarioError(f"{where}.potential: unknown family {family!r}")
-
-        ker_d = _require(data, "kernel", where)
-        shape = ker_d.get("shape")
-        if shape == "uniform":
-            kernel = DelayKernel.uniform(float(ker_d["tau"]), ker_d.get("height"))
-        elif shape == "triangular":
-            kernel = DelayKernel.triangular(float(ker_d["tau"]), ker_d.get("peak"))
-        elif shape == "truncated_bump":
-            kernel = DelayKernel.truncated_bump(float(ker_d["tau"]), ker_d.get("height"))
-        elif shape == "table":
-            kernel = DelayKernel.table(ker_d["times"], ker_d["values"])
-        else:
-            raise ScenarioError(f"{where}.kernel: unknown shape {shape!r}")
-
-        hist_d = _require(data, "history", where)
+        potential = Potential.from_dict(_require(data, "potential", where), f"{where}.potential")
+        kernel = DelayKernel.from_dict(_require(data, "kernel", where), f"{where}.kernel")
         positions, velocities = [], []
-        for k, entry in enumerate(hist_d):
-            positions.append(_history_fn_from_dict(entry["position"], f"{where}.history[{k}].position"))
-            velocities.append(_history_fn_from_dict(entry["velocity"], f"{where}.history[{k}].velocity"))
+        for k, entry in enumerate(_require(data, "history", where)):
+            positions.append(HistoryFn.from_dict(entry["position"], f"{where}.history[{k}].position"))
+            velocities.append(HistoryFn.from_dict(entry["velocity"], f"{where}.history[{k}].velocity"))
         history = HistorySpec(positions, velocities)
-
-        forc_d = data.get("forcing", {"family": "zero"})
-        fam = forc_d.get("family", "zero")
-        if fam == "zero":
-            forcing = LeaderForcing.zero()
-        elif fam == "power_law":
-            forcing = LeaderForcing.power_law(float(forc_d["amplitude"]),
-                                              float(forc_d["exponent"]),
-                                              direction=forc_d["direction"])
-        elif fam == "log_damped":
-            forcing = LeaderForcing("log_damped", amplitude=float(forc_d["amplitude"]),
-                                    decay_power=float(forc_d["decay_power"]),
-                                    direction=np.asarray(forc_d["direction"], dtype=float))
-        elif fam == "table":
-            forcing = LeaderForcing.table(forc_d["times"], forc_d["magnitudes"],
-                                          direction=forc_d["direction"])
-        else:
-            raise ScenarioError(f"{where}.forcing: unknown family {fam!r}")
+        forcing = LeaderForcing.from_dict(data.get("forcing", {}), f"{where}.forcing")
 
         scenario = Scenario(dag=dag, dim=dim, potential=potential, kernel=kernel,
                             history=history, forcing=forcing,
@@ -266,20 +174,34 @@ def _generator_from_dict(data: dict, where: str) -> GeneratorSpec:
         raise ScenarioError(f"{where}: malformed generator spec ({e})") from e
 
 
-def load_scenario(path, seed: int | None = None) -> Scenario:
-    """Load a scenario file; a file with a top-level "generator" key is drawn
-    from its recorded (or overridden) seed instead."""
-    path = Path(path)
+def _read_json(path: Path) -> dict:
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected a JSON object at the top level")
+    return data
+
+
+def load_generator(path) -> GeneratorSpec:
+    """Load a generator-spec file: a JSON object with a top-level "generator" key."""
+    path = Path(path)
+    data = _read_json(path)
+    if "generator" not in data:
+        raise ScenarioError(f"{path}: not a generator-spec file (no top-level \"generator\" key)")
+    return _generator_from_dict(data["generator"], f"{path}:generator")
+
+
+def load_scenario(path, seed: int | None = None) -> Scenario:
+    """Load a scenario file; a file with a top-level "generator" key is drawn
+    from its recorded (or overridden) seed instead."""
+    path = Path(path)
+    data = _read_json(path)
     if "generator" in data:
         spec = _generator_from_dict(data["generator"], f"{path}:generator")
         if seed is not None:
-            spec = GeneratorSpec(**{**asdict(spec), "rng_seed": seed})
+            spec = replace(spec, rng_seed=seed)
         return generate(spec)
     scenario = scenario_from_dict(data, where=str(path))
     if seed is not None:

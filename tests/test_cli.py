@@ -104,6 +104,15 @@ class TestSimulateCommand:
         save_scenario(scen, path)
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("field,value", [("n_agents", "5"), ("delay_steps", 0),
+                                             ("kernel_shapes", [])])
+    def test_malformed_generator_spec_is_usage_error(self, tmp_path, capsys, field, value):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 3,
+                                                  field: value}}))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_out_defaults_to_env_root(self, two_flock_file, tmp_path, monkeypatch):
         root = tmp_path / "envroot"
         monkeypatch.setenv("HLFLOCK_OUT", str(root))
@@ -130,6 +139,20 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "chk"),
                      "--count", "2", "--seed", "5"]) == 0
         assert simulate_calls == [5, 6]
+
+    def test_loads_each_seed_once(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def counted(path, seed=None):
+            seeds.append(seed)
+            return load_scenario(path, seed=seed)
+        monkeypatch.setattr(hlflock.cli, "load_scenario", counted)
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 2, "dim": 1, "rng_seed": 0}}))
+        assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "chk"),
+                     "--count", "3", "--seed", "4", "--probes", "ball"]) == 0
+        assert seeds == [4, 5, 6]
 
     @pytest.mark.parametrize("flag,message", [("--dt", "dt must be positive"),
                                               ("--t-end", "t_end")])
@@ -274,6 +297,12 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", str(two_flock_file),
                      "--out", str(tmp_path), "--count", "2"]) == 2
 
+    def test_json_syntax_error_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        path.write_text('{"generator": {\n "topology": "chain",\n}}\n')
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"generator": {
@@ -288,3 +317,14 @@ class TestSweepCommand:
             a = (outs[1] / f"run_{seed:05d}" / "trajectory.csv").read_bytes()
             b = (outs[2] / f"run_{seed:05d}" / "trajectory.csv").read_bytes()
             assert a == b
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_count_below_one_is_usage_error(tmp_path, capsys, command, count):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 2}}))
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(path), "--out", str(out), "--count", count]) == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,15 @@
+"""Every demo runs to completion against the current public API."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)     # figures, when matplotlib is present, land here
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hlflock.integrator import (BlowUpError, HistoryBuffer, delay_coupling,
-                                init_history, read_trajectory_csv, simulate,
-                                simulate_oracle, step, trajectory_columns,
-                                write_trajectory_csv)
+from hlflock.integrator import (BlowUpError, _coupling, _NodeRing, _trapezoid_mu_weights,
+                                read_trajectory_csv, simulate, simulate_oracle,
+                                trajectory_columns, write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
 from hlflock.scenarios import GeneratorSpec, generate
@@ -20,16 +19,23 @@ def two_agent(dim=1, x0=((0.0,), (1.0,)), v0=((1.0,), (0.0,)), beta=0.0,
                     t_end=t_end, dt=dt)
 
 
+def window_coupling(scen, xw, vw, v_now):
+    """The delay coupling simulate applies to every agent over the window of
+    stored states xw, vw (m+1, N, d), oldest first; v_now (N, d) is current."""
+    ring = _NodeRing(xw, vw, *scen.dag.edge_arrays(), scen.potential)
+    return _coupling(ring, 0, v_now, _trapezoid_mu_weights(scen))
+
+
 # ---------------------------------------------------------------------------
 # History sampling
 # ---------------------------------------------------------------------------
 
-class TestInitHistory:
+class TestHistorySampling:
     def test_constant_history_fills_window(self):
-        buf = init_history(two_agent())
-        assert buf.times.size == 11
-        assert np.all(buf.x[:, 1, 0] == 1.0)
-        assert np.all(buf.v[:, 0, 0] == 1.0)
+        traj = simulate(two_agent())
+        assert traj.hist_times.size == 11
+        assert np.all(traj.hist_x[:, 1, 0] == 1.0)
+        assert np.all(traj.hist_v[:, 0, 0] == 1.0)
 
     def test_affine_samples(self):
         hist = HistorySpec(
@@ -39,8 +45,8 @@ class TestInitHistory:
                         potential=Potential.cucker_smale(0.0),
                         kernel=DelayKernel.uniform(0.2), history=hist,
                         t_end=0.2, dt=0.1)
-        buf = init_history(scen)
-        np.testing.assert_allclose(buf.v[:, 0, 0], [3.0 - 0.4, 3.0 - 0.2, 3.0], atol=1e-14)
+        traj = simulate(scen)
+        np.testing.assert_allclose(traj.hist_v[:, 0, 0], [3.0 - 0.4, 3.0 - 0.2, 3.0], atol=1e-14)
 
     def test_table_nodes_on_grid_are_exact(self):
         times = np.array([-0.2, -0.1, 0.0])
@@ -52,8 +58,8 @@ class TestInitHistory:
                         potential=Potential.cucker_smale(0.0),
                         kernel=DelayKernel.uniform(0.2), history=hist,
                         t_end=0.2, dt=0.1)
-        buf = init_history(scen)
-        np.testing.assert_array_equal(buf.v[:, 0, 0], [5.0, 7.0, 9.0])
+        traj = simulate(scen)
+        np.testing.assert_array_equal(traj.hist_v[:, 0, 0], [5.0, 7.0, 9.0])
 
     def test_undefined_grid_node_is_an_error(self):
         short = HistoryFn("table", times=np.array([-0.05, 0.0]), values=np.array([[1.0], [1.0]]))
@@ -63,33 +69,7 @@ class TestInitHistory:
                         kernel=DelayKernel.uniform(0.1), history=hist,
                         t_end=0.1, dt=0.01)
         with pytest.raises(ScenarioError, match="undefined"):
-            init_history(scen)
-
-
-class TestHistoryBuffer:
-    def test_lookup_at_grid_node_is_exact(self):
-        buf = init_history(two_agent())
-        x, v = buf.lookup(buf.times[3])
-        np.testing.assert_array_equal(x, buf.x[3])
-        np.testing.assert_array_equal(v, buf.v[3])
-
-    def test_lookup_interpolates_between_nodes(self):
-        times = np.array([-0.1, 0.0])
-        x = np.array([[[0.0]], [[1.0]]])
-        v = np.array([[[2.0]], [[4.0]]])
-        buf = HistoryBuffer(times, x, v)
-        xm, vm = buf.lookup(-0.05)
-        assert xm[0, 0] == pytest.approx(0.5)
-        assert vm[0, 0] == pytest.approx(3.0)
-
-    def test_lookup_outside_window_rejected(self):
-        buf = init_history(two_agent())
-        with pytest.raises(ScenarioError):
-            buf.lookup(-1.0)
-
-    def test_nonuniform_stamps_rejected(self):
-        with pytest.raises(ScenarioError):
-            HistoryBuffer(np.array([-0.2, -0.05, 0.0]), np.zeros((3, 1, 1)), np.zeros((3, 1, 1)))
+            simulate(scen)
 
 
 # ---------------------------------------------------------------------------
@@ -99,49 +79,38 @@ class TestHistoryBuffer:
 class TestDelayCoupling:
     def test_root_has_empty_sum(self):
         scen = two_agent()
-        buf = init_history(scen)
-        np.testing.assert_array_equal(delay_coupling(1, 0.0, buf, np.array([1.0]), scen), [0.0])
+        traj = simulate(scen)
+        acc = window_coupling(scen, traj.hist_x, traj.hist_v, np.array([[1.0], [0.0]]))
+        np.testing.assert_array_equal(acc[0], [0.0])
 
     def test_consensus_velocities_vanish(self):
         scen = two_agent(v0=((0.7,), (0.7,)))
-        buf = init_history(scen)
-        np.testing.assert_array_equal(delay_coupling(2, 0.0, buf, np.array([0.7]), scen), [0.0])
+        traj = simulate(scen)
+        acc = window_coupling(scen, traj.hist_x, traj.hist_v, np.array([[0.7], [0.7]]))
+        np.testing.assert_array_equal(acc[1], [0.0])
 
     def test_hand_quadrature_constant_integrand(self):
         # psi == 1, unit kernel mass, unit velocity gap -> coupling is exactly 1
         scen = two_agent()
-        buf = init_history(scen)
-        assert delay_coupling(2, 0.0, buf, np.array([0.0]), scen)[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_agent_out_of_range(self):
-        scen = two_agent()
-        buf = init_history(scen)
-        with pytest.raises(ScenarioError):
-            delay_coupling(3, 0.0, buf, np.array([0.0]), scen)
-
-    def test_window_mismatch(self):
-        scen = two_agent()
-        buf = init_history(scen)
-        with pytest.raises(ScenarioError, match="window"):
-            delay_coupling(2, 1.0, buf, np.array([0.0]), scen)
+        traj = simulate(scen)
+        acc = window_coupling(scen, traj.hist_x, traj.hist_v, np.array([[1.0], [0.0]]))
+        assert acc[1, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_uses_delayed_positions_not_current(self):
         # Distances inside the potential must come from the past window. Build
         # a moving pair whose current distance is far while the whole stored
         # window sits at distance 0, and compare against a brute-force sum.
         tau, h = 0.2, 0.05
-        times = np.arange(-4, 1) * h
         x = np.zeros((5, 2, 1))
         x[:, 1, 0] = [0.0, 0.0, 0.0, 0.0, 50.0]   # leaps away only at t=0
         v = np.zeros((5, 2, 1))
         v[:, 0, 0] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        buf = HistoryBuffer(times, x, v)
         scen = Scenario(dag=LeadershipDag.chain(2), dim=1,
                         potential=Potential.cucker_smale(0.5),
                         kernel=DelayKernel.uniform(tau),
                         history=HistorySpec.constant([[0.0], [0.0]], [[0.0], [0.0]]),
                         t_end=0.2, dt=h)
-        got = delay_coupling(2, 0.0, buf, np.array([0.0]), scen)[0]
+        got = window_coupling(scen, x, v, np.zeros((2, 1)))[1, 0]
         psi = lambda s: (1.0 + s * s) ** -0.5
         mu = 1.0 / tau
         weights = np.array([0.5, 1, 1, 1, 0.5]) * h * mu
@@ -157,43 +126,12 @@ class TestDelayCoupling:
 # Stepping
 # ---------------------------------------------------------------------------
 
-class TestStep:
-    def test_consensus_is_velocity_fixed_point(self):
-        scen = two_agent(v0=((0.3,), (0.3,)))
-        buf = step(init_history(scen), scen)
-        np.testing.assert_array_equal(buf.v[-1], [[0.3], [0.3]])
-        np.testing.assert_allclose(buf.x[-1][:, 0], [0.3 * 0.01, 1.0 + 0.3 * 0.01], rtol=1e-15)
-
-    def test_root_velocity_exactly_constant(self):
-        scen = two_agent()
-        buf = init_history(scen)
-        for _ in range(20):
-            buf = step(buf, scen)
-        assert buf.v[-1][0, 0] == 1.0
-
-    def test_euler_oracle_single_step_hand_value(self):
-        scen = two_agent(tau=0.1, dt=0.1, t_end=0.1)
-        traj = simulate_oracle(scen, 1)
-        assert traj.v[1, 1, 0] == pytest.approx(0.1, abs=1e-15)
-
-    def test_step_past_horizon_rejected(self):
-        scen = two_agent(t_end=0.1, dt=0.1)
-        buf = step(init_history(scen), scen)
-        with pytest.raises(ScenarioError, match="t_end"):
-            step(buf, scen)
-
-    def test_repeated_step_matches_simulate_bitwise(self):
-        scen = two_agent(dim=2, x0=((0.0, 0.0), (1.0, 0.5)), v0=((0.1, 0.2), (0.9, -0.3)),
-                         beta=0.5, kernel=DelayKernel.triangular(0.1), t_end=0.3)
-        traj = simulate(scen)
-        buf = init_history(scen)
-        for k in range(scen.n_steps):
-            buf = step(buf, scen)
-            np.testing.assert_array_equal(buf.v[-1], traj.v[k + 1])
-            np.testing.assert_array_equal(buf.x[-1], traj.x[k + 1])
-
-
 class TestSimulate:
+    def test_consensus_is_velocity_fixed_point(self):
+        traj = simulate(two_agent(v0=((0.3,), (0.3,))))
+        np.testing.assert_array_equal(traj.v[1], [[0.3], [0.3]])
+        np.testing.assert_allclose(traj.x[1][:, 0], [0.3 * 0.01, 1.0 + 0.3 * 0.01], rtol=1e-15)
+
     def test_horizon_equal_to_delay_gives_window_many_states(self):
         scen = two_agent(t_end=0.1)
         traj = simulate(scen)
@@ -256,6 +194,11 @@ class TestSimulate:
 # ---------------------------------------------------------------------------
 
 class TestOracle:
+    def test_euler_oracle_single_step_hand_value(self):
+        scen = two_agent(tau=0.1, dt=0.1, t_end=0.1)
+        traj = simulate_oracle(scen, 1)
+        assert traj.v[1, 1, 0] == pytest.approx(0.1, abs=1e-15)
+
     def test_consensus_matches_simulate(self):
         v_star = [0.4, -0.2]
         scen = two_agent(dim=2, x0=((0, 0), (2, 1)), v0=(v_star, v_star),
@@ -378,17 +321,16 @@ class TestSchemeAccuracy:
         times = (np.arange(m + 1) - m) * h
         xw = rng.normal(size=(m + 1, n_agents, dim))
         vw = rng.normal(size=(m + 1, n_agents, dim))
-        buf = HistoryBuffer(times, xw, vw)
+        v_now = rng.normal(size=(n_agents, dim))
+        got = window_coupling(scen, xw, vw, v_now)
         for agent in range(2, n_agents + 1):
-            v_now = rng.normal(size=dim)
-            got = delay_coupling(agent, 0.0, buf, v_now, scen)
             expected = np.zeros(dim)
             for j in sorted(dag.leaders_of(agent)):
                 for k in range(m + 1):
                     weight = h * (0.5 if k in (0, m) else 1.0) * kernel(0.0 - times[k])
                     dist = np.linalg.norm(xw[k, agent - 1] - xw[k, j - 1])
-                    expected += weight * (1 + dist ** 2) ** (-beta) * (vw[k, j - 1] - v_now)
-            np.testing.assert_allclose(got, expected, atol=1e-12)
+                    expected += weight * (1 + dist ** 2) ** (-beta) * (vw[k, j - 1] - v_now[agent - 1])
+            np.testing.assert_allclose(got[agent - 1], expected, atol=1e-12)
 
 
 def _reference_simulate(scen):

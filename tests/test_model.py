@@ -6,7 +6,7 @@ import pytest
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError,
                            check_divergent_tail, check_forcing_conditions,
-                           eval_potential, kernel_mass, leader_levels,
+                           eval_potential, leader_levels,
                            validate_hierarchy)
 
 
@@ -143,14 +143,14 @@ class TestDivergentTail:
 
 class TestDelayKernel:
     def test_normalized_uniform_mass_is_one(self):
-        assert abs(kernel_mass(DelayKernel.uniform(0.37)) - 1.0) < 1e-12
+        assert abs(DelayKernel.uniform(0.37).mu0 - 1.0) < 1e-12
 
     def test_uniform_height_times_span(self):
-        assert kernel_mass(DelayKernel.uniform(0.5, height=2.0)) == pytest.approx(1.0, abs=1e-12)
+        assert DelayKernel.uniform(0.5, height=2.0).mu0 == pytest.approx(1.0, abs=1e-12)
 
     def test_triangle_area(self):
         k = DelayKernel.triangular(0.3, peak=4.0)
-        assert kernel_mass(k) == pytest.approx(4.0 * 0.3 / 2.0, rel=1e-12)
+        assert k.mu0 == pytest.approx(4.0 * 0.3 / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("make", [
         lambda: DelayKernel.uniform(0.2, height=3.0),

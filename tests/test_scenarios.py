@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +81,41 @@ def rich_scenario():
                     t_end=1.0, dt=0.025, rng_seed=17)
 
 
+def golden_scenarios():
+    """Between them: every serializable potential, kernel, forcing and history."""
+    rich = rich_scenario()
+    single = Scenario(dag=LeadershipDag(1), dim=2, potential=Potential.cucker_smale(0.5),
+                      kernel=DelayKernel.uniform(0.3),
+                      history=HistorySpec.constant([[0.0, 1.5]], [[1.0, -0.5]]),
+                      t_end=1.5, dt=0.025, rng_seed=4)
+    table = Potential.table([0.0, 1.0, 4.0], [1.0, 0.5, 0.5])
+    return {
+        "rich": rich,
+        "table-uniform-zero": replace(single, potential=table),
+        "truncated_bump-log_damped": replace(
+            single, kernel=DelayKernel.truncated_bump(0.3),
+            forcing=LeaderForcing.log_damped(0.25, 3, dim=2)),
+        "table-table-table": replace(
+            single, potential=table,
+            kernel=DelayKernel.table([0.0, 0.03, 0.3], [0.5, 2.0, 0.25]),
+            forcing=LeaderForcing.table([0.0, 0.5, 2.0], [0.3, 0.1, 0.0], direction=[1.0, 2.0])),
+    }
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("name", sorted(golden_scenarios()))
+    def test_saved_text_matches_golden_file(self, tmp_path, name):
+        # the expected files fix key order and number formatting byte for byte
+        scen = golden_scenarios()[name]
+        path = tmp_path / "scenario.json"
+        save_scenario(scen, path)
+        golden = GOLDEN / f"{name}.json"
+        assert path.read_text() == golden.read_text()
+        assert load_scenario(golden) == scen
+
     def test_rich_scenario_bit_exact(self, tmp_path):
         scen = rich_scenario()
         path = tmp_path / "scenario.json"
@@ -170,6 +206,19 @@ class TestSchemaErrors:
         path = tmp_path / "bad.json"
         path.write_text('{\n "n_agents": 2,\n "dim": \n}\n')
         with pytest.raises(ScenarioError, match="line"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("family,message", [
+        ("potential", "bad.json.potential: unknown family 'yukawa'"),
+        ("kernel", "bad.json.kernel: unknown shape 'yukawa'"),
+        ("forcing", "bad.json.forcing: unknown family 'yukawa'"),
+    ])
+    def test_unknown_family_names_its_field(self, tmp_path, family, message):
+        data = scenario_to_dict(rich_scenario())
+        data[family] = {"family": "yukawa", "shape": "yukawa"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=message):
             load_scenario(path)
 
     def test_unknown_generator_field_rejected(self, tmp_path):
