@@ -69,11 +69,10 @@ def _load(config: CliConfig) -> Scenario:
 
 def _summary(traj) -> dict:
     series = diag.consensus_series(traj)
-    speeds = np.sqrt(np.einsum("knd,knd->kn", traj.v, traj.v))
     return {
         "final_velocity_diameter": float(series.velocity_diameter[-1]),
         "final_position_diameter": float(series.position_diameter[-1]),
-        "max_speed": float(speeds.max()),
+        "max_speed": float(np.sqrt(np.einsum("knd,knd->kn", traj.v, traj.v)).max()),
         "history_speed_bound": diag.history_speed_bound(traj),
         "t_end": float(traj.times[-1]),
         "n_steps": int(traj.times.size - 1),

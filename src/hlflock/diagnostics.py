@@ -17,6 +17,7 @@ for C*h). Decay estimates are evaluated from t = tau onward; the window
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -43,11 +44,26 @@ class InsufficientDataError(ValueError):
 # Consensus series and decay fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ConsensusSeries:
-    times: np.ndarray
-    velocity_diameter: np.ndarray   # max over agent pairs of |v_i - v_j|
-    position_diameter: np.ndarray
+    """Max over agent pairs of |v_i - v_j| and of |x_i - x_j| at each step.
+
+    Built from the positions (T, N, d) instead of ``position_diameter``, the
+    position series is computed the first time it is read, so a caller that
+    reads only the velocity diameter never pays for it.
+    """
+
+    def __init__(self, times: np.ndarray, velocity_diameter: np.ndarray,
+                 position_diameter: np.ndarray | None = None, *,
+                 positions: np.ndarray | None = None):
+        self.times = times
+        self.velocity_diameter = velocity_diameter
+        self._positions = positions
+        if position_diameter is not None:
+            self.position_diameter = position_diameter
+
+    @cached_property
+    def position_diameter(self) -> np.ndarray:
+        return _pairwise_diameter(self._positions)
 
 
 def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
@@ -77,12 +93,13 @@ def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
 
 
 def consensus_series(traj: Trajectory) -> ConsensusSeries:
-    """Exact max-over-pairs velocity and position diameters at each step."""
+    """Exact max-over-pairs velocity and position diameters at each step; the
+    position diameter is computed when first read."""
     if traj.times.size == 0:
         raise PreconditionError("empty trajectory")
     return ConsensusSeries(times=traj.times,
                            velocity_diameter=_pairwise_diameter(traj.v),
-                           position_diameter=_pairwise_diameter(traj.x))
+                           positions=traj.x)
 
 
 @dataclass(frozen=True)

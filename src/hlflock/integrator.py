@@ -19,14 +19,20 @@ Two schemes are provided on purpose:
   slice and the cache is O(m * edges * d) however long the run.
 * :func:`simulate_oracle` - explicit Euler on a refined grid with
   left-rectangle quadrature; deliberately different discretization used to
-  cross-validate the main one.
+  cross-validate the main one. For piecewise-linear kernels (uniform,
+  triangular, table) running zeroth and first moment sums per linear piece
+  make a substep cost O(pieces * edges * d) whatever the window length; the
+  truncated bump pays the full window.
 
-Any non-finite state aborts the run with the offending time stamp.
+Any non-finite state aborts the run with a :class:`BlowUpError` naming the
+time, the first non-finite agent and the last finite time.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,11 +43,22 @@ from .model import Potential, Scenario, ScenarioError
 
 
 class BlowUpError(RuntimeError):
-    """The integration produced non-finite values."""
+    """The integration produced non-finite values at time ``t``: ``agent``
+    (1-based) is the first agent whose state is not finite there, and
+    ``last_finite_t`` the last grid time at which every state was finite."""
 
-    def __init__(self, t: float):
-        super().__init__(f"blow-up detected at t={t}")
+    def __init__(self, t: float, agent: int, last_finite_t: float):
+        super().__init__(f"blow-up detected at t={t}: agent {agent} is not finite "
+                         f"(last finite state at t={last_finite_t})")
         self.t = t
+        self.agent = agent
+        self.last_finite_t = last_finite_t
+
+
+def _blow_up(t: float, last_finite_t: float, x: np.ndarray, v: np.ndarray) -> BlowUpError:
+    """The error for a non-finite state x, v (N, d) at time t."""
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))
+    return BlowUpError(t, int(np.argmax(bad)) + 1, last_finite_t)
 
 
 @dataclass(frozen=True)
@@ -148,7 +165,7 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
     v_new = v_cur + 0.5 * h * (a0 + a1)
     x_new = x_cur + 0.5 * h * (v_cur + vp)
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(x_new))):
-        raise BlowUpError(t + h)
+        raise _blow_up(t + h, t, x_new, v_new)
     ring.store(new_node, x_new, v_new)
     return x_new, v_new
 
@@ -238,9 +255,21 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     grid so the result is directly comparable to :func:`simulate`.
 
     Implemented as plain-float loops over a ring buffer, deliberately sharing
-    no array machinery with the Heun path. Uniform kernels get an O(1)
-    sliding update of the window sums; other kernels pay the full window per
-    substep, which is fine at the short horizons where they are used.
+    no array machinery with the Heun path. Each window node holds one row: the
+    potential-weighted leader velocities psi*v_L on every edge, then psi.
+
+    For a piecewise-linear kernel (uniform, triangular, table) the window's
+    m2 nodes fall into runs, one per linear piece of the kernel that holds a
+    node, inside which the rectangle weight of node j is a + b*(j - lo). Each
+    run keeps running zeroth and first moments of its rows, sum(row) and
+    sum((j - lo) * row), so its share of the window sum is a*s0 + b*s1. A
+    substep moves one node out of and one into every run, and the first
+    moment shifts by the zeroth: O(runs * edges * d) per substep, whatever
+    m2. A run with zero slope (the uniform kernel's only run) keeps no first
+    moment and runs the plain sliding sum. The first moment would integrate
+    the zeroth's rounding drift, so sloped runs are summed afresh once every
+    m2+1 substeps, which adds O(edges * d) per substep on average. Other
+    kernels (the truncated bump) pay the full window per substep.
     """
     scenario.validate()
     if not isinstance(refinement, int) or refinement < 1:
@@ -259,6 +288,8 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     led = [int(e) * dim for e in led_arr]
     n_edges = len(fol)
     nd = n_agents * dim
+    pbase = n_edges * dim                     # offset of psi in a node row
+    nq = pbase + n_edges
 
     hist_s = (np.arange(m2 + 1) - m2) * h2
     xs0, vs0 = scenario.history.sample(hist_s)
@@ -269,12 +300,10 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     v_ring = [list(map(float, vs0[r].ravel())) for r in range(m2 + 1)]
 
     rect_w = [h2 * float(scenario.kernel((m2 - j) * h2)) for j in range(m2)]
-    uniform = scenario.kernel.shape == "uniform"
 
-    def node_parts(xr: list, vr: list) -> tuple[list, list]:
-        # per-edge potential value and potential-weighted leader velocity
-        psis = [0.0] * n_edges
-        u = [0.0] * (n_edges * dim)
+    def node_row(xr: list, vr: list) -> list:
+        # per-edge potential-weighted leader velocity, then per-edge potential
+        row = [0.0] * nq
         for e in range(n_edges):
             fi, li = fol[e], led[e]
             d2 = 0.0
@@ -282,26 +311,47 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
                 dx = xr[fi + c] - xr[li + c]
                 d2 += dx * dx
             p = psi_sq(d2)
-            psis[e] = p
+            row[pbase + e] = p
             for c in range(dim):
-                u[e * dim + c] = p * vr[li + c]
-        return u, psis
+                row[e * dim + c] = p * vr[li + c]
+        return row
 
-    u_ring: list = [None] * ring
-    p_ring: list = [None] * ring
+    q_ring: list = [None] * ring
     if n_edges:
         for r in range(m2 + 1):
-            u_ring[r], p_ring[r] = node_parts(x_ring[r], v_ring[r])
-    if uniform and n_edges:
-        w0 = rect_w[0]
-        s_u = [0.0] * (n_edges * dim)
-        s_p = [0.0] * n_edges
-        for r in range(m2):
-            row_u, row_p = u_ring[r], p_ring[r]
-            for k in range(n_edges * dim):
-                s_u[k] += row_u[k]
-            for e in range(n_edges):
-                s_p[e] += row_p[e]
+            q_ring[r] = node_row(x_ring[r], v_ring[r])
+
+    def run_sums(first: int, lo: int, cnt: int, sloped: bool) -> tuple[list, list | None]:
+        # sum(row) and, if sloped, sum((j - lo) * row) over the window nodes
+        # j = lo..lo+cnt-1 of the window whose oldest node is ``first``
+        s0 = [0.0] * nq
+        s1 = [0.0] * nq if sloped else None
+        for j in range(lo, lo + cnt):
+            row = q_ring[(first + j) % ring]
+            for k in range(nq):
+                s0[k] += row[k]
+                if sloped:
+                    s1[k] += (j - lo) * row[k]
+        return s0, s1
+
+    # one entry per run of window nodes lo..lo+cnt-1 on one linear piece of
+    # the kernel: (lo, cnt, a, b, zeroth moment, first moment or None)
+    moments = None
+    breaks = scenario.kernel.breakpoints
+    if breaks is not None and n_edges:
+        # the piece holding each node's delay (m2 - j) * h2; the kernel is
+        # continuous, so a node on a breakpoint may join either neighbour
+        last = len(breaks) - 2
+        piece = [min(max(bisect.bisect_right(breaks, (m2 - j) * h2) - 1, 0), last)
+                 for j in range(m2)]
+        moments = []
+        lo = 0
+        for _, run in itertools.groupby(piece):
+            cnt = len(list(run))
+            a = rect_w[lo]
+            b = (rect_w[lo + cnt - 1] - a) / (cnt - 1) if cnt > 1 else 0.0
+            moments.append((lo, cnt, a, b, *run_sums(0, lo, cnt, bool(b))))
+            lo += cnt
 
     x_out = np.empty((n + 1, n_agents, dim))
     v_out = np.empty_like(x_out)
@@ -315,47 +365,59 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
         vv = v_ring[slot_cur]
 
         acc = [0.0] * nd
-        if n_edges:
-            if uniform:
+        if moments is not None:
+            # sum over a run's nodes of (a + b*(j - lo)) * row = a*s0 + b*s1
+            for lo, cnt, a, b, s0, s1 in moments:
                 for e in range(n_edges):
-                    fi = fol[e]
-                    wp = w0 * s_p[e]
+                    fi, pe = fol[e], pbase + e
+                    wp = a * s0[pe] + b * s1[pe] if b else a * s0[pe]
                     for c in range(dim):
-                        acc[fi + c] += w0 * s_u[e * dim + c] - wp * vv[fi + c]
-            else:
-                for e in range(n_edges):
-                    fi, li = fol[e], led[e]
-                    for j in range(m2):
-                        slot = (sub + j) % ring
-                        wp = rect_w[j] * p_ring[slot][e]
-                        row_v = v_ring[slot]
-                        for c in range(dim):
-                            acc[fi + c] += wp * (row_v[li + c] - vv[fi + c])
+                        k = e * dim + c
+                        wu = a * s0[k] + b * s1[k] if b else a * s0[k]
+                        acc[fi + c] += wu - wp * vv[fi + c]
+        elif n_edges:
+            for e in range(n_edges):
+                fi, li, pe = fol[e], led[e], pbase + e
+                for j in range(m2):
+                    slot = (sub + j) % ring
+                    wp = rect_w[j] * q_ring[slot][pe]
+                    row_v = v_ring[slot]
+                    for c in range(dim):
+                        acc[fi + c] += wp * (row_v[li + c] - vv[fi + c])
         if forced:
             fvec = forcing.eval(sub * h2, dim)
             for c in range(dim):
                 acc[c] = float(fvec[c])
 
-        v_new = [vv[i] + h2 * acc[i] for i in range(nd)]
-        x_new = [xv[i] + h2 * vv[i] for i in range(nd)]
+        v_new = [v + h2 * a for v, a in zip(vv, acc)]
+        x_new = [x + h2 * v for x, v in zip(xv, vv)]
 
         if n_edges:
-            new_u, new_p = node_parts(x_new, v_new)
-            if uniform:
-                cur_u, cur_p = u_ring[slot_cur], p_ring[slot_cur]
-                old_u, old_p = u_ring[slot_old], p_ring[slot_old]
-                for k in range(n_edges * dim):
-                    s_u[k] += cur_u[k] - old_u[k]
-                for e in range(n_edges):
-                    s_p[e] += cur_p[e] - old_p[e]
-            u_ring[slot_old], p_ring[slot_old] = new_u, new_p
+            if moments is not None:
+                # node lo leaves each run and node lo+cnt enters it. The first
+                # moment integrates the zeroth's rounding drift, so sloped runs
+                # are summed afresh once per window length.
+                for lo, cnt, a, b, s0, s1 in moments:
+                    if b and (sub + 1) % ring == 0:
+                        s0[:], s1[:] = run_sums(sub + 1, lo, cnt, True)
+                        continue
+                    q_out = q_ring[(sub + lo) % ring]
+                    q_in = q_ring[(sub + lo + cnt) % ring]
+                    if b:
+                        for k in range(nq):
+                            s1[k] += (cnt - 1) * q_in[k] + q_out[k] - s0[k]
+                    for k in range(nq):
+                        s0[k] += q_in[k] - q_out[k]
+            q_ring[slot_old] = node_row(x_new, v_new)
         x_ring[slot_old] = x_new
         v_ring[slot_old] = v_new
 
         if (sub + 1) % k_ref == 0:
-            if not (all(map(math.isfinite, v_new)) and all(map(math.isfinite, x_new))):
-                raise BlowUpError((sub + 1) * h2)
             i = (sub + 1) // k_ref
+            if not (all(map(math.isfinite, v_new)) and all(map(math.isfinite, x_new))):
+                raise _blow_up((sub + 1) * h2, (i - 1) * h,
+                               np.reshape(x_new, (n_agents, dim)),
+                               np.reshape(v_new, (n_agents, dim)))
             for a in range(n_agents):
                 for c in range(dim):
                     x_out[i, a, c] = x_new[a * dim + c]

@@ -398,6 +398,18 @@ class DelayKernel:
             return self.height * 0.5 * self.tau * _BUMP_INTEGRAL
         return None
 
+    @property
+    def breakpoints(self) -> tuple[float, ...] | None:
+        """Delays, from 0 to tau, between which the kernel is linear; None
+        for a kernel that is not piecewise linear (the truncated bump)."""
+        if self.shape == "uniform":
+            return (0.0, self.tau)
+        if self.shape == "triangular":
+            return (0.0, 0.5 * self.tau, self.tau)
+        if self.shape == "table":
+            return tuple(self._grid_t.tolist())
+        return None
+
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
         if self.shape == "table":

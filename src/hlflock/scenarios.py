@@ -76,6 +76,11 @@ def _topology_dag(spec: GeneratorSpec, rng: np.random.Generator) -> LeadershipDa
     raise ScenarioError(f"unknown topology {spec.topology!r}")
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 def generate(spec: GeneratorSpec) -> Scenario:
     """Draw a concrete scenario; deterministic for a given seed."""
     for name in ("n_agents", "dim", "delay_steps"):
@@ -84,6 +89,22 @@ def generate(spec: GeneratorSpec) -> Scenario:
             raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     if not spec.beta_choices:
         raise ScenarioError("beta_choices must not be empty")
+    if not all(_is_finite_number(b) for b in spec.beta_choices):
+        raise ScenarioError(f"beta_choices must hold finite numbers, got {list(spec.beta_choices)}")
+    for name in ("sim_span", "edge_prob"):
+        if not _is_finite_number(getattr(spec, name)):
+            raise ScenarioError(f"{name} must be a finite number, got {getattr(spec, name)!r}")
+    for name in ("position_range", "velocity_range", "tau_range"):
+        bounds = getattr(spec, name)
+        try:
+            lo, hi = bounds
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not (_is_finite_number(lo) and _is_finite_number(hi) and lo <= hi):
+            raise ScenarioError(f"{name} must be two finite numbers [lo, hi] with lo <= hi, "
+                                f"got {bounds!r}")
+    if not spec.tau_range[0] > 0:
+        raise ScenarioError(f"tau_range must have a lower bound > 0, got {spec.tau_range!r}")
     if not spec.kernel_shapes or not all(s in DelayKernel.BUILTIN_SHAPES for s in spec.kernel_shapes):
         raise ScenarioError(f"kernel_shapes must be a non-empty list of {DelayKernel.BUILTIN_SHAPES}, "
                             f"got {list(spec.kernel_shapes)}")

@@ -104,8 +104,12 @@ class TestSimulateCommand:
         save_scenario(scen, path)
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("field,value", [("n_agents", "5"), ("delay_steps", 0),
-                                             ("kernel_shapes", [])])
+    @pytest.mark.parametrize("field,value", [
+        ("n_agents", "5"), ("delay_steps", 0), ("kernel_shapes", []),
+        ("beta_choices", [0.0, "a"]), ("sim_span", "x"), ("edge_prob", "half"),
+        ("position_range", [-1.0, "1"]), ("position_range", [1]),
+        ("velocity_range", [0.0, 1.0, 2.0]), ("velocity_range", [1.0, 0.0]),
+        ("position_range", [0.0, float("inf")]), ("tau_range", [0.0, 0.5])])
     def test_malformed_generator_spec_is_usage_error(self, tmp_path, capsys, field, value):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 3,
@@ -253,6 +257,15 @@ class TestFitDecayCommand:
         table = np.loadtxt(out / "decay_fit.csv", delimiter=",", skiprows=1, ndmin=2)
         assert result["n_used"] == 64
         assert np.count_nonzero(table[:, 1] > 1e-12) == result["n_used"]
+
+    def test_reads_only_the_velocity_diameter(self, two_flock_file, tmp_path, monkeypatch):
+        calls = []
+        real = hlflock.diagnostics._pairwise_diameter
+        monkeypatch.setattr(hlflock.diagnostics, "_pairwise_diameter",
+                            lambda arr: calls.append(arr) or real(arr))
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--scenario", str(two_flock_file), "--out", str(out)]) == 0
+        assert len(calls) == 1
 
     def test_scenario_input_uses_tail_window(self, two_flock_file, tmp_path):
         out = tmp_path / "fit"

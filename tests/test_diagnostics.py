@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlflock.diagnostics
 from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
                                  PreconditionError, _pairwise_diameter,
                                  ball_invariance_probe, calibrate_step_slack,
@@ -53,6 +54,17 @@ def synthetic_traj(times, x, v, scenario=None, hist_x=None, hist_v=None):
 # ---------------------------------------------------------------------------
 
 class TestConsensusSeries:
+    def test_position_diameter_is_computed_when_first_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hlflock.diagnostics, "_pairwise_diameter",
+                            lambda arr: calls.append(arr) or _pairwise_diameter(arr))
+        traj = simulate(make_scenario(n_agents=3, dim=2, t_end=1.0))
+        ser = consensus_series(traj)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ser.position_diameter, _pairwise_diameter(traj.x))
+        np.testing.assert_array_equal(ser.position_diameter, _pairwise_diameter(traj.x))
+        assert len(calls) == 2
+
     def test_consensus_data_has_zero_diameter(self):
         v = np.full((5, 3, 2), 1.5)
         ser = consensus_series(synthetic_traj(np.arange(5.0), np.zeros((5, 3, 2)), v))
@@ -195,6 +207,24 @@ class TestTwoFlockBound:
                         t_end=20.0, dt=0.01)
         report = check_two_flock_bound(simulate(scen))
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kernel_factory", [DelayKernel.uniform, DelayKernel.triangular])
+    def test_fitted_rate_is_at_least_envelope_rate(self, beta, kernel_factory):
+        # the paper's decay rate: the gap shrinks at least as fast as
+        # mu0 * psi(y_M), up to the discretization slack
+        scen = Scenario(dag=LeadershipDag.chain(2), dim=2,
+                        potential=Potential.cucker_smale(beta),
+                        kernel=kernel_factory(0.1),
+                        history=HistorySpec.constant([[0.0, 0.0], [1.0, 0.5]],
+                                                     [[0.1, 0.0], [0.4, 0.8]]),
+                        t_end=20.0, dt=0.01)
+        traj = simulate(scen)
+        slack = calibrate_step_slack(traj)
+        report = check_two_flock_bound(traj, slack=slack)
+        fit = fit_decay_rate(consensus_series(traj), window=(scen.tau, scen.t_end))
+        assert fit.n_censored == 0
+        assert fit.rate >= report.details["rate"] - slack
 
     def test_holds_on_simulated_run(self):
         traj = simulate(make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[0, 0], [0, 1]], t_end=20.0))

@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlflock.integrator import (BlowUpError, _coupling, _NodeRing, _trapezoid_mu_weights,
                                 read_trajectory_csv, simulate, simulate_oracle,
                                 trajectory_columns, write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
-from hlflock.scenarios import GeneratorSpec, generate
+from hlflock.scenarios import GeneratorSpec, generate, load_scenario
 
 
 def two_agent(dim=1, x0=((0.0,), (1.0,)), v0=((1.0,), (0.0,)), beta=0.0,
@@ -170,10 +174,16 @@ class TestSimulate:
         assert np.abs(traj.v[:, 0, :] - traj.v[0, 0, :]).max() == 0.0
 
     def test_blow_up_reports_time(self):
+        # the root keeps its velocity; only the follower (agent 2) diverges
         scen = two_agent(beta=0.0, kernel=DelayKernel.uniform(0.1, height=1e5), t_end=2.0)
-        with pytest.raises(BlowUpError) as err:
-            simulate(scen)
-        assert 0.0 < err.value.t <= 2.0
+        for run in (simulate, lambda s: simulate_oracle(s, 1), lambda s: simulate_oracle(s, 3)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(BlowUpError) as err:
+                    run(scen)
+            assert 0.0 < err.value.t <= 2.0
+            assert err.value.agent == 2
+            assert err.value.last_finite_t == pytest.approx(err.value.t - scen.dt)
+            assert "agent 2" in str(err.value)
 
     def test_per_step_callback(self):
         scen = two_agent(t_end=0.5)
@@ -245,9 +255,12 @@ class TestOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as err:
                 simulate_oracle(scen, refinement)
-            with pytest.raises(BlowUpError):
+            with pytest.raises(BlowUpError) as heun_err:
                 simulate(scen)
         assert err.value.t == pytest.approx(scen.dt)
+        for e in (err.value, heun_err.value):
+            assert e.agent == 1
+            assert e.last_finite_t == 0.0
 
     def test_forced_root_integrates_forcing(self):
         forcing = LeaderForcing.power_law(1.0, 2.0, dim=1)
@@ -425,6 +438,106 @@ class TestNodeCacheMatchesWindowRecompute:
         simulate(scen)
         n_edges = scen.dag.edge_arrays()[0].size
         assert sum(seen) == n_edges * (m + 1 + 2 * scen.n_steps)
+
+
+def _reference_oracle(scen, refinement):
+    """The Euler oracle written the direct way: at every substep the
+    left-rectangle sum runs over the whole window, with distances, potential
+    and leader velocities recomputed at each node. Returns (x, v) on the
+    coarse grid."""
+    m2, n2 = scen.delay_steps * refinement, scen.n_steps * refinement
+    h2, dim = scen.dt / refinement, scen.dim
+    fol, led = scen.dag.edge_arrays()
+    weights = h2 * scen.kernel((m2 - np.arange(m2)) * h2)
+    X = np.empty((m2 + n2 + 1, scen.n_agents, dim))
+    V = np.empty_like(X)
+    X[: m2 + 1], V[: m2 + 1] = scen.history.sample((np.arange(m2 + 1) - m2) * h2)
+    for k in range(n2):
+        xw, vw = X[k:k + m2], V[k:k + m2]
+        x_cur, v_cur = X[k + m2], V[k + m2]
+        acc = np.zeros(v_cur.shape)
+        if fol.size:
+            dp = xw[:, fol, :] - xw[:, led, :]
+            psi = scen.potential(np.sqrt(np.einsum("kef,kef->ke", dp, dp)))
+            rel = vw[:, led, :] - v_cur[fol][None, :, :]
+            np.add.at(acc, fol, np.einsum("k,ke,kef->ef", weights, psi, rel))
+        acc[0] = scen.forcing.eval(k * h2, dim)      # the root feels only its forcing
+        V[k + m2 + 1] = v_cur + h2 * acc
+        X[k + m2 + 1] = x_cur + h2 * v_cur
+    return X[m2::refinement], V[m2::refinement]
+
+
+def assert_oracle_matches_reference(scen, refinement, atol):
+    traj = simulate_oracle(scen, refinement)
+    x_ref, v_ref = _reference_oracle(scen, refinement)
+    np.testing.assert_allclose(traj.x, x_ref, rtol=0, atol=atol)
+    np.testing.assert_allclose(traj.v, v_ref, rtol=0, atol=atol)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Small random flocks over every kernel family; table breakpoints are
+    drawn anywhere in (0, tau), so they fall off the node grid."""
+    shape = draw(st.sampled_from(["uniform", "triangular", "table", "truncated_bump"]))
+    m, refinement = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    dim, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+    forced, beta = draw(st.booleans()), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    rng = np.random.default_rng(seed)
+    n_agents, h = int(rng.integers(2, 6)), 0.05
+    tau = m * h
+    if shape == "table":
+        inner = np.unique(rng.uniform(0.01, 0.99, size=int(rng.integers(0, 5))))
+        times = np.concatenate([[0.0], inner * tau, [tau]])
+        kernel = DelayKernel.table(times, rng.uniform(0.0, 5.0, size=times.size) + 0.1)
+    else:
+        kernel = DelayKernel.from_dict({"shape": shape, "tau": tau}, "test")
+    leaders = {i: set(int(j) for j in
+                      rng.choice(i - 1, size=int(rng.integers(1, i)), replace=False) + 1)
+               for i in range(2, n_agents + 1)}
+    x0, xs, v0, vs = rng.normal(size=(4, n_agents, dim))
+    history = HistorySpec([HistoryFn("affine", value=a, slope=b) for a, b in zip(x0, xs)],
+                          [HistoryFn("affine", value=a, slope=b) for a, b in zip(v0, vs)])
+    scen = Scenario(dag=LeadershipDag(n_agents, leaders), dim=dim,
+                    potential=Potential.cucker_smale(beta), kernel=kernel, history=history,
+                    forcing=(LeaderForcing.power_law(0.7, 1.5, dim=dim) if forced
+                             else LeaderForcing.zero()),
+                    t_end=1.0, dt=h)
+    return scen, refinement
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestOracleMomentSums:
+    # odd m2 = m * refinement: the triangle's peak at tau/2 falls between nodes
+    @example((_random_scenario(21, 2, 5, "triangular", Potential.cucker_smale(0.5), True), 1))
+    @example((_random_scenario(22, 1, 3, "triangular", Potential.cucker_smale(0.25), False), 3))
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    def test_matches_full_window_loop(self, case):
+        assert_oracle_matches_reference(*case, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [DelayKernel.triangular(0.1),
+                                        DelayKernel.table([0.0, 0.013, 0.05, 0.0711, 0.1],
+                                                          [0.5, 9.0, 14.0, 3.0, 1.0])])
+    def test_long_run_has_no_drift(self, kernel):
+        # 14000 substeps: the running moments must not drift from the sums
+        scen = Scenario(dag=LeadershipDag(4, {2: {1}, 3: {1, 2}, 4: {3}}), dim=2,
+                        potential=Potential.cucker_smale(0.5), kernel=kernel,
+                        history=HistorySpec.constant([[0, 0], [1, 0], [0.3, 2], [3, 1]],
+                                                     [[0, 0], [0, 1], [1, 0.2], [-1, 0.5]]),
+                        t_end=20.0, dt=0.01)
+        assert_oracle_matches_reference(scen, 7, atol=1e-13)
+
+    @pytest.mark.parametrize("name,refinement", [("oracle_uniform_forced", 3),
+                                                 ("oracle_uniform_beta", 2)])
+    def test_uniform_kernel_matches_stored_trajectory_bitwise(self, name, refinement):
+        # stored from the sliding-sum oracle that preceded the moment sums
+        scen = load_scenario(GOLDEN / f"{name}.json")
+        stored = read_trajectory_csv(GOLDEN / f"{name}_r{refinement}.csv")
+        traj = simulate_oracle(scen, refinement)
+        np.testing.assert_array_equal(traj.x, stored.x)
+        np.testing.assert_array_equal(traj.v, stored.v)
 
 
 # ---------------------------------------------------------------------------

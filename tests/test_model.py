@@ -162,6 +162,20 @@ class TestDelayKernel:
         k = make()
         assert abs(k.mu0 - k.analytic_mass) <= 1e-10 * k.analytic_mass
 
+    @pytest.mark.parametrize("kernel,breaks", [
+        (DelayKernel.uniform(0.2), (0.0, 0.2)),
+        (DelayKernel.triangular(0.3), (0.0, 0.15, 0.3)),
+        (DelayKernel.table([0.0, 0.04, 0.1], [1.0, 3.0, 0.5]), (0.0, 0.04, 0.1)),
+        (DelayKernel.truncated_bump(0.2), None),
+    ])
+    def test_breakpoints_bound_linear_pieces(self, kernel, breaks):
+        assert kernel.breakpoints == breaks
+        if breaks is not None:
+            # linear between consecutive breakpoints: midpoint value is the mean
+            for lo, hi in zip(breaks, breaks[1:]):
+                mid = kernel(0.5 * (lo + hi))
+                assert mid == pytest.approx(0.5 * (kernel(lo) + kernel(hi)), rel=1e-12)
+
     def test_values_nonnegative_and_bounded(self):
         for k in (DelayKernel.uniform(0.2), DelayKernel.triangular(0.2),
                   DelayKernel.truncated_bump(0.2)):
