@@ -15,8 +15,10 @@ Two schemes are provided on purpose:
   an integer number of steps, so quadrature nodes coincide with stored
   samples). The integrand's history-only factors, the potential on every
   edge and the leaders' velocities, are evaluated once per stored node and
-  kept in a doubled ring of 2(m+1) rows, so each window is one contiguous
-  slice and the cache is O(m * edges * d) however long the run.
+  kept as flat rows in a doubled ring of 2(m+1) rows, so each window is one
+  contiguous slice, a coupling stage is a few flat numpy calls (weight,
+  multiply, a sequential sum over the window, a scatter per follower) and
+  the cache is O(m * edges * d) however long the run.
 * :func:`simulate_oracle` - explicit Euler on a refined grid with
   left-rectangle quadrature; deliberately different discretization used to
   cross-validate the main one. For piecewise-linear kernels (uniform,
@@ -86,21 +88,45 @@ class _NodeRing:
 
     The integrand at a stored node s is w(s) * psi(|x_i(s) - x_j(s)|) *
     (v_j(s) - v_i(now)): only the follower's current velocity changes between
-    Heun stages. Each node therefore gets one row, filled once when the node
-    is stored: psi on every edge (E,) and the gathered leader velocities
-    (E, d). Rows live in a doubled ring of 2L rows, L = m+1: node r sits in
-    rows r % L and r % L + L, so the window of nodes r..r+m is the contiguous
-    slice starting at row r % L. Memory is O(m * E * d) whatever the horizon.
+    Heun stages. Each node therefore gets one flat row per factor, filled once
+    when the node is stored: ``psi`` holds psi on every edge repeated per
+    coordinate, ``vl`` the gathered leader velocities, both edge-major with
+    E*d+1 columns, column e*d+c for edge e and coordinate c. The last column
+    of both is a spare that stays 0: it keeps every row at least two wide,
+    which :func:`_coupling` relies on. Rows live in a doubled ring of 2L rows,
+    L = m+1: node r sits in rows r % L and r % L + L, so the window of nodes
+    r..r+m is the contiguous (L, E*d+1) slice starting at row r % L. Memory
+    is O(m * E * d) whatever the horizon.
+
+    ``weights`` holds the quadrature weight of each window position (L,)
+    repeated across a row, so that weighting a window is one elementwise
+    product (a broadcast column is slower). ``cols`` holds the flat index
+    fol*d + c of the follower coordinate that each column but the spare acts
+    on, and ``bins`` the same with the spare column sent to an extra bin N*d.
+    ``vf``, ``rel`` and ``wpsi`` are the work buffers of :func:`_coupling`.
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
-                 potential: Potential):
+                 potential: Potential, weights: np.ndarray):
         self.fol, self.led, self.potential = fol, led, potential
         self.size = size = xw.shape[0]
-        self.psi = np.empty((2 * size, fol.size))
-        self.vl = np.empty((2 * size, fol.size, xw.shape[2]))
-        self.psi[:size], self.vl[:size] = self._factors(xw, vw)
-        self.psi[size:], self.vl[size:] = self.psi[:size], self.vl[:size]
+        n_agents, dim = xw.shape[1:]
+        width = fol.size * dim + 1
+        self.cols = (fol[:, None] * dim + np.arange(dim)).ravel()
+        self.bins = np.append(self.cols, n_agents * dim)
+        self.psi = np.zeros((2 * size, width))
+        self.vl = np.zeros((2 * size, width))
+        # (rows, E, d) views of every column but the spare
+        self._psi3 = self.psi[:, :-1].reshape(2 * size, fol.size, dim)
+        self._vl3 = self.vl[:, :-1].reshape(2 * size, fol.size, dim)
+        self.weights = np.repeat(weights[:, None], width, axis=1)
+        self.vf = np.zeros(width)
+        self.vf_cols = self.vf[:-1]
+        self.rel = np.empty((size, width))
+        self.wpsi = np.empty((size, width))
+        psi, vl = self._factors(xw, vw)
+        self._psi3[:size] = self._psi3[size:] = psi[:, :, None]
+        self._vl3[:size] = self._vl3[size:] = vl
 
     def _factors(self, xw: np.ndarray, vw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi per edge (k, E) and leader velocities (k, E, d) for nodes (k, N, d)."""
@@ -111,25 +137,37 @@ class _NodeRing:
         """Fill the row of window node ``node`` from its state x, v (N, d)."""
         psi, vl = self._factors(x[None], v[None])
         rows = slice(node % self.size, None, self.size)
-        self.psi[rows] = psi
-        self.vl[rows] = vl
+        self._psi3[rows] = psi[:, :, None]
+        self._vl3[rows] = vl
 
 
-def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray,
-              weights: np.ndarray) -> np.ndarray:
+def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
     """Delay-coupling acceleration for every agent at once, over the window of
     nodes first..first+m held in ``ring``; v_now is the current-time velocity
     entering the integrand. Positions inside the potential are both delayed,
     velocities of the leaders are delayed, the follower's velocity is current.
+
+    Each term is (w_k * psi_k) * (v_L,k - v_F) for window row k. The terms
+    are added over the window in node order, then per follower in edge order
+    starting from +0.0: the arithmetic of a direct sum over the window, so
+    the output is bit-identical to recomputing it. The sum must stay
+    sequential for that; a reassociated form such as sum(w psi v_L) -
+    sum(w psi) v_F, a BLAS dot or a pairwise sum rounds differently. An
+    axis-0 reduce over the C-contiguous (L, E*d+1) window adds whole rows in
+    order, but numpy turns a reduce over a single column into a pairwise sum;
+    the spare column rules that out. ``bincount`` adds in input order; the
+    spare column goes to a spare bin, so its input is never empty (on an
+    empty input it returns integers).
     """
-    acc = np.zeros_like(v_now)
-    fol = ring.fol
     lo = first % ring.size
     window = slice(lo, lo + ring.size)
-    rel = ring.vl[window] - v_now[fol]
-    contrib = np.einsum("k,ke,kef->ef", weights, ring.psi[window], rel)
-    np.add.at(acc, fol, contrib)
-    return acc
+    # in-range indices by construction; "clip" writes straight into the buffer
+    v_now.take(ring.cols, out=ring.vf_cols, mode="clip")
+    rel = np.subtract(ring.vl[window], ring.vf, out=ring.rel)
+    np.multiply(ring.weights, ring.psi[window], out=ring.wpsi)
+    rel *= ring.wpsi
+    sums = np.add.reduce(rel, axis=0)
+    return np.bincount(ring.bins, weights=sums)[:-1].reshape(v_now.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +175,7 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
-               ring: _NodeRing, weights: np.ndarray, scenario: Scenario
-               ) -> tuple[np.ndarray, np.ndarray]:
+               ring: _NodeRing, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """One Heun step from the window of nodes first..first+m, whose newest
     node x_cur, v_cur is the state at time t; returns the new state and
     stores it in ``ring`` as node first+m+1.
@@ -153,14 +190,17 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
     forcing = scenario.forcing
     new_node = first + ring.size
 
-    a0 = _coupling(ring, first, v_cur, weights)
-    a0[0] = forcing.eval(t, dim)
+    # agent 1 has no leaders: its coupling row is already the +0.0 a zero forcing sets
+    a0 = _coupling(ring, first, v_cur)
+    if not forcing.is_zero:
+        a0[0] = forcing.eval(t, dim)
     vp = v_cur + h * a0
     xp = x_cur + h * v_cur
 
     ring.store(new_node, xp, vp)
-    a1 = _coupling(ring, first + 1, vp, weights)
-    a1[0] = forcing.eval(t + h, dim)
+    a1 = _coupling(ring, first + 1, vp)
+    if not forcing.is_zero:
+        a1[0] = forcing.eval(t + h, dim)
 
     v_new = v_cur + 0.5 * h * (a0 + a1)
     x_new = x_cur + 0.5 * h * (v_cur + vp)
@@ -194,9 +234,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.x.shape[2]
 
-    def state_at(self, k: int) -> FlockState:
-        return FlockState(float(self.times[k]), self.x[k], self.v[k])
-
 
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
@@ -205,7 +242,11 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 def simulate(scenario: Scenario,
              on_step: Callable[[FlockState], None] | None = None) -> Trajectory:
-    """Integrate the scenario from t=0 to t_end with the Heun stepper."""
+    """Integrate the scenario from t=0 to t_end with the Heun stepper.
+
+    A state that stops being finite raises :class:`BlowUpError`; overflow on
+    the way there raises no numpy warning, in ``on_step`` either.
+    """
     scenario.validate()
     m, n = scenario.delay_steps, scenario.n_steps
     h = scenario.dt
@@ -219,14 +260,15 @@ def simulate(scenario: Scenario,
     V[: m + 1] = vs0
 
     fol, led = scenario.dag.edge_arrays()
-    weights = _trapezoid_mu_weights(scenario)
-    ring = _NodeRing(X[: m + 1], V[: m + 1], fol, led, scenario.potential)
-    for k in range(n):
-        x_new, v_new = _heun_step(X[k + m], V[k + m], k * h, k, ring, weights, scenario)
-        X[k + m + 1] = x_new
-        V[k + m + 1] = v_new
-        if on_step is not None:
-            on_step(FlockState((k + 1) * h, x_new, v_new))
+    ring = _NodeRing(X[: m + 1], V[: m + 1], fol, led, scenario.potential,
+                     _trapezoid_mu_weights(scenario))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            x_new, v_new = _heun_step(X[k + m], V[k + m], k * h, k, ring, scenario)
+            X[k + m + 1] = x_new
+            V[k + m + 1] = v_new
+            if on_step is not None:
+                on_step(FlockState((k + 1) * h, x_new, v_new))
 
     times = np.arange(n + 1) * h
     traj = Trajectory(times=times, x=X[m:], v=V[m:],

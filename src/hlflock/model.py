@@ -79,11 +79,6 @@ class LeadershipDag:
             raise ScenarioError(f"agent index {i} outside 1..{self.n_agents}")
         return self._leaders[i - 1]
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        """Number of direct leaders of each agent (index 0 is agent 1)."""
-        return tuple(len(s) for s in self._leaders)
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All influence edges as 0-based (follower, leader) index arrays."""
         fol, led = [], []
@@ -496,17 +491,22 @@ class HistoryFn:
             return self.values.shape[1]
         return self.value.size
 
-    def eval(self, s: float) -> np.ndarray:
+    def eval(self, s) -> np.ndarray:
+        """The value (d,) at window offset ``s``, or one row per offset
+        (k, d) for an array ``s`` (k,). Each row is computed as for its offset
+        alone, so a grid gives the per-offset values bit for bit."""
+        s = np.asarray(s, dtype=float)
         if self.kind == "constant":
-            return self.value
+            return np.broadcast_to(self.value, s.shape + self.value.shape)
         if self.kind == "affine":
-            return self.value + s * self.slope
+            return self.value + s[..., None] * self.slope
         tol = 1e-9 * max(1.0, abs(self.times[0]))
-        if s < self.times[0] - tol or s > self.times[-1] + tol:
-            raise ScenarioError(f"history table undefined at s={s} "
+        outside = s[(s < self.times[0] - tol) | (s > self.times[-1] + tol)]
+        if outside.size:
+            raise ScenarioError(f"history table undefined at s={outside[0]} "
                                 f"(covers [{self.times[0]}, {self.times[-1]}])")
-        return np.array([np.interp(s, self.times, self.values[:, k])
-                         for k in range(self.values.shape[1])])
+        return np.stack([np.interp(s, self.times, self.values[:, k])
+                         for k in range(self.values.shape[1])], axis=-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HistoryFn) or self.kind != other.kind:
@@ -571,13 +571,9 @@ class HistorySpec:
     def sample(self, s_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate all agents on a grid of window offsets; returns (x, v) with
         shape (len(s_values), N, d)."""
-        n, d = self.n_agents, self.dim
-        xs = np.empty((len(s_values), n, d))
-        vs = np.empty((len(s_values), n, d))
-        for k, s in enumerate(s_values):
-            for a in range(n):
-                xs[k, a] = self.positions[a].eval(float(s))
-                vs[k, a] = self.velocities[a].eval(float(s))
+        s = np.asarray(s_values, dtype=float)
+        xs = np.stack([fn.eval(s) for fn in self.positions], axis=1)
+        vs = np.stack([fn.eval(s) for fn in self.velocities], axis=1)
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
             raise ScenarioError("history evaluates to non-finite values on the window")
         return xs, vs

@@ -94,6 +94,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_exit_code(self, tmp_path):
         scen = Scenario(dag=LeadershipDag.chain(2), dim=1,
                         potential=Potential.cucker_smale(0.0),

@@ -26,8 +26,8 @@ def two_agent(dim=1, x0=((0.0,), (1.0,)), v0=((1.0,), (0.0,)), beta=0.0,
 def window_coupling(scen, xw, vw, v_now):
     """The delay coupling simulate applies to every agent over the window of
     stored states xw, vw (m+1, N, d), oldest first; v_now (N, d) is current."""
-    ring = _NodeRing(xw, vw, *scen.dag.edge_arrays(), scen.potential)
-    return _coupling(ring, 0, v_now, _trapezoid_mu_weights(scen))
+    ring = _NodeRing(xw, vw, *scen.dag.edge_arrays(), scen.potential, _trapezoid_mu_weights(scen))
+    return _coupling(ring, 0, v_now)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +173,13 @@ class TestSimulate:
         traj = simulate(scen)
         assert np.abs(traj.v[:, 0, :] - traj.v[0, 0, :]).max() == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_reports_time(self):
         # the root keeps its velocity; only the follower (agent 2) diverges
         scen = two_agent(beta=0.0, kernel=DelayKernel.uniform(0.1, height=1e5), t_end=2.0)
         for run in (simulate, lambda s: simulate_oracle(s, 1), lambda s: simulate_oracle(s, 3)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(BlowUpError) as err:
-                    run(scen)
+            with pytest.raises(BlowUpError) as err:
+                run(scen)
             assert 0.0 < err.value.t <= 2.0
             assert err.value.agent == 2
             assert err.value.last_finite_t == pytest.approx(err.value.t - scen.dt)
@@ -234,7 +234,8 @@ class TestOracle:
 
     def test_general_kernel_path_agrees_with_sliding_path(self):
         # a table kernel numerically identical to the uniform one must give
-        # the same oracle trajectory through the O(m) window loop
+        # the same oracle trajectory through its two constant pieces' moment
+        # sums as the uniform kernel through its one
         kwargs = dict(dim=2, x0=((0, 0), (1, 0)), v0=((0.2, 0), (0, 1)), beta=0.5, t_end=1.0)
         uni = two_agent(kernel=DelayKernel.uniform(0.1), **kwargs)
         tab = two_agent(kernel=DelayKernel.table([0.0, 0.05, 0.1], [10.0, 10.0, 10.0]), **kwargs)
@@ -245,6 +246,7 @@ class TestOracle:
         with pytest.raises(ScenarioError):
             simulate_oracle(two_agent(), 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("refinement", [1, 3])
     def test_position_overflow_is_blow_up(self, refinement):
         # Both agents start at the largest float and move together, so the
@@ -252,11 +254,10 @@ class TestOracle:
         # overflow to inf on the first step.
         big = np.finfo(float).max
         scen = two_agent(x0=((big,), (big,)), v0=((1e300,), (1e300,)), t_end=0.5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BlowUpError) as err:
-                simulate_oracle(scen, refinement)
-            with pytest.raises(BlowUpError) as heun_err:
-                simulate(scen)
+        with pytest.raises(BlowUpError) as err:
+            simulate_oracle(scen, refinement)
+        with pytest.raises(BlowUpError) as heun_err:
+            simulate(scen)
         assert err.value.t == pytest.approx(scen.dt)
         for e in (err.value, heun_err.value):
             assert e.agent == 1
@@ -382,9 +383,11 @@ def _reference_simulate(scen):
     return X[m:], V[m:]
 
 
-def _random_scenario(seed, dim, m, kernel_shape, potential, forced):
+def _random_scenario(seed, dim, m, kernel_shape, potential, forced, n_agents=None):
     rng = np.random.default_rng(seed)
-    n_agents, h = int(rng.integers(3, 7)), 0.05
+    if n_agents is None:
+        n_agents = int(rng.integers(3, 7))
+    h = 0.05
     tau = m * h
     leaders = {i: set(int(j) for j in
                       rng.choice(i - 1, size=int(rng.integers(1, i)), replace=False) + 1)
@@ -408,18 +411,25 @@ _CUSTOM_POTENTIAL = Potential.custom(lambda s: np.exp(-s))
 
 
 class TestNodeCacheMatchesWindowRecompute:
-    @pytest.mark.parametrize("seed,dim,m,kernel_shape,potential,forced", [
-        (0, 1, 1, "uniform", Potential.cucker_smale(0.0), False),
-        (1, 2, 3, "triangular", Potential.cucker_smale(0.25), True),
-        (2, 3, 10, "table", Potential.cucker_smale(0.5), False),
-        (3, 1, 3, "uniform", Potential.cucker_smale(1.0), True),
-        (4, 2, 10, "triangular", _TABLE_POTENTIAL, False),
-        (5, 3, 1, "table", _CUSTOM_POTENTIAL, True),
-        (6, 2, 1, "triangular", Potential.cucker_smale(0.5), False),
-        (7, 1, 10, "table", Potential.cucker_smale(1.0), True),
+    @pytest.mark.parametrize("seed,dim,m,kernel_shape,potential,forced,n_agents", [
+        (0, 1, 1, "uniform", Potential.cucker_smale(0.0), False, None),
+        (1, 2, 3, "triangular", Potential.cucker_smale(0.25), True, None),
+        (2, 3, 10, "table", Potential.cucker_smale(0.5), False, None),
+        (3, 1, 3, "uniform", Potential.cucker_smale(1.0), True, None),
+        (4, 2, 10, "triangular", _TABLE_POTENTIAL, False, None),
+        (5, 3, 1, "table", _CUSTOM_POTENTIAL, True, None),
+        (6, 2, 1, "triangular", Potential.cucker_smale(0.5), False, None),
+        (7, 1, 10, "table", Potential.cucker_smale(1.0), True, None),
+        # one edge in one dimension: a window sum over a single column
+        (8, 1, 10, "uniform", Potential.cucker_smale(0.5), False, 2),
+        (9, 1, 40, "triangular", Potential.cucker_smale(0.25), True, 2),
+        # a lone agent: no edges at all
+        (10, 2, 3, "uniform", Potential.cucker_smale(0.5), False, 1),
+        (11, 1, 10, "table", Potential.cucker_smale(1.0), True, 1),
     ])
-    def test_simulate_is_bitwise_equal(self, seed, dim, m, kernel_shape, potential, forced):
-        scen = _random_scenario(seed, dim, m, kernel_shape, potential, forced)
+    def test_simulate_is_bitwise_equal(self, seed, dim, m, kernel_shape, potential, forced,
+                                       n_agents):
+        scen = _random_scenario(seed, dim, m, kernel_shape, potential, forced, n_agents)
         traj = simulate(scen)
         x_ref, v_ref = _reference_simulate(scen)
         np.testing.assert_array_equal(traj.x, x_ref)

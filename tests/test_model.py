@@ -211,6 +211,24 @@ class TestHistory:
         assert fn.eval(-0.05)[0] == pytest.approx(1.5)
         with pytest.raises(ScenarioError, match="undefined"):
             fn.eval(-0.2)
+        with pytest.raises(ScenarioError, match=r"undefined at s=-0\.2 "):
+            HistorySpec([fn], [fn]).sample(np.array([-0.1, -0.2, -0.3]))
+
+    @pytest.mark.parametrize("fn", [
+        HistoryFn("constant", value=np.array([1.0, -2.0])),
+        HistoryFn("affine", value=np.array([0.3, 1.0]), slope=np.array([-1.7, 0.1])),
+        HistoryFn("table", times=np.array([-0.53, -0.2, 0.0]),
+                  values=np.array([[1.0, 0.1], [2.3, -0.7], [0.4, 0.9]])),
+    ], ids=["constant", "affine", "table"])
+    def test_grid_sample_equals_per_node_eval(self, fn):
+        s = (np.arange(54) - 53) * 0.01
+        other = HistoryFn("constant", value=np.array([5.0, 6.0]))
+        xs, vs = HistorySpec([other, fn], [fn, other]).sample(s)
+        per_node = np.array([fn.eval(float(t)) for t in s])
+        assert xs.shape == vs.shape == (54, 2, 2)
+        np.testing.assert_array_equal(xs[:, 1], per_node)
+        np.testing.assert_array_equal(vs[:, 0], per_node)
+        np.testing.assert_array_equal(xs[:, 0], np.broadcast_to([5.0, 6.0], (54, 2)))
 
     def test_spec_dimension_consistency(self):
         with pytest.raises(ScenarioError):
