@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 # No probe simulates; ``simulate`` stays importable here because the
 # benchmark tracer (perfbench/tracing.py) wraps it in this module's namespace.
@@ -340,10 +339,14 @@ def hat_leader_series(traj: Trajectory, dag: LeadershipDag, agent: int) -> HatLe
 
 def _potential_primitive(scenario: Scenario, s_max: float):
     """Numeric primitive of the potential (cumulative trapezoid from 0),
-    returned as an interpolation grid. Non-decreasing with value 0 at 0."""
+    returned as an interpolation grid. Non-decreasing with value 0 at 0.
+
+    The sum is scipy's ``cumulative_trapezoid(psi, s_grid, initial=0.0)``
+    operation for operation, so it is bitwise equal to it without importing
+    scipy."""
     s_grid = np.linspace(0.0, max(s_max, 1e-6), 65537)
     psi = scenario.potential(s_grid)
-    phi = cumulative_trapezoid(psi, s_grid, initial=0.0)
+    phi = np.concatenate(([0.0], np.cumsum(np.diff(s_grid) * (psi[1:] + psi[:-1]) / 2.0)))
     return s_grid, phi
 
 

@@ -100,45 +100,47 @@ class _NodeRing:
 
     ``weights`` holds the quadrature weight of each window position (L,)
     repeated across a row, so that weighting a window is one elementwise
-    product (a broadcast column is slower). ``cols`` holds the flat index
-    fol*d + c of the follower coordinate that each column but the spare acts
-    on, and ``bins`` the same with the spare column sent to an extra bin N*d.
-    ``vf``, ``rel`` and ``wpsi`` are the work buffers of :func:`_coupling`.
+    product (a broadcast column is slower). ``cols`` and ``lead_cols`` hold
+    the flat index fol*d + c and led*d + c of the follower and leader
+    coordinate that each column but the spare acts on, ``col_edge`` the edge
+    of each such column, and ``bins`` is ``cols`` with the spare column sent
+    to an extra bin N*d. ``vf``, ``rel`` and ``wpsi`` are the work buffers of
+    :func:`_coupling`.
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
                  potential: Potential, weights: np.ndarray):
-        self.fol, self.led, self.potential = fol, led, potential
+        self.potential = potential
         self.size = size = xw.shape[0]
         n_agents, dim = xw.shape[1:]
+        # explicit, since a lone agent has E = 0 edges
+        self.edge_shape = (fol.size, dim)
         width = fol.size * dim + 1
         self.cols = (fol[:, None] * dim + np.arange(dim)).ravel()
+        self.lead_cols = (led[:, None] * dim + np.arange(dim)).ravel()
+        self.col_edge = np.repeat(np.arange(fol.size), dim)
         self.bins = np.append(self.cols, n_agents * dim)
         self.psi = np.zeros((2 * size, width))
         self.vl = np.zeros((2 * size, width))
-        # (rows, E, d) views of every column but the spare
-        self._psi3 = self.psi[:, :-1].reshape(2 * size, fol.size, dim)
-        self._vl3 = self.vl[:, :-1].reshape(2 * size, fol.size, dim)
         self.weights = np.repeat(weights[:, None], width, axis=1)
         self.vf = np.zeros(width)
         self.vf_cols = self.vf[:-1]
         self.rel = np.empty((size, width))
         self.wpsi = np.empty((size, width))
-        psi, vl = self._factors(xw, vw)
-        self._psi3[:size] = self._psi3[size:] = psi[:, :, None]
-        self._vl3[:size] = self._vl3[size:] = vl
-
-    def _factors(self, xw: np.ndarray, vw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi per edge (k, E) and leader velocities (k, E, d) for nodes (k, N, d)."""
-        dp = xw[:, self.fol, :] - xw[:, self.led, :]
-        return self.potential(np.sqrt(np.einsum("kef,kef->ke", dp, dp))), vw[:, self.led, :]
+        for node in range(size):
+            self.store(node, xw[node], vw[node])
 
     def store(self, node: int, x: np.ndarray, v: np.ndarray) -> None:
-        """Fill the row of window node ``node`` from its state x, v (N, d)."""
-        psi, vl = self._factors(x[None], v[None])
-        rows = slice(node % self.size, None, self.size)
-        self._psi3[rows] = psi[:, :, None]
-        self._vl3[rows] = vl
+        """Fill both rows of window node ``node`` from its state x, v (N, d)."""
+        row = node % self.size
+        x, v = x.ravel(), v.ravel()
+        dp = (x.take(self.cols) - x.take(self.lead_cols)).reshape(self.edge_shape)
+        psi = self.potential(np.sqrt(np.einsum("ef,ef->e", dp, dp)))
+        # in-range indices by construction; "clip" writes straight into the row
+        psi.take(self.col_edge, out=self.psi[row, :-1], mode="clip")
+        v.take(self.lead_cols, out=self.vl[row, :-1], mode="clip")
+        self.psi[row + self.size] = self.psi[row]
+        self.vl[row + self.size] = self.vl[row]
 
 
 def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
@@ -174,16 +176,19 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
 # Heun stepping
 # ---------------------------------------------------------------------------
 
-def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
-               ring: _NodeRing, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: np.ndarray,
+               t: float, first: int, ring: _NodeRing, scenario: Scenario) -> None:
     """One Heun step from the window of nodes first..first+m, whose newest
-    node x_cur, v_cur is the state at time t; returns the new state and
-    stores it in ``ring`` as node first+m+1.
+    node x_cur, v_cur is the state at time t; writes the new state into
+    x_new, v_new and stores it in ``ring`` as node first+m+1.
 
     The predictor is an Euler step; the corrector re-evaluates the coupling at
     t+h against the window extended by the predictor, whose row holds node
     first+m+1 until the corrected state overwrites it. Both positions and
-    velocities advance with the average of the two stage derivatives.
+    velocities advance with the average of the two stage derivatives. The
+    stages run in place in x_new, v_new and the coupling outputs, with the
+    operands of v_cur + h*a0, x_cur + h*v_cur, v_cur + 0.5*h*(a0 + a1) and
+    x_cur + 0.5*h*(v_cur + vp) (sum and product commute bitwise).
     """
     h = scenario.dt
     dim = scenario.dim
@@ -194,20 +199,26 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, t: float, first: int,
     a0 = _coupling(ring, first, v_cur)
     if not forcing.is_zero:
         a0[0] = forcing.eval(t, dim)
-    vp = v_cur + h * a0
-    xp = x_cur + h * v_cur
+    vp = np.multiply(h, a0, out=v_new)
+    vp += v_cur
+    xp = np.multiply(h, v_cur, out=x_new)
+    xp += x_cur
 
     ring.store(new_node, xp, vp)
     a1 = _coupling(ring, first + 1, vp)
     if not forcing.is_zero:
         a1[0] = forcing.eval(t + h, dim)
 
-    v_new = v_cur + 0.5 * h * (a0 + a1)
-    x_new = x_cur + 0.5 * h * (v_cur + vp)
-    if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(x_new))):
+    half_h = 0.5 * h
+    np.add(v_cur, vp, out=x_new)
+    x_new *= half_h
+    x_new += x_cur
+    a1 += a0
+    a1 *= half_h
+    np.add(v_cur, a1, out=v_new)
+    if not (np.isfinite(v_new).all() and np.isfinite(x_new).all()):
         raise _blow_up(t + h, t, x_new, v_new)
     ring.store(new_node, x_new, v_new)
-    return x_new, v_new
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +255,10 @@ def simulate(scenario: Scenario,
              on_step: Callable[[FlockState], None] | None = None) -> Trajectory:
     """Integrate the scenario from t=0 to t_end with the Heun stepper.
 
-    A state that stops being finite raises :class:`BlowUpError`; overflow on
-    the way there raises no numpy warning, in ``on_step`` either.
+    ``on_step``, if given, is called after every step with read-only views
+    of the new state. A state that stops being finite raises
+    :class:`BlowUpError`; overflow on the way there raises no numpy warning,
+    in ``on_step`` either.
     """
     scenario.validate()
     m, n = scenario.delay_steps, scenario.n_steps
@@ -262,13 +275,13 @@ def simulate(scenario: Scenario,
     fol, led = scenario.dag.edge_arrays()
     ring = _NodeRing(X[: m + 1], V[: m + 1], fol, led, scenario.potential,
                      _trapezoid_mu_weights(scenario))
+    x_seen, v_seen = X.view(), V.view()
+    _freeze(x_seen, v_seen)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            x_new, v_new = _heun_step(X[k + m], V[k + m], k * h, k, ring, scenario)
-            X[k + m + 1] = x_new
-            V[k + m + 1] = v_new
+            _heun_step(X[k + m], V[k + m], X[k + m + 1], V[k + m + 1], k * h, k, ring, scenario)
             if on_step is not None:
-                on_step(FlockState((k + 1) * h, x_new, v_new))
+                on_step(FlockState((k + 1) * h, x_seen[k + m + 1], v_seen[k + m + 1]))
 
     times = np.arange(n + 1) * h
     traj = Trajectory(times=times, x=X[m:], v=V[m:],
@@ -492,13 +505,11 @@ def trajectory_columns(n_agents: int, dim: int) -> list[str]:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per stored step, full double precision (17 significant digits)."""
     n_agents, dim = traj.n_agents, traj.dim
-    cols = np.empty((traj.times.size, 1 + 2 * n_agents * dim))
+    n_rows = traj.times.size
+    cols = np.empty((n_rows, 1 + 2 * n_agents * dim))
     cols[:, 0] = traj.times
-    for i in range(n_agents):
-        for k in range(dim):
-            base = 1 + 2 * (i * dim + k)
-            cols[:, base] = traj.x[:, i, k]
-            cols[:, base + 1] = traj.v[:, i, k]
+    # x then v for each agent and coordinate, the order of trajectory_columns
+    cols[:, 1:] = np.stack([traj.x, traj.v], axis=-1).reshape(n_rows, -1)
     header = ",".join(trajectory_columns(n_agents, dim))
     np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=header, comments="")
 
@@ -523,13 +534,8 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ScenarioError(f"{path}: malformed trajectory header")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     times = data[:, 0]
-    x = np.empty((data.shape[0], n_agents, dim))
-    v = np.empty_like(x)
-    for i in range(n_agents):
-        for k in range(dim):
-            base = 1 + 2 * (i * dim + k)
-            x[:, i, k] = data[:, base]
-            v[:, i, k] = data[:, base + 1]
+    states = data[:, 1:].reshape(data.shape[0], n_agents, dim, 2)
+    x, v = states[..., 0].copy(), states[..., 1].copy()
     empty = np.empty((0, n_agents, dim))
     return Trajectory(times=times, x=x, v=v,
                       hist_times=np.empty(0), hist_x=empty, hist_v=empty, scenario=None)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class ScenarioError(ValueError):
@@ -693,6 +692,9 @@ class LeaderForcing:
             # substitute u = ln(2+t): dt/((1+t)^q ln^2(2+t)) becomes
             # e^{u(1-q)} du / ((1 - e^{-u})^q u^2), decaying like u^-2 (q = 1)
             # or exponentially (q > 1)
+            # scipy is imported here, its only use, to keep it off the import path
+            from scipy.integrate import quad
+
             q = self.decay_power
             val, _ = quad(lambda u: math.exp(u * (1.0 - q))
                           / ((1.0 - math.exp(-u)) ** q * u * u),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,18 @@ from hlflock.integrator import Trajectory, simulate, write_trajectory_csv
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
 from hlflock.scenarios import load_scenario, save_scenario
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where it is used (log_damped forcing's l1_norm)
+    src = str(Path(hlflock.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, hlflock, hlflock.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 import hlflock.diagnostics
 from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
                                  PreconditionError, _pairwise_diameter,
+                                 _potential_primitive,
                                  ball_invariance_probe, calibrate_step_slack,
                                  check_two_flock_bound, consensus_series,
                                  fit_decay_rate, free_will_consensus_probe,
@@ -438,6 +440,21 @@ class TestLyapunovProbe:
         assert set(report.series) == {"times", "upper", "lower"}
         # primitive is nonnegative and increasing, so upper >= gap >= lower
         assert np.all(report.series["upper"] >= report.series["lower"])
+
+
+class TestPotentialPrimitive:
+    @pytest.mark.parametrize("potential", [
+        Potential.cucker_smale(0.0), Potential.cucker_smale(0.5), Potential.cucker_smale(1.0),
+        Potential.table([0.0, 0.5, 2.0], [1.0, 0.6, 0.2]),
+        Potential.custom(lambda s: np.exp(-s) / (1.0 + s)),
+    ], ids=["cs0", "cs0.5", "cs1", "table", "custom"])
+    @pytest.mark.parametrize("s_max", [0.0, 0.37, 25.0])
+    def test_bitwise_equal_to_scipy_cumulative_trapezoid(self, potential, s_max):
+        scen = replace(make_scenario(), potential=potential)
+        s_grid, phi = _potential_primitive(scen, s_max)
+        ref = cumulative_trapezoid(potential(s_grid), s_grid, initial=0.0)
+        assert phi.dtype == ref.dtype and phi.shape == ref.shape
+        assert phi.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,14 @@ class TestSimulate:
     def test_per_step_callback(self):
         scen = two_agent(t_end=0.5)
         seen = []
-        simulate(scen, on_step=lambda state: seen.append(state.t))
+        traj = simulate(scen, on_step=seen.append)
         assert len(seen) == scen.n_steps
-        assert seen[0] == pytest.approx(0.01)
-        assert seen[-1] == pytest.approx(0.5)
+        assert seen[0].t == pytest.approx(0.01)
+        assert seen[-1].t == pytest.approx(0.5)
+        for k, state in enumerate(seen, start=1):
+            np.testing.assert_array_equal(state.x, traj.x[k])
+            np.testing.assert_array_equal(state.v, traj.v[k])
+            assert not (state.x.flags.writeable or state.v.flags.writeable)
 
     def test_trajectory_arrays_are_frozen(self):
         traj = simulate(two_agent(t_end=0.2))
@@ -588,6 +592,13 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(back.times, traj.times)
         np.testing.assert_array_equal(back.x, traj.x)
         np.testing.assert_array_equal(back.v, traj.v)
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("oracle_uniform_*_r*.csv")),
+                             ids=lambda p: p.stem)
+    def test_writer_reproduces_golden_bytes(self, tmp_path, golden):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(read_trajectory_csv(golden), path)
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
