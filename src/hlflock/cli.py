@@ -16,13 +16,14 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as diag
-from .integrator import (BlowUpError, Trajectory, read_trajectory_csv, simulate,
+from .diagnostics import PROBE_NAMES, run_probes
+from .integrator import (BlowUpError, read_trajectory_csv, simulate,
                          write_trajectory_csv)
 from .model import Scenario, ScenarioError
 from .scenarios import (generate, load_generator, load_scenario,
@@ -33,38 +34,20 @@ EXIT_PROBE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
 
-PROBE_NAMES = ("positivity", "ball", "two-flock", "lyapunov", "free-will")
-
-
-@dataclass
-class CliConfig:
-    command: str
-    scenario: Path | None = None
-    traj: Path | None = None
-    out: Path = Path(".")
-    dt: float | None = None
-    t_end: float | None = None
-    seed: int | None = None
-    probes: tuple[str, ...] = PROBE_NAMES
-    workers: int = 1
-    count: int = 1
-    window: tuple[float, float] | None = None
-    verbose: bool = False
-
 
 def _default_out() -> Path:
     return Path(os.environ.get("HLFLOCK_OUT", "."))
 
 
-def _with_overrides(scenario: Scenario, config: CliConfig) -> Scenario:
+def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     """Apply the --dt / --t-end overrides and revalidate."""
-    overrides = {name: value for name, value in (("dt", config.dt), ("t_end", config.t_end))
+    overrides = {name: value for name, value in (("dt", args.dt), ("t_end", args.t_end))
                  if value is not None}
     return replace(scenario, **overrides).validate()
 
 
-def _load(config: CliConfig) -> Scenario:
-    return _with_overrides(load_scenario(config.scenario, seed=config.seed), config)
+def _load(args: argparse.Namespace) -> Scenario:
+    return _with_overrides(load_scenario(args.scenario, seed=args.seed), args)
 
 
 def _summary(traj) -> dict:
@@ -72,7 +55,7 @@ def _summary(traj) -> dict:
     return {
         "final_velocity_diameter": float(series.velocity_diameter[-1]),
         "final_position_diameter": float(series.position_diameter[-1]),
-        "max_speed": float(np.sqrt(np.einsum("knd,knd->kn", traj.v, traj.v)).max()),
+        "max_speed": float(diag.speeds(traj.v).max()),
         "history_speed_bound": diag.history_speed_bound(traj),
         "t_end": float(traj.times[-1]),
         "n_steps": int(traj.times.size - 1),
@@ -80,10 +63,10 @@ def _summary(traj) -> dict:
     }
 
 
-def cmd_simulate(config: CliConfig) -> int:
-    scenario = _load(config)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scenario = _load(args)
     traj = simulate(scenario)
-    out = Path(config.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario.json")
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -95,64 +78,20 @@ def cmd_simulate(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[diag.ProbeReport]:
-    """Run every selected probe on one simulated trajectory, mapping unmet
-    preconditions to skipped reports."""
-    scenario = traj.scenario
-    slack = None
-    reports = []
-
-    def attempt(name, fn):
-        try:
-            reports.append(fn())
-        except diag.PreconditionError as e:
-            reports.append(diag.ProbeReport(name=name, passed=None,
-                                            details={"status": f"skipped: {e}"}))
-
-    if "positivity" in probes:
-        attempt("positivity", lambda: diag.positivity_probe(traj))
-    if "ball" in probes:
-        attempt("ball_invariance", lambda: diag.ball_invariance_probe(traj))
-    needs_slack = (("two-flock" in probes and scenario.n_agents == 2)
-                   or ("lyapunov" in probes and scenario.n_agents >= 2))
-    if needs_slack and scenario.forcing.is_zero:
-        slack = diag.calibrate_step_slack(traj)
-    if "two-flock" in probes:
-        attempt("two_flock_bound",
-                lambda: diag.check_two_flock_bound(traj, slack=slack))
-    if "lyapunov" in probes:
-        def lyap():
-            if scenario.n_agents < 2:
-                raise diag.PreconditionError("needs a follower to monitor")
-            if not scenario.forcing.is_zero:
-                raise diag.PreconditionError("dissipation bound assumes the unforced system")
-            gain = scenario.kernel.mu0
-            offset = 2.0 * scenario.tau * diag.history_speed_bound(traj)
-            return diag.lyapunov_probe(traj, gain, offset, slack=slack)
-        attempt("lyapunov_dissipation", lyap)
-    if "free-will" in probes:
-        def freewill():
-            if scenario.forcing.is_zero:
-                raise diag.PreconditionError("no forcing present")
-            return diag.free_will_consensus_probe(traj)
-        attempt("free_will_consensus", freewill)
-    return reports
-
-
-def cmd_check(config: CliConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     # one scenario keeps the file's own seed unless --seed is given; several
     # are drawn from consecutive seeds starting at --seed (default 0)
-    seeds = ([config.seed] if config.count == 1
-             else [(config.seed or 0) + k for k in range(config.count)])
-    scenarios = [load_scenario(config.scenario, seed=seed) for seed in seeds]
-    out = Path(config.out)
+    seeds = ([args.seed] if args.count == 1
+             else [(args.seed or 0) + k for k in range(args.count)])
+    scenarios = [load_scenario(args.scenario, seed=seed) for seed in seeds]
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     all_reports = []
     failed = 0
-    for k, scenario in enumerate(scenarios):
-        reports = run_probes(simulate(_with_overrides(scenario, config)), config.probes)
+    for scenario in scenarios:
+        reports = run_probes(simulate(_with_overrides(scenario, args)), args.probes)
         for rep in reports:
-            print(rep.to_text() if not config.verbose
+            print(rep.to_text() if not args.verbose
                   else rep.to_text() + f"  {rep.details}")
             if rep.passed is False:
                 failed += 1
@@ -166,21 +105,26 @@ def cmd_check(config: CliConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_PROBE_FAILURE
 
 
-def cmd_fit_decay(config: CliConfig) -> int:
-    if config.traj is not None:
-        traj = read_trajectory_csv(config.traj)
-        window = config.window
+def cmd_fit_decay(args: argparse.Namespace) -> int:
+    window = tuple(args.window) if args.window else None
+    if args.traj is not None:
+        unused = [flag for flag, value in (("--dt", args.dt), ("--t-end", args.t_end),
+                                           ("--seed", args.seed)) if value is not None]
+        if unused:
+            raise ScenarioError(f"{', '.join(unused)} cannot be used with --traj: "
+                                f"they apply to --scenario only")
+        traj = read_trajectory_csv(args.traj)
     else:
-        scenario = _load(config)
+        scenario = _load(args)
         traj = simulate(scenario)
-        window = config.window or (max(scenario.tau, scenario.t_end / 2.0), scenario.t_end)
+        window = window or (max(scenario.tau, scenario.t_end / 2.0), scenario.t_end)
     series = diag.consensus_series(traj)
     try:
         fit = diag.fit_decay_rate(series, window=window)
     except diag.InsufficientDataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PROBE_FAILURE
-    out = Path(config.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     mask = diag.window_mask(series.times, fit.window)
     t_w = series.times[mask]
@@ -202,8 +146,8 @@ def cmd_fit_decay(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(args: tuple) -> tuple[int, bool, str]:
-    spec, seed, out_str, probes = args
+def _sweep_worker(job: tuple) -> tuple[int, bool, str]:
+    spec, seed, out_str, probes = job
     traj = simulate(generate(replace(spec, rng_seed=seed)))
     reports = run_probes(traj, probes)
     rundir = Path(out_str) / f"run_{seed:05d}"
@@ -212,18 +156,15 @@ def _sweep_worker(args: tuple) -> tuple[int, bool, str]:
     return seed, ok, str(rundir)
 
 
-def cmd_sweep(config: CliConfig) -> int:
-    spec = load_generator(config.scenario)
-    base_seed = config.seed if config.seed is not None else 0
-    out = Path(config.out)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    spec = load_generator(args.scenario)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(spec, base_seed + k, str(out), config.probes)
-            for k in range(config.count)]
-    results = []
-    if config.workers <= 1:
+    jobs = [(spec, args.seed + k, str(out), args.probes) for k in range(args.count)]
+    if args.workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     n_bad = 0
     for seed, ok, rundir in sorted(results):
@@ -238,69 +179,54 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hlflock",
         description="Simulate delayed hierarchical flocking and check its guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, include_traj=False):
-        p.add_argument("--scenario", type=Path, required=not include_traj,
-                       help="scenario or generator-spec JSON file")
-        if include_traj:
-            p.add_argument("--traj", type=Path, help="trajectory CSV to analyze instead")
+    commands = []
+    for name, run, help_text in (
+            ("simulate", cmd_simulate, "run one scenario and export the trajectory"),
+            ("check", cmd_check, "run verification probes"),
+            ("fit-decay", cmd_fit_decay, "fit an exponential decay rate"),
+            ("sweep", cmd_sweep, "run many seeded scenarios, optionally in parallel")):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--out", type=Path, default=_default_out(),
                        help="output directory (default: $HLFLOCK_OUT or .)")
+        commands.append(p)
+    p_sim, p_check, p_fit, p_sweep = commands
+
+    fit_input = p_fit.add_mutually_exclusive_group(required=True)
+    for p in (p_sim, p_check, fit_input, p_sweep):
+        p.add_argument("--scenario", type=Path, required=p is not fit_input,
+                       help="scenario or generator-spec JSON file")
+    fit_input.add_argument("--traj", type=Path, help="trajectory CSV to analyze instead")
+    for p in (p_sim, p_check, p_fit):
         p.add_argument("--dt", type=float, help="override the step size")
         p.add_argument("--t-end", type=float, dest="t_end", help="override the horizon")
         p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("-v", "--verbose", action="store_true")
-
-    p_sim = sub.add_parser("simulate", help="run one scenario and export the trajectory")
-    common(p_sim)
-
-    p_check = sub.add_parser("check", help="run verification probes")
-    common(p_check)
-    p_check.add_argument("--probes", type=str, default=",".join(PROBE_NAMES),
-                         help=f"comma-separated subset of {','.join(PROBE_NAMES)}")
-    p_check.add_argument("--count", type=int, default=1,
-                         help="number of seeds to draw from a generator file")
-
-    p_fit = sub.add_parser("fit-decay", help="fit an exponential decay rate")
-    common(p_fit, include_traj=True)
+    p_sweep.add_argument("--seed", type=int, default=0, help="first scenario seed")
+    for p, count in ((p_check, 1), (p_sweep, 8)):
+        p.add_argument("--probes", type=str, default=",".join(PROBE_NAMES),
+                       help=f"comma-separated subset of {','.join(PROBE_NAMES)}")
+        p.add_argument("--count", type=int, default=count,
+                       help="number of seeds to draw from a generator file")
+    p_check.add_argument("-v", "--verbose", action="store_true",
+                         help="print each probe's details")
     p_fit.add_argument("--window", type=float, nargs=2, metavar=("T_A", "T_B"),
                        help="fit window (default: latter half / from tau)")
-
-    p_sweep = sub.add_parser("sweep", help="run many seeded scenarios, optionally in parallel")
-    common(p_sweep)
-    p_sweep.add_argument("--probes", type=str, default=",".join(PROBE_NAMES))
-    p_sweep.add_argument("--count", type=int, default=8)
     p_sweep.add_argument("--workers", type=int, default=1)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    probes = tuple(s.strip() for s in getattr(args, "probes", ",".join(PROBE_NAMES)).split(",") if s.strip())
-    unknown = set(probes) - set(PROBE_NAMES)
-    if unknown:
-        raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; choose from {PROBE_NAMES}")
-    count = getattr(args, "count", 1)
-    if count < 1:
-        raise ScenarioError(f"--count must be >= 1, got {count}")
-    return CliConfig(command=args.command, scenario=getattr(args, "scenario", None),
-                     traj=getattr(args, "traj", None), out=args.out, dt=args.dt,
-                     t_end=args.t_end, seed=args.seed, probes=probes,
-                     workers=getattr(args, "workers", 1), count=count,
-                     window=tuple(args.window) if getattr(args, "window", None) else None,
-                     verbose=args.verbose)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if config.command == "simulate":
-            return cmd_simulate(config)
-        if config.command == "check":
-            return cmd_check(config)
-        if config.command == "fit-decay":
-            return cmd_fit_decay(config)
-        return cmd_sweep(config)
+        if "probes" in args:
+            args.probes = tuple(s.strip() for s in args.probes.split(",") if s.strip())
+            unknown = set(args.probes) - set(PROBE_NAMES)
+            if unknown:
+                raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; "
+                                    f"choose from {PROBE_NAMES}")
+        if "count" in args and args.count < 1:
+            raise ScenarioError(f"--count must be >= 1, got {args.count}")
+        return args.run(args)
     except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -151,12 +151,17 @@ def fit_decay_rate(series: ConsensusSeries, window: tuple[float, float] | None =
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+def speeds(v: np.ndarray) -> np.ndarray:
+    """(T, N, d) velocities -> (T, N) Euclidean speeds."""
+    return np.sqrt(np.einsum("knd,knd->kn", v, v))
+
+
 def history_speed_bound(traj: Trajectory) -> float:
     """Largest speed over all agents and prehistory samples (the invariant
     velocity-ball radius)."""
     if traj.hist_v.size == 0:
         raise PreconditionError("trajectory carries no prehistory samples")
-    return float(np.sqrt(np.einsum("knd,knd->kn", traj.hist_v, traj.hist_v)).max())
+    return float(speeds(traj.hist_v).max())
 
 
 def calibrate_step_slack(traj: Trajectory, refinement: int = 2) -> float:
@@ -230,12 +235,12 @@ def check_two_flock_bound(traj: Trajectory, tol: float = DEFAULT_BOUND_TOL,
         raise PreconditionError("two-agent bound needs exactly 2 agents")
     if not scenario.forcing.is_zero:
         raise PreconditionError("the envelope assumes a constant-velocity root")
-    if slack is None:
-        slack = calibrate_step_slack(traj)
     tau = scenario.tau
     after = traj.times >= tau - 1e-12
     if not np.any(after):
         raise PreconditionError("trajectory ends before t = tau")
+    if slack is None:
+        slack = calibrate_step_slack(traj)
     w = np.linalg.norm(traj.v[:, 1, :] - traj.v[:, 0, :], axis=1)
     y = np.linalg.norm(traj.x[:, 1, :] - traj.x[:, 0, :], axis=1)
     d0 = history_speed_bound(traj)
@@ -290,8 +295,7 @@ def ball_invariance_probe(traj: Trajectory) -> ProbeReport:
     if not scenario.forcing.is_zero:
         raise PreconditionError("ball invariance assumes the unforced system")
     d0 = history_speed_bound(traj)
-    speeds = np.sqrt(np.einsum("knd,knd->kn", traj.v, traj.v))
-    max_speed = float(speeds.max())
+    max_speed = float(speeds(traj.v).max())
     hull_hi = traj.hist_v.max(axis=(0, 1))    # per coordinate
     hull_lo = traj.hist_v.min(axis=(0, 1))
     run_hi = traj.v.max(axis=(0, 1))
@@ -350,8 +354,9 @@ def _potential_primitive(scenario: Scenario, s_max: float):
     return s_grid, phi
 
 
-def lyapunov_probe(traj: Trajectory, gain: float, offset: float, agent: int = 2,
-                   tol: float = DEFAULT_BOUND_TOL, slack: float | None = None) -> ProbeReport:
+def lyapunov_probe(traj: Trajectory, gain: float | None = None, offset: float | None = None,
+                   agent: int = 2, tol: float = DEFAULT_BOUND_TOL,
+                   slack: float | None = None) -> ProbeReport:
     """Monitor the dissipation functionals |w| +/- gain * phi(|y| + offset).
 
     (y, w) is the designated fluctuation pair: agent's deviation from its
@@ -359,9 +364,21 @@ def lyapunov_probe(traj: Trajectory, gain: float, offset: float, agent: int = 2,
     state difference). phi is the numeric primitive of the potential. Along
     an unforced trajectory both functionals are non-increasing from t = tau
     on, so the maximum forward difference (F(t+h) - F(t))/h must stay below
-    tol plus the discretization slack.
+    tol plus the discretization slack. ``gain`` defaults to the kernel mass
+    mu0 and ``offset`` to 2*tau*D0, D0 the prehistory speed bound.
     """
     scenario = _require_scenario(traj)
+    if scenario.n_agents < 2:
+        raise PreconditionError("needs a follower to monitor")
+    if not scenario.forcing.is_zero:
+        raise PreconditionError("dissipation bound assumes the unforced system")
+    after = traj.times[:-1] >= scenario.tau - 1e-12
+    if not np.any(after):
+        raise PreconditionError("trajectory ends before t = tau")
+    if gain is None:
+        gain = scenario.kernel.mu0
+    if offset is None:
+        offset = 2.0 * scenario.tau * history_speed_bound(traj)
     if slack is None:
         slack = calibrate_step_slack(traj)
     fluct = hat_leader_series(traj, scenario.dag, agent)
@@ -372,9 +389,6 @@ def lyapunov_probe(traj: Trajectory, gain: float, offset: float, agent: int = 2,
     upper = w + gain * phi
     lower = w - gain * phi
     h = scenario.dt
-    after = traj.times[:-1] >= scenario.tau - 1e-12
-    if not np.any(after):
-        raise PreconditionError("trajectory ends before t = tau")
     fd_upper = (np.diff(upper) / h)[after]
     fd_lower = (np.diff(lower) / h)[after]
     max_fd = float(max(fd_upper.max(), fd_lower.max()))
@@ -424,3 +438,50 @@ def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3,
                  "tail_max_increment": float(increments.max()) if increments.size else 0.0,
                  "max_root_speed": float(root_speed.max()), "root_speed_cap": speed_cap,
                  **flags})
+
+
+# ---------------------------------------------------------------------------
+# Probe sets
+# ---------------------------------------------------------------------------
+
+PROBE_NAMES = ("positivity", "ball", "two-flock", "lyapunov", "free-will")
+
+
+def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[ProbeReport]:
+    """Run the selected probes on one trajectory, in ``PROBE_NAMES`` order.
+
+    A probe whose hypotheses do not hold for the input is reported as
+    skipped. The oracle slack is calibrated by the first bound probe that
+    needs it and handed on to the next, so it is computed at most once.
+    """
+    reports = []
+
+    def attempt(name, probe, **kwargs):
+        try:
+            report = probe(traj, **kwargs)
+        except PreconditionError as e:
+            report = ProbeReport(name=name, passed=None, details={"status": f"skipped: {e}"})
+        reports.append(report)
+        return report
+
+    # Each probe is looked up in this module's globals per call, so a wrapper
+    # set on the module attribute (as the benchmark tracer does) sees it.
+    slack = None
+    if "positivity" in probes:
+        attempt("positivity", positivity_probe)
+    if "ball" in probes:
+        attempt("ball_invariance", ball_invariance_probe)
+    if "two-flock" in probes:
+        slack = attempt("two_flock_bound", check_two_flock_bound).details.get("slack")
+    if "lyapunov" in probes:
+        attempt("lyapunov_dissipation", lyapunov_probe, slack=slack)
+    if "free-will" in probes:
+        attempt("free_will_consensus", _forced_free_will)
+    return reports
+
+
+def _forced_free_will(traj: Trajectory) -> ProbeReport:
+    # the probe itself accepts zero forcing, which meets its hypotheses trivially
+    if _require_scenario(traj).forcing.is_zero:
+        raise PreconditionError("no forcing present")
+    return free_will_consensus_probe(traj)

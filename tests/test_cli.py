@@ -145,13 +145,26 @@ class TestSimulateCommand:
 class TestCheckCommand:
     def test_clean_scenario_passes(self, two_flock_file, tmp_path, capsys):
         out = tmp_path / "chk"
-        assert main(["check", "--scenario", str(two_flock_file), "--out", str(out)]) == 0
+        assert main(["check", "--scenario", str(two_flock_file), "--out", str(out),
+                     "-v"]) == 0
         report = json.loads((out / "check_report.json").read_text())
         assert report["passed"] is True
         names = {p["name"]: p["passed"] for p in report["runs"][0]["probes"]}
         assert names["two_flock_bound"] is True
         assert names["ball_invariance"] is True
         assert names["positivity"] is None      # needs a 1-d scenario
+        # -v appends each report's details dict to its line
+        lines = capsys.readouterr().out.splitlines()
+        for probe in report["runs"][0]["probes"]:
+            line = next(ln for ln in lines if ln.startswith(probe["name"] + ":"))
+            assert all(f"'{key}':" in line for key in probe["details"])
+
+    def test_report_is_the_library_probe_run(self, two_flock_file, tmp_path):
+        out = tmp_path / "chk"
+        assert main(["check", "--scenario", str(two_flock_file), "--out", str(out)]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        library = hlflock.diagnostics.run_probes(simulate(load_scenario(two_flock_file)))
+        assert [r.to_dict() for r in library] == report["runs"][0]["probes"]
 
     def test_one_simulation_per_scenario(self, tmp_path, simulate_calls):
         path = tmp_path / "gen.json"
@@ -291,6 +304,30 @@ class TestFitDecayCommand:
         assert result["window"] == [5.0, 10.0]
         assert result["rate"] > 0
 
+    def test_needs_scenario_or_traj(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-decay", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_scenario_and_traj_are_exclusive(self, two_flock_file, tmp_path):
+        csv_path = self.planted_csv(tmp_path / "planted.csv", np.linspace(0.0, 3.0, 301))
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-decay", "--scenario", str(two_flock_file), "--traj", str(csv_path),
+                  "--out", str(tmp_path / "fit")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--dt", "0.5"), ("--t-end", "1"),
+                                            ("--seed", "3")])
+    def test_scenario_overrides_with_traj_are_usage_error(self, tmp_path, capsys,
+                                                          flag, value):
+        csv_path = self.planted_csv(tmp_path / "planted.csv", np.linspace(0.0, 3.0, 301))
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out),
+                     flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_censored_input_fails(self, tmp_path):
         times = np.linspace(0.0, 1.0, 50)
         v = np.full((50, 2, 1), 0.5)    # consensus: diameter is exactly zero
@@ -332,6 +369,17 @@ class TestSweepCommand:
         path.write_text('{"generator": {\n "topology": "chain",\n}}\n')
         assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+    def test_scenario_overrides_are_not_accepted(self, tmp_path, flag):
+        # a sweep draws every scenario, step and horizon included, from the spec
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 2}}))
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", str(path), "--out", str(out), flag, "0.5"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         path = tmp_path / "gen.json"

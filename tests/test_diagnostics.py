@@ -16,7 +16,7 @@ from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
                                  check_two_flock_bound, consensus_series,
                                  fit_decay_rate, free_will_consensus_probe,
                                  hat_leader_series, history_speed_bound,
-                                 lyapunov_probe, positivity_probe)
+                                 lyapunov_probe, positivity_probe, run_probes)
 from hlflock.integrator import Trajectory, simulate
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
@@ -441,6 +441,29 @@ class TestLyapunovProbe:
         # primitive is nonnegative and increasing, so upper >= gap >= lower
         assert np.all(report.series["upper"] >= report.series["lower"])
 
+    def test_single_agent_is_precondition_error(self):
+        traj = simulate(make_scenario(n_agents=1, t_end=1.0))
+        with pytest.raises(PreconditionError, match="needs a follower to monitor"):
+            lyapunov_probe(traj, gain=1.0, offset=0.0, slack=0.0)
+
+    def test_forced_run_is_precondition_error(self):
+        scen = make_scenario(n_agents=3, forcing=LeaderForcing.power_law(1.0, 3.0, dim=1),
+                             v0=[[0.0], [0.1], [0.2]], t_end=1.0)
+        with pytest.raises(PreconditionError,
+                           match="dissipation bound assumes the unforced system"):
+            lyapunov_probe(simulate(scen), gain=1.0, offset=0.0, slack=0.0)
+
+    def test_defaults_are_the_paper_constants(self):
+        scen = make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[0, 0], [0, 1]], t_end=5.0)
+        traj = simulate(scen)
+        slack = calibrate_step_slack(traj)
+        default = lyapunov_probe(traj, slack=slack)
+        explicit = lyapunov_probe(traj, gain=scen.kernel.mu0,
+                                  offset=2 * scen.tau * history_speed_bound(traj), slack=slack)
+        assert default.to_dict() == explicit.to_dict()
+        for key, values in explicit.series.items():
+            np.testing.assert_array_equal(default.series[key], values)
+
 
 class TestPotentialPrimitive:
     @pytest.mark.parametrize("potential", [
@@ -514,3 +537,50 @@ class TestSlack:
         traj = synthetic_traj([0.0, 1.0], np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
         with pytest.raises(PreconditionError):
             calibrate_step_slack(traj)
+
+
+# ---------------------------------------------------------------------------
+# Probe sets
+# ---------------------------------------------------------------------------
+
+class TestRunProbes:
+    def test_slack_is_calibrated_once(self, monkeypatch):
+        calls = []
+        real = hlflock.diagnostics.calibrate_step_slack
+        monkeypatch.setattr(hlflock.diagnostics, "calibrate_step_slack",
+                            lambda traj: calls.append(traj) or real(traj))
+        scen = make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[0, 0], [0, 1]], t_end=5.0)
+        reports = {r.name: r for r in run_probes(simulate(scen))}
+        assert len(calls) == 1
+        assert reports["two_flock_bound"].passed
+        assert reports["lyapunov_dissipation"].passed
+        assert (reports["lyapunov_dissipation"].details["slack"]
+                == reports["two_flock_bound"].details["slack"])
+
+    def test_skipped_probes_do_not_calibrate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hlflock.diagnostics, "calibrate_step_slack",
+                            lambda traj: calls.append(traj))
+        scen = make_scenario(n_agents=3, forcing=LeaderForcing.power_law(1.0, 3.0, dim=1),
+                             v0=[[0.0], [0.1], [0.2]], t_end=1.0)
+        reports = {r.name: r for r in run_probes(simulate(scen))}
+        assert calls == []
+        assert reports["lyapunov_dissipation"].details == {
+            "status": "skipped: dissipation bound assumes the unforced system"}
+        assert reports["two_flock_bound"].skipped
+
+    def test_free_will_skipped_without_forcing(self):
+        reports = run_probes(simulate(make_scenario(t_end=1.0)), probes=("free-will",))
+        assert [r.to_dict() for r in reports] == [{
+            "name": "free_will_consensus", "passed": None,
+            "details": {"status": "skipped: no forcing present"}}]
+
+    def test_probes_are_looked_up_per_call(self, monkeypatch):
+        # a wrapper set on the module attribute sees the call
+        seen = []
+        real = hlflock.diagnostics.ball_invariance_probe
+        monkeypatch.setattr(hlflock.diagnostics, "ball_invariance_probe",
+                            lambda traj: seen.append(traj) or real(traj))
+        traj = simulate(make_scenario(t_end=1.0))
+        assert [r.name for r in run_probes(traj, probes=("ball",))] == ["ball_invariance"]
+        assert seen == [traj]
