@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .diagnostics import PROBE_NAMES, run_probes
-from .integrator import (BlowUpError, read_trajectory_csv, simulate,
+from .integrator import (BlowUpError, read_trajectory_csv, simulate, write_csv,
                          write_trajectory_csv)
 from .model import Scenario, ScenarioError
 from .scenarios import (generate, load_generator, load_scenario,
@@ -132,10 +132,8 @@ def cmd_fit_decay(args: argparse.Namespace) -> int:
     with np.errstate(divide="ignore"):
         log_dv = np.log(dv_w)
     fitted = fit.intercept - fit.rate * t_w
-    np.savetxt(out / "decay_fit.csv",
-               np.column_stack([t_w, dv_w, log_dv, fitted]),
-               fmt="%.17g", delimiter=",",
-               header="t,velocity_diameter,log_diameter,fitted_log", comments="")
+    write_csv(out / "decay_fit.csv", ["t", "velocity_diameter", "log_diameter", "fitted_log"],
+              [np.column_stack([t_w, dv_w, log_dv, fitted])])
     result = {"rate": fit.rate, "intercept": fit.intercept,
               "residual_rms": fit.residual_rms, "window": list(fit.window),
               "n_used": fit.n_used, "n_censored": fit.n_censored}

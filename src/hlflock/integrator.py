@@ -28,16 +28,26 @@ Two schemes are provided on purpose:
 
 Any non-finite state aborts the run with a :class:`BlowUpError` naming the
 time, the first non-finite agent and the last finite time.
+
+Trajectories go to CSV with every number in C's ``%.17g``, the bytes
+``np.savetxt(fmt="%.17g")`` writes, so a read gives back the same doubles.
+:func:`write_csv` formats about 8k values per pass with numpy calls, exactly
+(a double-double product with 10**(16-e), rounded half to even), straight
+from the trajectory arrays. The few values it cannot prove correctly rounded
+(non-finite, |x| outside 1e-275..1e291, too near a rounding tie) go through
+Python's formatter. :func:`read_trajectory_csv` raises :class:`ScenarioError` naming
+the file for anything that is not such a CSV.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
+import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -491,6 +501,158 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
 # CSV export / import
 # ---------------------------------------------------------------------------
 
+# _format_rows writes C's "%.17g" for a whole block with numpy calls: each value
+# is rounded to an exact 17-digit integer D with x = +-D * 10**(e-16), its text
+# is laid out in six little-endian words with NUL in every unused byte, and the
+# NULs are deleted at the end.
+
+_CSV_CHUNK_VALUES = 8192      # values formatted per pass; bounds the writer's temporaries
+_E_MIN, _E_MAX = -275, 290    # exponents of the fast path: no split overflows, no lo underflows
+# The double-double x * 10**(16-e) is within 2**-104 * 1e17 < 5e-15 of the exact
+# product; a fractional part this close to 1/2 (or to 0 at D = 1e16) is left to Python.
+_HALF_TOL = 1e-12
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: a == hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * a       # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _word(text: str) -> int:
+    """Up to 8 ASCII characters, NUL padded, as one little-endian word."""
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """Row i, for the decimal exponent e = _E_MAX - i: 10**(16-e) as the
+    double-double hi + lo (hi correctly rounded, lo the correctly rounded
+    remainder), hi's split, and the half-way tolerance (0 where 10**(16-e) is
+    a double, so the product is exact). Built on the first write."""
+    hi, lo = [], []
+    for e in range(_E_MAX, _E_MIN - 1, -1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    return (hi, *_split(hi), lo, np.where(lo == 0.0, 0.0, _HALF_TOL))
+
+
+@functools.cache
+def _text_table() -> tuple[np.ndarray, ...]:
+    """Text words: the digits of 0000..9999 (one in every even byte), the sign
+    and leading "0.000" of fixed notation by (negative, -e), and the exponent
+    suffix by e - _E_MIN (empty in fixed notation)."""
+    g = np.arange(10000, dtype=np.uint64)
+    quads = sum((g // 10 ** (3 - j) % 10 + ord("0")) << (16 * j) for j in range(4))
+    prefixes = np.array([_word(sign + ("0." + "0" * (z - 1) if z else ""))
+                         for sign in ("", "-") for z in range(5)], np.uint64)
+    suffixes = np.array([0 if -4 <= e <= 16 else _word(f"e{e:+03d}")
+                         for e in range(_E_MIN, _E_MAX + 1)], np.uint64)
+    return quads, prefixes, suffixes
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, e, ok): |x| rounded half to even to D * 10**(e-16), D in [1e16, 1e17),
+    where ok; +-0 gives D = 0, e = 0. Elsewhere (non-finite, outside the table,
+    an exponent estimate one off, an ambiguous rounding) ok is False."""
+    hi, hi_h, hi_l, lo, tols = _pow10_table()
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(ax))
+        ok = (e >= _E_MIN) & (e <= _E_MAX)
+        i = np.where(ok, _E_MAX - e, 0).astype(np.intp)
+    a = np.where(ok, ax, 0.0)
+    # v = a * 10**(16-e) as ph + pl: Dekker's exact product a * hi, plus a * lo
+    a_h, a_l = _split(a)
+    b_h, b_l = hi_h[i], hi_l[i]
+    ph = a * hi[i]
+    pl = ((a_h * b_h - ph) + a_h * b_l + a_l * b_h) + a_l * b_l + a * lo[i]
+    s = ph + pl
+    pl -= s - ph            # now s + pl == ph + pl exactly
+    # any s near [1e16, 1e17) is above 2**53, an integer, so floor(v) = s + floor(pl)
+    r = np.floor(pl)
+    frac = pl - r
+    d = s.astype(np.int64) + r.astype(np.int64)
+    tol = tols[i]
+    ok &= (d >= 10**16) & ~((d == 10**16) & (frac < tol)) & ~(np.abs(frac - 0.5) < tol)
+    d += (frac > 0.5) | ((frac == 0.5) & (d % 2 == 1))
+    ok &= d < 10**17
+    zero = ax == 0.0
+    ok |= zero
+    d[~ok | zero] = 0
+    e[~ok | zero] = 0
+    return d, e.astype(np.int64), ok
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The rows of a C-contiguous 2-D float64 block as CSV lines, every value
+    in C's "%.17g": the bytes np.savetxt(fmt="%.17g", delimiter=",") writes.
+
+    A value's text words: 0 holds the sign, fixed notation's leading "0.000",
+    the first digit and a point slot; 1-4 the other 16 digits, each followed
+    by a point slot; 5 the exponent ("e+dd", "e-ddd") and the separator.
+    """
+    quads, prefixes, suffixes = _text_table()
+    x = block.reshape(-1)
+    d, e, ok = _decimal17(x)
+    d = d.view(np.uint64)
+    hi9 = d // 100000000
+    lo8 = d - hi9 * 100000000
+    d0 = hi9 // 100000000
+    mid = hi9 - d0 * 100000000
+    g1, g3 = mid // 10000, lo8 // 10000
+    g4 = lo8 - g3 * 10000
+    fixed = (e >= -4) & (e <= 16)         # %g at 17 digits: exponent form below 1e-4 and from 1e17
+    words = np.empty((x.size, 6), np.uint64)
+    lead = np.signbit(x) * 5 + np.where(fixed & (e < 0), -e, 0)
+    words[:, 0] = prefixes[lead] + ((d0 + ord("0")) << 48)
+    words[:, 1] = quads[g1]
+    words[:, 2] = quads[mid - g1 * 10000]
+    words[:, 3] = quads[g3]
+    words[:, 4] = quads[g4]
+    words[:, 5] = suffixes[e - _E_MIN] + (ord(",") << 40)
+    words[block.shape[1] - 1::block.shape[1], 5] -= (ord(",") - ord("\n")) << 40
+    text = words.view(np.uint8)
+    # drop trailing zeros after the point, and the point when no digit follows it
+    point = np.where(fixed, e, 0)                   # the digit it follows; < 0: in the prefix
+    last = np.full(x.size, 16)                      # the last digit kept
+    z = np.flatnonzero(g4 % 10 == 0)
+    tail = text[z, 8:40:2]                          # digits 1..16
+    nonzero = tail != ord("0")
+    last[z] = np.where(nonzero.any(axis=1), 16 - nonzero[:, ::-1].argmax(axis=1), 0)
+    keep = np.maximum(last[z], point[z])
+    text[z, 8:40:2] = np.where(np.arange(1, 17) <= keep[:, None], tail, 0)
+    p = np.flatnonzero((last > point) & (point >= 0))
+    text.reshape(-1)[p * text.shape[1] + 7 + 2 * point[p]] = ord(".")
+    for k in np.flatnonzero(~ok):
+        s = b"%.17g" % x[k]
+        text[k, :45] = 0                            # all but the separator
+        text[k, :len(s)] = np.frombuffer(s, np.uint8)
+    return words.tobytes().translate(None, b"\0")
+
+
+def _chunk_rows(n_cols: int) -> int:
+    return max(1, _CSV_CHUNK_VALUES // n_cols)
+
+
+def write_csv(path, names: Sequence[str], blocks: Iterable[np.ndarray]) -> None:
+    """Write a header line of column names, then the rows of each 2-D block,
+    every number in C's "%.17g" (17 significant digits, trailing zeros
+    dropped), as np.savetxt(fmt="%.17g", delimiter=",") would."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=np.float64)
+            step = _chunk_rows(block.shape[1])
+            for r in range(0, block.shape[0], step):
+                fh.write(_format_rows(block[r:r + step]))
+
+
 def trajectory_columns(n_agents: int, dim: int) -> list[str]:
     """Column names of the trajectory CSV: t, then x{i}_{k}, v{i}_{k} per
     agent i=1..N and coordinate k=1..d."""
@@ -503,36 +665,52 @@ def trajectory_columns(n_agents: int, dim: int) -> list[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per stored step, full double precision (17 significant digits)."""
+    """One row per stored step, full double precision (17 significant digits),
+    formatted a chunk of rows at a time straight from the trajectory arrays."""
     n_agents, dim = traj.n_agents, traj.dim
-    n_rows = traj.times.size
-    cols = np.empty((n_rows, 1 + 2 * n_agents * dim))
-    cols[:, 0] = traj.times
-    # x then v for each agent and coordinate, the order of trajectory_columns
-    cols[:, 1:] = np.stack([traj.x, traj.v], axis=-1).reshape(n_rows, -1)
-    header = ",".join(trajectory_columns(n_agents, dim))
-    np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=header, comments="")
+    n_cols = 1 + 2 * n_agents * dim
+    step = _chunk_rows(n_cols)
+
+    def blocks():
+        for r in range(0, traj.times.size, step):
+            times = traj.times[r:r + step]
+            block = np.empty((times.size, n_cols))
+            block[:, 0] = times
+            # x then v for each agent and coordinate, the order of trajectory_columns
+            pairs = block[:, 1:].reshape(times.size, n_agents, dim, 2)
+            pairs[..., 0] = traj.x[r:r + step]
+            pairs[..., 1] = traj.v[r:r + step]
+            yield block
+    write_csv(path, trajectory_columns(n_agents, dim), blocks())
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Load a trajectory CSV written by :func:`write_trajectory_csv`.
 
     Only the step grid is recoverable from the file, so the returned
-    trajectory has an empty prehistory and no scenario attached.
+    trajectory has an empty prehistory and no scenario attached. A file that
+    is not such a CSV raises :class:`ScenarioError` naming it (and the row,
+    where the number parser reports one).
     """
-    with open(path, newline="") as fh:
-        names = next(csv.reader(fh))
-    names = [s.strip() for s in names]
-    expect_prefix = names[0] == "t" and len(names) > 1 and names[1].startswith("x")
-    if not expect_prefix:
-        raise ScenarioError(f"{path}: not a trajectory CSV (header starts {names[:2]})")
-    n_cols = len(names) - 1
-    agents = {int(s[1:].split("_")[0]) for s in names[1:]}
-    dims = {int(s.split("_")[1]) for s in names[1:]}
-    n_agents, dim = max(agents), max(dims)
-    if n_cols != 2 * n_agents * dim or trajectory_columns(n_agents, dim) != names:
-        raise ScenarioError(f"{path}: malformed trajectory header")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("latin-1")
+        if not header:
+            raise ScenarioError(f"{path}: empty file, not a trajectory CSV")
+        names = [s.strip() for s in header.split(",")]
+        last = re.fullmatch(r"v(\d+)_(\d+)", names[-1])    # v{N}_{d}
+        n_agents, dim = (int(last[1]), int(last[2])) if last else (0, 0)
+        if (n_agents < 1 or dim < 1 or len(names) != 1 + 2 * n_agents * dim
+                or trajectory_columns(n_agents, dim) != names):
+            raise ScenarioError(f"{path}: not a trajectory CSV (header starts {names[:2]})")
+        if not fh.peek(1):
+            raise ScenarioError(f"{path}: trajectory CSV has no data rows")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ScenarioError(f"{path}: malformed trajectory data: {err}") from None
+    if data.shape[0] == 0 or data.shape[1] != len(names):
+        raise ScenarioError(f"{path}: expected rows of {len(names)} values, "
+                            f"read {data.shape[0]} rows of {data.shape[1]}")
     times = data[:, 0]
     states = data[:, 1:].reshape(data.shape[0], n_agents, dim, 2)
     x, v = states[..., 0].copy(), states[..., 1].copy()

@@ -328,6 +328,43 @@ class TestFitDecayCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_decay_fit_csv_matches_savetxt(self, tmp_path):
+        times = np.linspace(0.0, 3.0, 301)
+        v = np.zeros((times.size, 2, 1))
+        v[:, 1, 0] = np.exp(-2.0 * times)
+        v[::7, 1, 0] = 0.0                      # censored samples: log diameter -inf
+        csv_path = tmp_path / "censored.csv"
+        write_trajectory_csv(Trajectory(times=times, x=np.zeros_like(v), v=v,
+                                        hist_times=np.empty(0), hist_x=np.empty((0, 2, 1)),
+                                        hist_v=np.empty((0, 2, 1))), csv_path)
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out),
+                     "--window", "0", "3"]) == 0
+        written = (out / "decay_fit.csv").read_bytes()
+        table = np.loadtxt(out / "decay_fit.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.isneginf(table[:, 2]).any()
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, table, fmt="%.17g", delimiter=",",
+                   header="t,velocity_diameter,log_diameter,fitted_log", comments="")
+        assert written == ref.read_bytes()
+
+    @pytest.mark.parametrize("content,needle", [
+        ("t,x1_1,v1_1,x2_1,v2_1\n0,0,0,1,1\n0.1,0,0,1\n", "row"),
+        ("t,x1_1,v1_1,x2_1,v2_1\n0,0,0,1,1\n0.1,0,a,1,1\n", "row"),
+        ("t,xa_1,v1_1,x2_1,v2_1\n0,0,0,1,1\n", "not a trajectory CSV"),
+        ("", "empty file"),
+        ("t,x1_1,v1_1,x2_1,v2_1\n", "no data rows"),
+    ], ids=["ragged-row", "non-numeric-cell", "bad-header-token", "empty-file",
+            "header-only"])
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, content, needle):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--traj", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and needle in err
+        assert not out.exists()
+
     def test_all_censored_input_fails(self, tmp_path):
         times = np.linspace(0.0, 1.0, 50)
         v = np.full((50, 2, 1), 0.5)    # consensus: diameter is exactly zero

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlflock.integrator import (BlowUpError, _coupling, _NodeRing, _trapezoid_mu_weights,
+from hlflock.integrator import (BlowUpError, Trajectory, _coupling, _decimal17,
+                                _format_rows, _NodeRing, _trapezoid_mu_weights,
                                 read_trajectory_csv, simulate, simulate_oracle,
                                 trajectory_columns, write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
@@ -600,8 +602,95 @@ class TestTrajectoryCsv:
         write_trajectory_csv(read_trajectory_csv(golden), path)
         assert path.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_files_equal_savetxt(self, tmp_path, dim):
+        # 25 agents: 1 + 50 * dim columns, so the file spans several chunks
+        traj = simulate(generate(GeneratorSpec(topology="random_hl", n_agents=25, dim=dim,
+                                               rng_seed=1000 + dim, sim_span=8.0)))
+        n_rows = traj.times.size
+        cols = np.column_stack([traj.times,
+                                np.stack([traj.x, traj.v], axis=-1).reshape(n_rows, -1)])
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, cols, fmt="%.17g", delimiter=",",
+                   header=",".join(trajectory_columns(25, dim)), comments="")
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_write_memory_is_bounded(self, tmp_path):
+        # formatted a chunk at a time: no copy of the whole table
+        rng = np.random.default_rng(5)
+        x, v = rng.normal(size=(1001, 200, 2)), rng.normal(size=(1001, 200, 2))
+        empty = np.empty((0, 200, 2))
+        traj = Trajectory(times=np.arange(1001) * 0.01, x=x, v=v,
+                          hist_times=np.empty(0), hist_x=empty, hist_v=empty)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (x.nbytes + v.nbytes)
+
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ScenarioError):
             read_trajectory_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# The CSV number formatter against Python's own "%.17g"
+# ---------------------------------------------------------------------------
+
+def formatted(values) -> list[str]:
+    block = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
+    return _format_rows(block).decode().split("\n")[:-1]
+
+
+def assert_percent_g(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert formatted(values) == ["%.17g" % v for v in values]
+
+
+class TestPercentG:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_hypothesis_floats(self, values):
+        assert_percent_g(values)
+
+    def test_raw_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, 2**64, size=50000, dtype=np.uint64)
+        assert_percent_g(bits.view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+        assert_percent_g(np.concatenate([values, -values]))
+
+    @pytest.mark.parametrize("e", [-5, -4, 16, 17])
+    def test_layout_boundaries(self, e):
+        # %g switches between fixed and exponent notation at e = -4 and e = 17
+        base = np.array([10.0 ** e, 1.2345 * 10.0 ** e, 9.87654321 * 10.0 ** e])
+        values, below, above = [base], base, base
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+        values = np.concatenate(values)
+        assert_percent_g(np.concatenate([values, -values]))
+
+    def test_exact_half_way_cases(self):
+        # 1 + odd * 2**-17 has 18 significant digits ending in 5: round half to even.
+        # odd * 2**-24 and 2**-25 times 10**23 or 10**24, which are not doubles,
+        # are ties that the inexact product cannot settle.
+        odd = np.arange(1, 2**13, 2)
+        values = np.concatenate([1.0 + odd * 2.0**-17, 2.0**40 + odd * 2.0**-13,
+                                 (1.0 + odd * 2.0**-17) * 2.0**-30,
+                                 np.arange(3, 16, 2) * 2.0**-24, [2.0**-25, 3 * 2.0**-25]])
+        assert_percent_g(np.concatenate([values, -values]))
+
+    def test_zeros_stay_on_the_fast_path(self):
+        values = np.array([0.0, -0.0, 0.0])
+        assert formatted(values) == ["0", "-0", "0"]
+        assert _decimal17(values)[2].all()
