@@ -51,10 +51,9 @@ def _load(args: argparse.Namespace) -> Scenario:
 
 
 def _summary(traj) -> dict:
-    series = diag.consensus_series(traj)
     return {
-        "final_velocity_diameter": float(series.velocity_diameter[-1]),
-        "final_position_diameter": float(series.position_diameter[-1]),
+        "final_velocity_diameter": float(diag._pairwise_diameter(traj.v[-1:])[0]),
+        "final_position_diameter": float(diag._pairwise_diameter(traj.x[-1:])[0]),
         "max_speed": float(diag.speeds(traj.v).max()),
         "history_speed_bound": diag.history_speed_bound(traj),
         "t_end": float(traj.times[-1]),

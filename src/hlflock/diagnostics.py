@@ -27,7 +27,7 @@ from .integrator import Trajectory, simulate, simulate_oracle  # noqa: F401
 from .model import LeadershipDag, Scenario, check_forcing_conditions
 
 DIAMETER_FLOOR = 1e-12      # dV values at or below this are rounding noise
-SPEED_TOL = 1e-8            # ball / hull invariance slack
+SPEED_TOL = 1e-8            # ball / hull invariance and diameter-monotonicity slack
 DEFAULT_BOUND_TOL = 1e-6    # relative slack on exponential envelopes
 
 
@@ -118,12 +118,12 @@ def window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
 
 
-def fit_decay_rate(series: ConsensusSeries, window: tuple[float, float] | None = None,
-                   floor: float = DIAMETER_FLOOR) -> DecayFit:
+def fit_decay_rate(series: ConsensusSeries,
+                   window: tuple[float, float] | None = None) -> DecayFit:
     """Least-squares line through (t, ln dV(t)) on the window; rate = -slope.
 
-    Samples at or below ``floor`` are censored (they are dominated by rounding
-    noise once consensus is numerically exact) and only counted.
+    Samples at or below ``DIAMETER_FLOOR`` are censored (they are dominated
+    by rounding noise once consensus is numerically exact) and only counted.
     """
     times = series.times
     values = series.velocity_diameter
@@ -131,7 +131,7 @@ def fit_decay_rate(series: ConsensusSeries, window: tuple[float, float] | None =
         window = (float(times[0] + 0.5 * (times[-1] - times[0])), float(times[-1]))
     t_a, t_b = window
     in_window = window_mask(times, window)
-    usable = in_window & (values > floor)
+    usable = in_window & (values > DIAMETER_FLOOR)
     n_censored = int(np.count_nonzero(in_window) - np.count_nonzero(usable))
     n_used = int(np.count_nonzero(usable))
     if n_used < 10:
@@ -168,9 +168,7 @@ def calibrate_step_slack(traj: Trajectory, refinement: int = 2) -> float:
     """Empirical discretization slack for bound checks on this run: the max
     velocity discrepancy against the independent Euler oracle. Plays the role
     of C*h; both schemes are consistent, so it vanishes with the step."""
-    if traj.scenario is None:
-        raise PreconditionError("trajectory has no scenario attached")
-    oracle = simulate_oracle(traj.scenario, refinement)
+    oracle = simulate_oracle(_require_scenario(traj), refinement)
     return float(np.abs(traj.v - oracle.v).max())
 
 
@@ -404,15 +402,14 @@ def lyapunov_probe(traj: Trajectory, gain: float | None = None, offset: float | 
 # Free-will leader
 # ---------------------------------------------------------------------------
 
-def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3,
-                              monotone_tol: float = 1e-8) -> ProbeReport:
+def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3) -> ProbeReport:
     """Consensus under an admissibly forced root.
 
     Requires the forcing hypotheses to hold (integrability plus the decay
     conditions); if they do not, the probe reports "hypotheses unmet" and
     asserts nothing. Otherwise it checks that the final velocity diameter is
     at most ``target``, that the diameter is non-increasing (within
-    ``monotone_tol`` per step) on the final quarter of the run, and that the
+    ``SPEED_TOL`` per step) on the final quarter of the run, and that the
     root speed never exceeds its initial speed plus the forcing's L1 mass.
     """
     scenario = _require_scenario(traj)
@@ -428,7 +425,7 @@ def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3,
     final_ok = bool(dv[-1] <= target)
     quarter = traj.times >= traj.times[-1] - 0.25 * (traj.times[-1] - traj.times[0])
     increments = np.diff(dv[quarter])
-    monotone_ok = bool(increments.size == 0 or increments.max() <= monotone_tol)
+    monotone_ok = bool(increments.size == 0 or increments.max() <= SPEED_TOL)
     root_speed = np.linalg.norm(traj.v[:, 0, :], axis=1)
     speed_cap = float(np.linalg.norm(traj.v[0, 0, :]) + scenario.forcing.l1_norm())
     root_ok = bool(root_speed.max() <= speed_cap + SPEED_TOL)

@@ -689,8 +689,8 @@ def read_trajectory_csv(path) -> Trajectory:
 
     Only the step grid is recoverable from the file, so the returned
     trajectory has an empty prehistory and no scenario attached. A file that
-    is not such a CSV raises :class:`ScenarioError` naming it (and the row,
-    where the number parser reports one).
+    is not such a CSV raises :class:`ScenarioError` naming it (and the file
+    line of the first malformed data row).
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("latin-1")
@@ -707,7 +707,8 @@ def read_trajectory_csv(path) -> Trajectory:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
-            raise ScenarioError(f"{path}: malformed trajectory data: {err}") from None
+            raise ScenarioError(f"{path}: malformed trajectory data: "
+                                f"{_first_bad_row(path, len(names)) or err}") from None
     if data.shape[0] == 0 or data.shape[1] != len(names):
         raise ScenarioError(f"{path}: expected rows of {len(names)} values, "
                             f"read {data.shape[0]} rows of {data.shape[1]}")
@@ -717,3 +718,23 @@ def read_trajectory_csv(path) -> Trajectory:
     empty = np.empty((0, n_agents, dim))
     return Trajectory(times=times, x=x, v=v,
                       hist_times=np.empty(0), hist_x=empty, hist_v=empty, scenario=None)
+
+
+def _first_bad_row(path, n_values: int) -> str | None:
+    """Describe the first data row that is not ``n_values`` numbers, by its
+    1-based line in the file (the header is line 1). Blank and '#' comment
+    lines are skipped, as np.loadtxt skips them."""
+    with open(path, encoding="latin-1") as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.split("#", 1)[0].split(",")
+            if len(cells) == 1 and not cells[0].strip():
+                continue
+            if len(cells) != n_values:
+                return f"row at line {lineno} has {len(cells)} values, expected {n_values}"
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"row at line {lineno}, column {col}: {cell.strip()!r} is not a number"
+    return None

@@ -28,10 +28,13 @@ class ScenarioError(ValueError):
     """A scenario (or one of its components) violates a structural invariant."""
 
 
-def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    """Both absent, or both present and elementwise equal."""
-    return (a is None and b is None) or (a is not None and b is not None
-                                         and np.array_equal(a, b))
+class _JsonFamily:
+    """A model family whose JSON form (``to_dict``) is all that defines it:
+    two members are equal when they have the same type and the same form.
+    Lists of floats compare like ``np.array_equal`` (0.0 == -0.0)."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.to_dict() == other.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -148,42 +151,29 @@ def leader_levels(dag: LeadershipDag, i: int) -> tuple[list[frozenset[int]], fro
 # Interaction potential
 # ---------------------------------------------------------------------------
 
-_TAIL_STATES = ("yes", "no", "unknown")
-
-
-class Potential:
+class Potential(_JsonFamily):
     """Non-increasing interaction strength as a function of distance.
 
     Built-in family ``cucker_smale(beta)`` is ``(1 + s^2) ** -beta``; a table
     family interpolates user samples linearly with flat extrapolation beyond
     the last sample (which keeps the extension non-increasing); a custom
     family wraps an arbitrary callable.
-
-    ``tail_divergent`` records whether the integral of the potential over
-    [0, inf) diverges: analytic for cucker_smale (yes iff beta <= 1/2),
-    user-declared for custom, and "unknown" for tables.
     """
 
     def __init__(self, family: str, *, beta: float | None = None,
                  distances: np.ndarray | None = None, values: np.ndarray | None = None,
-                 func: Callable[[np.ndarray], np.ndarray] | None = None,
-                 tail_divergent: str = "unknown"):
-        if tail_divergent not in _TAIL_STATES:
-            raise ScenarioError(f"tail_divergent must be one of {_TAIL_STATES}")
+                 func: Callable[[np.ndarray], np.ndarray] | None = None):
         self.family = family
         self.beta = beta
         self.distances = distances
         self.values = values
         self.func = func
-        self.tail_divergent = tail_divergent
 
     @classmethod
     def cucker_smale(cls, beta: float) -> "Potential":
         if beta < 0:
             raise ScenarioError(f"cucker_smale exponent must be >= 0, got {beta}")
-        # integrand behaves like s**(-2*beta) at infinity
-        tail = "yes" if beta <= 0.5 else "no"
-        return cls("cucker_smale", beta=float(beta), tail_divergent=tail)
+        return cls("cucker_smale", beta=float(beta))
 
     @classmethod
     def table(cls, distances: Sequence[float], values: Sequence[float]) -> "Potential":
@@ -197,12 +187,11 @@ class Potential:
             raise ScenarioError("table potential values must be finite and >= 0")
         if np.any(np.diff(v) > 0):
             raise ScenarioError("table potential values must be non-increasing")
-        return cls("table", distances=s, values=v, tail_divergent="unknown")
+        return cls("table", distances=s, values=v)
 
     @classmethod
-    def custom(cls, func: Callable[[np.ndarray], np.ndarray],
-               tail_divergent: str = "unknown") -> "Potential":
-        p = cls("custom", func=func, tail_divergent=tail_divergent)
+    def custom(cls, func: Callable[[np.ndarray], np.ndarray]) -> "Potential":
+        p = cls("custom", func=func)
         # spot-check positivity and monotonicity on a coarse grid
         probe = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 40)])
         vals = np.asarray(func(probe), dtype=float)
@@ -229,14 +218,10 @@ class Potential:
         return float(out) if arr.ndim == 0 else out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Potential) or self.family != other.family:
-            return False
-        if self.family == "cucker_smale":
-            return self.beta == other.beta
-        if self.family == "table":
-            return (np.array_equal(self.distances, other.distances)
-                    and np.array_equal(self.values, other.values))
-        return self is other
+        # a custom callable has no JSON form and equals only itself
+        if self.family == "custom" or getattr(other, "family", None) == "custom":
+            return self is other
+        return super().__eq__(other)
 
     def to_dict(self) -> dict:
         """JSON form of a built-in family; a custom callable has none."""
@@ -277,7 +262,7 @@ class TailReport:
     partial_integrals: tuple[tuple[float, float], ...] = ()
 
 
-def check_divergent_tail(p: Potential, horizon: float = 1e6, samples_per_decade: int = 64) -> TailReport:
+def check_divergent_tail(p: Potential, horizon: float = 1e6) -> TailReport:
     """Decide whether the potential's integral over [0, inf) diverges.
 
     For the cucker_smale family the answer is analytic (divergent iff the
@@ -287,9 +272,9 @@ def check_divergent_tail(p: Potential, horizon: float = 1e6, samples_per_decade:
     certainty is claimed for table or custom inputs.
     """
     if p.family == "cucker_smale":
-        return TailReport(verdict=p.tail_divergent)
+        return TailReport(verdict="yes" if p.beta <= 0.5 else "no")
     decades = int(math.ceil(math.log10(horizon)))
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, horizon, decades * samples_per_decade)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, horizon, decades * 64)])
     vals = p(grid)
     increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
     cumulative = np.concatenate([[0.0], np.cumsum(increments)])
@@ -312,7 +297,7 @@ _KERNEL_GRID_POINTS = 1025  # dense internal grid; trapezoid mass is exact for
                             # uniform/triangular and superconvergent for the bump
 
 
-class DelayKernel:
+class DelayKernel(_JsonFamily):
     """Nonnegative bounded weight over the memory window [0, tau].
 
     ``mu0`` is the total mass, computed by composite trapezoid on the stored
@@ -339,6 +324,7 @@ class DelayKernel:
             if np.any(v < 0) or not np.all(np.isfinite(v)):
                 raise ScenarioError("kernel weights must be finite and >= 0")
             self._grid_t, self._grid_v = t, v
+            self.tau = float(t[-1])     # a table is its samples, all that to_dict keeps
         else:
             if shape not in self.BUILTIN_SHAPES:
                 raise ScenarioError(f"unknown kernel shape {shape!r}")
@@ -412,14 +398,6 @@ class DelayKernel:
             out = self._eval_builtin(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DelayKernel) or self.shape != other.shape or self.tau != other.tau:
-            return False
-        if self.shape == "table":
-            return (np.array_equal(self._grid_t, other._grid_t)
-                    and np.array_equal(self._grid_v, other._grid_v))
-        return self.height == other.height
-
     def to_dict(self) -> dict:
         """JSON form: the samples of a table, else tau and the height parameter."""
         if self.shape == "table":
@@ -450,7 +428,7 @@ class DelayKernel:
 # Initial histories
 # ---------------------------------------------------------------------------
 
-class HistoryFn:
+class HistoryFn(_JsonFamily):
     """One agent's position or velocity prehistory on the window [-tau, 0].
 
     Built-in forms are constant, affine in the time offset, and tabulated
@@ -506,13 +484,6 @@ class HistoryFn:
                                 f"(covers [{self.times[0]}, {self.times[-1]}])")
         return np.stack([np.interp(s, self.times, self.values[:, k])
                          for k in range(self.values.shape[1])], axis=-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HistoryFn) or self.kind != other.kind:
-            return False
-        return (_same_array(self.value, other.value) and _same_array(self.slope, other.slope)
-                and _same_array(self.times, other.times)
-                and _same_array(self.values, other.values))
 
     def to_dict(self) -> dict:
         if self.kind == "constant":
@@ -587,7 +558,7 @@ class HistorySpec:
 # Free-will forcing of the root agent
 # ---------------------------------------------------------------------------
 
-class LeaderForcing:
+class LeaderForcing(_JsonFamily):
     """Exogenous acceleration applied to agent 1.
 
     Built-in magnitude profiles act along a fixed unit direction (default
@@ -701,15 +672,6 @@ class LeaderForcing:
                           math.log(2.0), math.inf, limit=200)
             return float(abs(self.amplitude) * val)
         return float(np.trapezoid(np.abs(self.magnitudes), self.times))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeaderForcing) or self.family != other.family:
-            return False
-        return (self.amplitude == other.amplitude and self.exponent == other.exponent
-                and self.decay_power == other.decay_power
-                and _same_array(self.times, other.times)
-                and _same_array(self.magnitudes, other.magnitudes)
-                and _same_array(self.direction, other.direction))
 
     def to_dict(self) -> dict:
         if self.family == "zero":

@@ -101,6 +101,29 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_velocity_diameter"] < 1e-12
 
+    def test_summary_diameters_from_last_state_only(self, tmp_path, monkeypatch):
+        scen = Scenario(dag=LeadershipDag(3, {2: {1}, 3: {1, 2}}), dim=2,
+                        potential=Potential.cucker_smale(0.4),
+                        kernel=DelayKernel.triangular(0.1),
+                        history=HistorySpec.constant([[0.0, 0.0], [1.0, 0.5], [-0.5, 2.0]],
+                                                     [[0.0, 0.3], [0.7, 0.0], [-0.2, 0.9]]),
+                        t_end=2.0, dt=0.01)
+        path = tmp_path / "three.json"
+        save_scenario(scen, path)
+        shapes = []
+        real = hlflock.diagnostics._pairwise_diameter
+        monkeypatch.setattr(hlflock.diagnostics, "_pairwise_diameter",
+                            lambda arr: shapes.append(arr.shape) or real(arr))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+        assert shapes and all(shape[0] == 1 for shape in shapes)
+        monkeypatch.undo()
+        series = hlflock.diagnostics.consensus_series(simulate(load_scenario(path)))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_velocity_diameter"] == float(series.velocity_diameter[-1])
+        assert summary["final_position_diameter"] == float(series.position_diameter[-1])
+        assert summary["final_position_diameter"] > 0.0
+
     def test_overrides_revalidated(self, two_flock_file, tmp_path):
         code = main(["simulate", "--scenario", str(two_flock_file),
                      "--out", str(tmp_path / "x"), "--dt", "0.03"])
@@ -364,6 +387,15 @@ class TestFitDecayCommand:
         err = capsys.readouterr().err
         assert str(path) in err and needle in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad_row", ["0.1,0,0,1", "0.1,0,a,1,1"],
+                             ids=["ragged-row", "non-numeric-cell"])
+    def test_malformed_csv_names_the_file_line(self, tmp_path, capsys, bad_row):
+        # the header is line 1, so the second data row is line 3
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,x1_1,v1_1,x2_1,v2_1\n0,0,0,1,1\n{bad_row}\n0.2,0,0,1,1\n")
+        assert main(["fit-decay", "--traj", str(path), "--out", str(tmp_path / "fit")]) == 2
+        assert "row at line 3" in capsys.readouterr().err
 
     def test_all_censored_input_fails(self, tmp_path):
         times = np.linspace(0.0, 1.0, 50)

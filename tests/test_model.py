@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError,
@@ -341,3 +344,127 @@ class TestScenario:
     def test_problems_collects_hierarchy_violations(self):
         scen = _tiny_scenario(dag=LeadershipDag(2))
         assert any("no leaders" in p for p in scen.problems())
+
+
+# ---------------------------------------------------------------------------
+# Family equality through the JSON form
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.floats(-100.0, 100.0, allow_nan=False)
+_STEPS = st.lists(st.floats(0.01, 10.0), min_size=2, max_size=6)
+
+
+def _vector(dim):
+    return st.lists(_NUMBERS, min_size=dim, max_size=dim)
+
+
+def _direction(dim):
+    return _vector(dim).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@st.composite
+def _potentials(draw):
+    if draw(st.booleans()):
+        return Potential.cucker_smale(draw(st.floats(0.0, 5.0)))
+    steps = draw(_STEPS)
+    values = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=len(steps),
+                                  max_size=len(steps))), reverse=True)
+    return Potential.table(np.cumsum(steps) - steps[0], values)
+
+
+@st.composite
+def _kernels(draw):
+    shape = draw(st.sampled_from(DelayKernel.BUILTIN_SHAPES + ("table",)))
+    if shape == "table":
+        steps = draw(_STEPS)
+        values = draw(st.lists(st.floats(0.01, 10.0), min_size=len(steps) + 1,
+                               max_size=len(steps) + 1))
+        return DelayKernel.table(np.concatenate([[0.0], np.cumsum(steps)]), values)
+    make = getattr(DelayKernel, shape)
+    return make(draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 10.0)))
+
+
+@st.composite
+def _histories(draw):
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["constant", "affine", "table"]))
+    if kind == "constant":
+        return HistoryFn("constant", value=draw(_vector(dim)))
+    if kind == "affine":
+        return HistoryFn("affine", value=draw(_vector(dim)), slope=draw(_vector(dim)))
+    steps = draw(_STEPS)
+    values = [draw(_vector(dim)) for _ in steps]
+    return HistoryFn("table", times=-np.cumsum(steps)[::-1], values=values)
+
+
+@st.composite
+def _forcings(draw):
+    family = draw(st.sampled_from(["zero", "power_law", "log_damped", "table"]))
+    if family == "zero":
+        return LeaderForcing.zero()
+    direction = draw(_direction(draw(st.integers(1, 3))))
+    if family == "power_law":
+        return LeaderForcing.power_law(draw(_NUMBERS), draw(st.floats(0.1, 5.0)),
+                                       direction=direction)
+    if family == "log_damped":
+        return LeaderForcing.log_damped(draw(_NUMBERS), draw(st.integers(2, 6)),
+                                        direction=direction)
+    steps = draw(_STEPS)
+    magnitudes = draw(st.lists(_NUMBERS, min_size=len(steps), max_size=len(steps)))
+    return LeaderForcing.table(np.cumsum(steps), magnitudes, direction=direction)
+
+
+_MEMBERS = st.one_of(_potentials(), _kernels(), _histories(), _forcings())
+_TAGS = ("family", "shape", "kind")
+
+
+def _changed(d: dict, key: str) -> dict:
+    """``d`` with field ``key`` changed in a way its family still accepts."""
+    value = np.asarray(d[key], dtype=float)
+    if key == "direction":
+        value = -value
+    elif key in ("distances", "times"):     # strictly increasing grids
+        value[-1] += 1.0
+    else:                                   # raising the first sample keeps tables valid
+        value.flat[0] += 1.0
+    return {**d, key: value.tolist() if value.ndim else float(value)}
+
+
+class TestFamilyEquality:
+    @settings(max_examples=200, deadline=None)
+    @given(_MEMBERS)
+    def test_json_round_trip_is_equal(self, member):
+        text = json.dumps(member.to_dict())
+        assert type(member).from_dict(json.loads(text), "member") == member
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MEMBERS)
+    def test_any_changed_field_is_unequal(self, member):
+        d = member.to_dict()
+        for key in set(d) - set(_TAGS):
+            other = type(member).from_dict(_changed(d, key), "member")
+            assert other != member and member != other, key
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+    def test_builtin_shapes_with_equal_parameters_are_unequal(self, tau, height):
+        uniform = DelayKernel.uniform(tau, height)
+        assert uniform != DelayKernel.triangular(tau, height)
+        assert uniform != DelayKernel.truncated_bump(tau, height)
+        assert uniform == DelayKernel.uniform(tau, height)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_potentials())
+    def test_custom_potential_equals_only_itself(self, builtin):
+        def psi(s):
+            return 1.0 / (1.0 + s)
+        custom = Potential.custom(psi)
+        assert custom == custom
+        assert custom != Potential.custom(psi)
+        assert custom != builtin and builtin != custom
+
+    def test_table_kernel_tau_is_its_last_sample(self):
+        # the constructor accepts a tau within 1e-12 relative of the last sample
+        kernel = DelayKernel("table", 0.2 * (1 + 1e-13), times=np.array([0.0, 0.2]),
+                             values=np.array([1.0, 1.0]))
+        assert kernel.tau == 0.2 == DelayKernel.from_dict(kernel.to_dict(), "kernel").tau
