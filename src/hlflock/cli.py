@@ -12,19 +12,19 @@ the same library calls a Python caller would make, byte for byte.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import diagnostics as diag
 from .diagnostics import PROBE_NAMES, run_probes
-from .integrator import (BlowUpError, read_trajectory_csv, simulate, write_csv,
-                         write_trajectory_csv)
+from .integrator import (BlowUpError, Trajectory, read_trajectory_csv, simulate,
+                         simulate_many, step_groups, write_csv, write_trajectory_csv)
 from .model import Scenario, ScenarioError
 from .scenarios import (generate, load_generator, load_scenario,
                         save_run, save_scenario)
@@ -48,6 +48,20 @@ def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 
 def _load(args: argparse.Namespace) -> Scenario:
     return _with_overrides(load_scenario(args.scenario, seed=args.seed), args)
+
+
+def _trajectories(scenarios: Iterable[Scenario]) -> Iterator[Trajectory]:
+    """Each scenario's trajectory, in order, from one ``simulate_many`` call
+    per step group. A blow-up is raised when its scenario's turn comes, after
+    the trajectories before it. Each trajectory is dropped here once the
+    caller moves on, so a caller that keeps none holds at most one group's."""
+    for group in step_groups(scenarios):
+        trajs = simulate_many(group)
+        for k in range(len(trajs)):
+            traj, trajs[k] = trajs[k], None
+            if isinstance(traj, BlowUpError):
+                raise traj
+            yield traj
 
 
 def _summary(traj) -> dict:
@@ -82,19 +96,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     # are drawn from consecutive seeds starting at --seed (default 0)
     seeds = ([args.seed] if args.count == 1
              else [(args.seed or 0) + k for k in range(args.count)])
-    scenarios = [load_scenario(args.scenario, seed=seed) for seed in seeds]
+    scenarios = [_with_overrides(load_scenario(args.scenario, seed=seed), args)
+                 for seed in seeds]
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     all_reports = []
     failed = 0
-    for scenario in scenarios:
-        reports = run_probes(simulate(_with_overrides(scenario, args)), args.probes)
+    for traj in _trajectories(scenarios):
+        reports = run_probes(traj, args.probes)
         for rep in reports:
             print(rep.to_text() if not args.verbose
                   else rep.to_text() + f"  {rep.details}")
             if rep.passed is False:
                 failed += 1
-        all_reports.append({"rng_seed": scenario.rng_seed,
+        all_reports.append({"rng_seed": traj.scenario.rng_seed,
                             "probes": [r.to_dict() for r in reports]})
     payload = {"passed": failed == 0, "n_scenarios": len(scenarios),
                "n_failed_probes": failed, "runs": all_reports}
@@ -143,28 +158,38 @@ def cmd_fit_decay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(job: tuple) -> tuple[int, bool, str]:
-    spec, seed, out_str, probes = job
-    traj = simulate(generate(replace(spec, rng_seed=seed)))
-    reports = run_probes(traj, probes)
-    rundir = Path(out_str) / f"run_{seed:05d}"
-    save_run(traj, reports, rundir)
-    ok = all(r.passed is not False for r in reports)
-    return seed, ok, str(rundir)
+def _sweep_worker(job: tuple) -> list[tuple[int, bool, str]]:
+    """Draw, step, probe and save the scenarios of a range of seeds, in order."""
+    spec, seeds, out_str, probes = job
+    results = []
+    for traj in _trajectories(generate(replace(spec, rng_seed=seed)) for seed in seeds):
+        reports = run_probes(traj, probes)
+        seed = traj.scenario.rng_seed
+        rundir = Path(out_str) / f"run_{seed:05d}"
+        save_run(traj, reports, rundir)
+        results.append((seed, all(r.passed is not False for r in reports), str(rundir)))
+    return results
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_generator(args.scenario)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(spec, args.seed + k, str(out), args.probes) for k in range(args.count)]
+    seeds = range(args.seed, args.seed + args.count)
     if args.workers <= 1:
-        results = [_sweep_worker(job) for job in jobs]
+        results = _sweep_worker((spec, seeds, str(out), args.probes))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+        # imported here, its only use: it pulls in logging, traceback and string
+        import concurrent.futures
+
+        # one block of consecutive seeds per process, stepped in groups there
+        n_jobs = min(args.workers, args.count)
+        jobs = [(spec, seeds[j * len(seeds) // n_jobs:(j + 1) * len(seeds) // n_jobs],
+                 str(out), args.probes) for j in range(n_jobs)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = [r for block in pool.map(_sweep_worker, jobs) for r in block]
     n_bad = 0
-    for seed, ok, rundir in sorted(results):
+    for seed, ok, rundir in results:
         print(f"seed {seed}: {'PASS' if ok else 'FAIL'}  ({rundir})")
         n_bad += 0 if ok else 1
     print(f"{'PASS' if n_bad == 0 else 'FAIL'}: {len(results) - n_bad}/{len(results)} runs clean")

@@ -339,16 +339,32 @@ def hat_leader_series(traj: Trajectory, dag: LeadershipDag, agent: int) -> HatLe
 # Dissipation functionals
 # ---------------------------------------------------------------------------
 
+_PRIMITIVE_CHUNK = 4096     # grid intervals summed per pass; bounds the temporaries
+
+
 def _potential_primitive(scenario: Scenario, s_max: float):
     """Numeric primitive of the potential (cumulative trapezoid from 0),
     returned as an interpolation grid. Non-decreasing with value 0 at 0.
 
     The sum is scipy's ``cumulative_trapezoid(psi, s_grid, initial=0.0)``
     operation for operation, so it is bitwise equal to it without importing
-    scipy."""
+    scipy. It runs a chunk of intervals at a time, each chunk's running sum
+    started from the previous chunk's last value: the same sequential adds."""
     s_grid = np.linspace(0.0, max(s_max, 1e-6), 65537)
-    psi = scenario.potential(s_grid)
-    phi = np.concatenate(([0.0], np.cumsum(np.diff(s_grid) * (psi[1:] + psi[:-1]) / 2.0)))
+    phi = np.empty_like(s_grid)
+    phi[0] = 0.0
+    psi_lo = scenario.potential(s_grid[:1])
+    for lo in range(0, s_grid.size - 1, _PRIMITIVE_CHUNK):
+        hi = min(lo + _PRIMITIVE_CHUNK, s_grid.size - 1)
+        psi = scenario.potential(s_grid[lo + 1:hi + 1])
+        area = np.concatenate((psi_lo, psi[:-1]))
+        area += psi
+        area *= np.diff(s_grid[lo:hi + 1])
+        area /= 2.0
+        if lo:
+            area[0] += phi[lo]
+        np.cumsum(area, out=phi[lo + 1:hi + 1])
+        psi_lo = psi[-1:]
     return s_grid, phi
 
 

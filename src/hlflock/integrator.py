@@ -19,6 +19,12 @@ Two schemes are provided on purpose:
   contiguous slice, a coupling stage is a few flat numpy calls (weight,
   multiply, a sequential sum over the window, a scatter per follower) and
   the cache is O(m * edges * d) however long the run.
+  :func:`simulate_many` steps a batch of scenarios of one (delay_steps, dim)
+  as one disjoint flock: the same numpy calls advance all of them, each
+  with its own step size, quadrature weights, potential and forcing, so a
+  step of many small scenarios costs about as much as a step of one. Every
+  operation acts per agent or per edge column, so each trajectory is
+  bit-identical to :func:`simulate`'s; :func:`simulate` is the group of one.
 * :func:`simulate_oracle` - explicit Euler on a refined grid with
   left-rectangle quadrature; deliberately different discretization used to
   cross-validate the main one. For piecewise-linear kernels (uniform,
@@ -27,7 +33,9 @@ Two schemes are provided on purpose:
   truncated bump pays the full window.
 
 Any non-finite state aborts the run with a :class:`BlowUpError` naming the
-time, the first non-finite agent and the last finite time.
+time, the first non-finite agent and the last finite time. In a batch the
+error names the scenario's own agent and times and takes that scenario's
+place in the results; the other scenarios run on.
 
 Trajectories go to CSV with every number in C's ``%.17g``, the bytes
 ``np.savetxt(fmt="%.17g")`` writes, so a read gives back the same doubles.
@@ -47,7 +55,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +73,10 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.agent = agent
         self.last_finite_t = last_finite_t
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that it crosses a process boundary
+        return type(self), (self.t, self.agent, self.last_finite_t)
 
 
 def _blow_up(t: float, last_finite_t: float, x: np.ndarray, v: np.ndarray) -> BlowUpError:
@@ -108,21 +120,30 @@ class _NodeRing:
     r..r+m is the contiguous (L, E*d+1) slice starting at row r % L. Memory
     is O(m * E * d) whatever the horizon.
 
-    ``weights`` holds the quadrature weight of each window position (L,)
-    repeated across a row, so that weighting a window is one elementwise
-    product (a broadcast column is slower). ``cols`` and ``lead_cols`` hold
-    the flat index fol*d + c and led*d + c of the follower and leader
-    coordinate that each column but the spare acts on, ``col_edge`` the edge
-    of each such column, and ``bins`` is ``cols`` with the spare column sent
-    to an extra bin N*d. ``vf``, ``rel`` and ``wpsi`` are the work buffers of
-    :func:`_coupling`.
+    ``potential`` is the potential of every edge, or a list of (potential,
+    stop) pairs: the edges from the previous pair's stop up to ``stop`` use
+    that potential, which is called once per node on those edges only (a
+    single potential on all edges at once). ``weights`` holds the quadrature
+    weight of each window position, (L,) for every edge or (L, E) per edge;
+    ``self.weights`` repeats it across a row, so that weighting a window is
+    one elementwise product (a broadcast column is slower). ``cols`` and
+    ``lead_cols`` hold the flat index fol*d + c and led*d + c of the follower
+    and leader coordinate that each column but the spare acts on,
+    ``col_edge`` the edge of each such column, and ``bins`` is ``cols`` with
+    the spare column sent to an extra bin N*d. ``vf``, ``rel`` and ``wpsi``
+    are the work buffers of :func:`_coupling`.
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
-                 potential: Potential, weights: np.ndarray):
-        self.potential = potential
+                 potential: Potential | list[tuple[Potential, int]], weights: np.ndarray):
         self.size = size = xw.shape[0]
         n_agents, dim = xw.shape[1:]
+        if isinstance(potential, Potential):
+            potential = [(potential, fol.size)]
+        self.potential = potential[0][0] if len(potential) == 1 else None
+        stops = [stop for _, stop in potential]
+        self.pieces = [(p, slice(start, stop)) for (p, stop), start in zip(potential, [0] + stops)]
+        self.psi_edges = np.empty(fol.size)
         # explicit, since a lone agent has E = 0 edges
         self.edge_shape = (fol.size, dim)
         width = fol.size * dim + 1
@@ -132,7 +153,11 @@ class _NodeRing:
         self.bins = np.append(self.cols, n_agents * dim)
         self.psi = np.zeros((2 * size, width))
         self.vl = np.zeros((2 * size, width))
-        self.weights = np.repeat(weights[:, None], width, axis=1)
+        if weights.ndim == 1:
+            self.weights = np.repeat(weights[:, None], width, axis=1)
+        else:
+            self.weights = np.zeros((size, width))
+            self.weights[:, :-1] = weights[:, self.col_edge]
         self.vf = np.zeros(width)
         self.vf_cols = self.vf[:-1]
         self.rel = np.empty((size, width))
@@ -145,12 +170,23 @@ class _NodeRing:
         row = node % self.size
         x, v = x.ravel(), v.ravel()
         dp = (x.take(self.cols) - x.take(self.lead_cols)).reshape(self.edge_shape)
-        psi = self.potential(np.sqrt(np.einsum("ef,ef->e", dp, dp)))
+        dist = np.sqrt(np.einsum("ef,ef->e", dp, dp))
+        if self.potential is not None:
+            psi = self.potential(dist)
+        else:
+            psi = self.psi_edges
+            for potential, edges in self.pieces:
+                psi[edges] = potential(dist[edges])
         # in-range indices by construction; "clip" writes straight into the row
         psi.take(self.col_edge, out=self.psi[row, :-1], mode="clip")
         v.take(self.lead_cols, out=self.vl[row, :-1], mode="clip")
         self.psi[row + self.size] = self.psi[row]
         self.vl[row + self.size] = self.vl[row]
+
+    def clear(self, cols: slice) -> None:
+        """Zero the columns ``cols`` of every stored node: their edges add 0."""
+        self.psi[:, cols] = 0.0
+        self.vl[:, cols] = 0.0
 
 
 def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
@@ -187,39 +223,39 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: np.ndarray,
-               t: float, first: int, ring: _NodeRing, scenario: Scenario) -> None:
-    """One Heun step from the window of nodes first..first+m, whose newest
-    node x_cur, v_cur is the state at time t; writes the new state into
-    x_new, v_new and stores it in ``ring`` as node first+m+1.
+               k: int, ring: _NodeRing, group: _Group) -> None:
+    """Step k of every scenario in ``group``, from the window of nodes
+    k..k+m, whose newest node x_cur, v_cur is the state after k steps; writes
+    the new state into x_new, v_new and stores it in ``ring`` as node k+m+1.
 
     The predictor is an Euler step; the corrector re-evaluates the coupling at
     t+h against the window extended by the predictor, whose row holds node
-    first+m+1 until the corrected state overwrites it. Both positions and
+    k+m+1 until the corrected state overwrites it. Both positions and
     velocities advance with the average of the two stage derivatives. The
     stages run in place in x_new, v_new and the coupling outputs, with the
     operands of v_cur + h*a0, x_cur + h*v_cur, v_cur + 0.5*h*(a0 + a1) and
-    x_cur + 0.5*h*(v_cur + vp) (sum and product commute bitwise).
+    x_cur + 0.5*h*(v_cur + vp) (sum and product commute bitwise); h is one
+    number, or a column of each agent's own step. A forced root takes its
+    forcing at its scenario's own times k*h and k*h + h.
     """
-    h = scenario.dt
-    dim = scenario.dim
-    forcing = scenario.forcing
-    new_node = first + ring.size
+    h = group.h
+    dim = group.dim
 
-    # agent 1 has no leaders: its coupling row is already the +0.0 a zero forcing sets
-    a0 = _coupling(ring, first, v_cur)
-    if not forcing.is_zero:
-        a0[0] = forcing.eval(t, dim)
+    # a root has no leaders: its coupling row is already the +0.0 a zero forcing sets
+    a0 = _coupling(ring, k, v_cur)
+    for root, forcing, h_s in group.forced:
+        a0[root] = forcing.eval(k * h_s, dim)
     vp = np.multiply(h, a0, out=v_new)
     vp += v_cur
     xp = np.multiply(h, v_cur, out=x_new)
     xp += x_cur
 
-    ring.store(new_node, xp, vp)
-    a1 = _coupling(ring, first + 1, vp)
-    if not forcing.is_zero:
-        a1[0] = forcing.eval(t + h, dim)
+    ring.store(k + ring.size, xp, vp)
+    a1 = _coupling(ring, k + 1, vp)
+    for root, forcing, h_s in group.forced:
+        a1[root] = forcing.eval(k * h_s + h_s, dim)
 
-    half_h = 0.5 * h
+    half_h = group.half_h
     np.add(v_cur, vp, out=x_new)
     x_new *= half_h
     x_new += x_cur
@@ -227,8 +263,8 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: n
     a1 *= half_h
     np.add(v_cur, a1, out=v_new)
     if not (np.isfinite(v_new).all() and np.isfinite(x_new).all()):
-        raise _blow_up(t + h, t, x_new, v_new)
-    ring.store(new_node, x_new, v_new)
+        group.blow_up(k, x_new, v_new, ring)
+    ring.store(k + ring.size, x_new, v_new)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +297,174 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+# A group of scenarios stepped together holds at most this many agent-rows:
+# agents times stored rows m+n+1, summed over its scenarios. Their trajectories
+# are 16*d bytes per agent-row, so a group's arrays stay under 4 MB per dimension.
+_GROUP_AGENT_ROWS = 1 << 18
+# Rows of the state buffer a group of two or more steps in; every
+# _BUFFER_ROWS - 1 steps they are copied into the scenarios' own arrays.
+_BUFFER_ROWS = 64
+
+
+def step_groups(scenarios: Iterable[Scenario]) -> Iterator[list[Scenario]]:
+    """Split ``scenarios``, in order, into the groups :func:`simulate_many`
+    steps as one system: runs of consecutive scenarios with the same
+    (delay_steps, dim) and at most ``_GROUP_AGENT_ROWS`` agent-rows together.
+    A scenario larger than that is a group of its own."""
+    group, key, size = [], None, 0
+    for scenario in scenarios:
+        m = scenario.delay_steps
+        rows = scenario.n_agents * (m + scenario.n_steps + 1)
+        if group and ((m, scenario.dim) != key or size + rows > _GROUP_AGENT_ROWS):
+            yield group
+            group, size = [], 0
+        group.append(scenario)
+        key = (m, scenario.dim)
+        size += rows
+    if group:
+        yield group
+
+
+class _Group:
+    """Scenarios of one (delay_steps, dim), stepped as one disjoint flock.
+
+    Scenario i owns the agents ``bounds[i]`` of the union and, since edges
+    follow agents, the edges ``edge_bounds[i]``. The scenarios are kept
+    ordered by potential, so that each distinct potential's edges are one
+    run. ``h`` is the common step, or a column of each agent's step.
+    ``forced`` lists (union row of the root, forcing, step) per forced
+    scenario. ``results[i]`` is scenario i's :class:`BlowUpError` once it has
+    failed; ``n_live`` is the longest horizon of the scenarios still running.
+    """
+
+    def __init__(self, scenarios: list[Scenario]):
+        self.m, self.dim = scenarios[0].delay_steps, scenarios[0].dim
+        potentials, rank = [], []
+        for s in scenarios:
+            rank.append(next((j for j, p in enumerate(potentials) if p == s.potential),
+                             len(potentials)))
+            if rank[-1] == len(potentials):
+                potentials.append(s.potential)
+        self.order = sorted(range(len(scenarios)), key=rank.__getitem__)
+        self.scenarios = [scenarios[i] for i in self.order]
+        self.steps = [s.n_steps for s in self.scenarios]
+        self.dts = [s.dt for s in self.scenarios]
+        sizes = [s.n_agents for s in self.scenarios]
+        starts = list(itertools.accumulate(sizes, initial=0))
+        self.bounds = list(itertools.pairwise(starts))
+        self.h = self.dts[0] if len(set(self.dts)) == 1 else np.repeat(self.dts, sizes)[:, None]
+        self.half_h = 0.5 * self.h
+        self.forced = [(lo, s.forcing, s.dt) for s, (lo, _) in zip(self.scenarios, self.bounds)
+                       if not s.forcing.is_zero]
+        self.results: list[BlowUpError | None] = [None] * len(scenarios)
+        self.n_live = max(self.steps)
+
+    def ring(self, xw: np.ndarray, vw: np.ndarray) -> _NodeRing:
+        """The union's :class:`_NodeRing` over the window states xw, vw
+        (m+1, agents, d): one run of edges per distinct potential, and each
+        edge weighted by its own scenario's quadrature weights."""
+        edges = [s.dag.edge_arrays() for s in self.scenarios]
+        counts = [f.size for f, _ in edges]
+        stops = list(itertools.accumulate(counts))
+        self.edge_bounds = list(zip([0] + stops, stops))
+        fol = np.concatenate([f + lo for (f, _), (lo, _) in zip(edges, self.bounds)])
+        led = np.concatenate([l + lo for (_, l), (lo, _) in zip(edges, self.bounds)])
+        pieces = []
+        for s, stop, count in zip(self.scenarios, stops, counts):
+            if count and pieces and pieces[-1][0] == s.potential:
+                pieces[-1] = (s.potential, stop)
+            elif count:
+                pieces.append((s.potential, stop))
+        weights = np.stack([_trapezoid_mu_weights(s) for s in self.scenarios], axis=1)
+        return _NodeRing(xw, vw, fol, led, pieces,
+                         weights[:, np.repeat(np.arange(len(counts)), counts)])
+
+    def blow_up(self, k: int, x_new: np.ndarray, v_new: np.ndarray, ring: _NodeRing) -> None:
+        """Handle a non-finite state after step k. A scenario inside its
+        horizon fails with its own agent and times. It, and any scenario past
+        its horizon, restarts from rest on edges that add 0, so the union is
+        finite again and the other scenarios step on unchanged."""
+        bad = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(v_new).all(axis=1))
+        for i, (lo, hi) in enumerate(self.bounds):
+            if not bad[lo:hi].any():
+                continue
+            if self.results[i] is None and k < self.steps[i]:
+                t = k * self.dts[i]
+                self.results[i] = _blow_up(t + self.dts[i], t, x_new[lo:hi], v_new[lo:hi])
+            x_new[lo:hi] = 0.0
+            v_new[lo:hi] = 0.0
+            e_lo, e_hi = self.edge_bounds[i]
+            ring.clear(slice(e_lo * self.dim, e_hi * self.dim))
+        self.n_live = max((n for n, err in zip(self.steps, self.results) if err is None),
+                          default=0)
+
+    def run(self, on_step: Callable[[FlockState], None] | None = None) -> list:
+        """Step every scenario to its horizon; returns each one's
+        :class:`Trajectory` or :class:`BlowUpError`, in the input order.
+        ``on_step`` is called after every step of a group of one."""
+        m, dim = self.m, self.dim
+        hist_s, xs, vs = [], [], []
+        for s, n in zip(self.scenarios, self.steps):
+            hist_s.append((np.arange(m + 1) - m) * s.dt)
+            xs.append(np.empty((m + n + 1, s.n_agents, dim)))
+            vs.append(np.empty_like(xs[-1]))
+            xs[-1][: m + 1], vs[-1][: m + 1] = s.history.sample(hist_s[-1])
+        if len(xs) == 1:
+            # a group of one steps straight in its trajectory arrays
+            X, V = xs[0], vs[0]
+            ring = self.ring(X[: m + 1], V[: m + 1])
+            base, buffered = -m, False
+        else:
+            xw = np.concatenate([x[: m + 1] for x in xs], axis=1)
+            vw = np.concatenate([v[: m + 1] for v in vs], axis=1)
+            ring = self.ring(xw, vw)
+            X = np.empty((_BUFFER_ROWS,) + xw.shape[1:])
+            V = np.empty_like(X)
+            X[0], V[0] = xw[m], vw[m]
+            base, buffered = 0, True
+        x_seen, v_seen = X.view(), V.view()
+        _freeze(x_seen, v_seen)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(self.n_live):
+                j = k - base        # buffer row of the state after k steps
+                _heun_step(X[j], V[j], X[j + 1], V[j + 1], k, ring, self)
+                if self.n_live <= k:
+                    break
+                if on_step is not None:
+                    on_step(FlockState((k + 1) * self.h, x_seen[j + 1], v_seen[j + 1]))
+                if buffered and j + 2 == _BUFFER_ROWS:
+                    self._flush(X, V, base, k + 1, xs, vs)
+                    X[0], V[0] = X[j + 1], V[j + 1]
+                    base = k + 1
+            if buffered:
+                self._flush(X, V, base, k + 1, xs, vs)
+
+        out: list = [None] * len(self.order)
+        for i, s in enumerate(self.scenarios):
+            result = self.results[i]
+            if result is None:
+                x, v = xs[i], vs[i]
+                result = Trajectory(times=np.arange(self.steps[i] + 1) * s.dt,
+                                    x=x[m:], v=v[m:], hist_times=hist_s[i],
+                                    hist_x=x[: m + 1], hist_v=v[: m + 1], scenario=s)
+                _freeze(result.times, result.x, result.v, result.hist_times,
+                        result.hist_x, result.hist_v)
+            out[self.order[i]] = result
+        return out
+
+    def _flush(self, X: np.ndarray, V: np.ndarray, base: int, last: int,
+               xs: list, vs: list) -> None:
+        """Copy the buffered states after steps base+1..last (buffer rows
+        1..last-base) into the arrays of the scenarios still running, up to
+        each one's horizon."""
+        m = self.m
+        for i, (lo, hi) in enumerate(self.bounds):
+            stop = min(last, self.steps[i])
+            if self.results[i] is None and stop > base:
+                xs[i][m + base + 1: m + stop + 1] = X[1: stop - base + 1, lo:hi]
+                vs[i][m + base + 1: m + stop + 1] = V[1: stop - base + 1, lo:hi]
+
+
 def simulate(scenario: Scenario,
              on_step: Callable[[FlockState], None] | None = None) -> Trajectory:
     """Integrate the scenario from t=0 to t_end with the Heun stepper.
@@ -271,34 +475,34 @@ def simulate(scenario: Scenario,
     in ``on_step`` either.
     """
     scenario.validate()
-    m, n = scenario.delay_steps, scenario.n_steps
-    h = scenario.dt
-    n_agents, dim = scenario.n_agents, scenario.dim
+    result, = _Group([scenario]).run(on_step)
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
 
-    hist_s = (np.arange(m + 1) - m) * h
-    xs0, vs0 = scenario.history.sample(hist_s)
-    X = np.empty((m + n + 1, n_agents, dim))
-    V = np.empty_like(X)
-    X[: m + 1] = xs0
-    V[: m + 1] = vs0
 
-    fol, led = scenario.dag.edge_arrays()
-    ring = _NodeRing(X[: m + 1], V[: m + 1], fol, led, scenario.potential,
-                     _trapezoid_mu_weights(scenario))
-    x_seen, v_seen = X.view(), V.view()
-    _freeze(x_seen, v_seen)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            _heun_step(X[k + m], V[k + m], X[k + m + 1], V[k + m + 1], k * h, k, ring, scenario)
-            if on_step is not None:
-                on_step(FlockState((k + 1) * h, x_seen[k + m + 1], v_seen[k + m + 1]))
+def simulate_many(scenarios: Sequence[Scenario]) -> list[Trajectory | BlowUpError]:
+    """Integrate several scenarios, each exactly as :func:`simulate` would:
+    its trajectory is bit-identical, or its :class:`BlowUpError` is returned
+    in its place, in the input order.
 
-    times = np.arange(n + 1) * h
-    traj = Trajectory(times=times, x=X[m:], v=V[m:],
-                      hist_times=hist_s, hist_x=X[: m + 1], hist_v=V[: m + 1],
-                      scenario=scenario)
-    _freeze(traj.times, traj.x, traj.v, traj.hist_times, traj.hist_x, traj.hist_v)
-    return traj
+    Scenarios of one (delay_steps, dim) are stepped together as one disjoint
+    flock, in the groups of :func:`step_groups`: one Heun step advances every
+    scenario of a group with the numpy calls of one, which is what makes many
+    small scenarios cheap. Every operation of a step acts per agent or per
+    edge column, and different scenarios share neither, so each scenario's
+    numbers are the ones it gets alone. A scenario past its horizon steps on
+    until the group's longest one ends, but can no longer fail.
+    """
+    for scenario in scenarios:
+        scenario.validate()
+    order = sorted(range(len(scenarios)),
+                   key=lambda i: (scenarios[i].delay_steps, scenarios[i].dim))
+    done = [r for group in step_groups(scenarios[i] for i in order) for r in _Group(group).run()]
+    results: list = [None] * len(scenarios)
+    for i, result in zip(order, done):
+        results[i] = result
+    return results
 
 
 def _scalar_potential(potential: Potential):

@@ -171,8 +171,8 @@ class Potential(_JsonFamily):
 
     @classmethod
     def cucker_smale(cls, beta: float) -> "Potential":
-        if beta < 0:
-            raise ScenarioError(f"cucker_smale exponent must be >= 0, got {beta}")
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ScenarioError(f"cucker_smale exponent beta must be finite and >= 0, got {beta}")
         return cls("cucker_smale", beta=float(beta))
 
     @classmethod
@@ -571,6 +571,10 @@ class LeaderForcing(_JsonFamily):
     def __init__(self, family: str, *, amplitude: float = 0.0, exponent: float | None = None,
                  decay_power: float | None = None, times: np.ndarray | None = None,
                  magnitudes: np.ndarray | None = None, direction: np.ndarray | None = None):
+        for name, value in (("amplitude", amplitude), ("exponent", exponent),
+                            ("decay_power", decay_power)):
+            if value is not None and not math.isfinite(value):
+                raise ScenarioError(f"forcing {name} must be finite, got {value}")
         self.family = family
         self.amplitude = float(amplitude)
         self.exponent = exponent
@@ -622,6 +626,8 @@ class LeaderForcing(_JsonFamily):
             raise ScenarioError("table forcing needs strictly increasing times and matching magnitudes")
         if t[0] < 0:
             raise ScenarioError("table forcing times must start at t >= 0")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
+            raise ScenarioError("table forcing times and magnitudes must be finite")
         return cls("table", times=t, magnitudes=m,
                    direction=cls._resolve_direction(direction, dim))
 
@@ -790,6 +796,8 @@ def check_forcing_conditions(f: LeaderForcing, n_agents: int,
 
 def _aligned_steps(span: float, dt: float, what: str) -> int:
     ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ScenarioError(f"{what} ({span}) must be a finite multiple of dt ({dt})")
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ScenarioError(f"{what} ({span}) must be a positive integer multiple of dt ({dt})")

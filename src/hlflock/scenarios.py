@@ -7,9 +7,11 @@ recognized by a top-level ``"generator"`` key, describe a randomized family
 instead of a single instance; loading one draws a concrete scenario from the
 recorded seed.
 
-Randomized scenarios come from numpy's seedable PCG64 generator, so the same
-seed reproduces the same scenario on any platform, and the seed is recorded
-in the scenario itself and in every saved run.
+Randomized scenarios come from numpy's ``default_rng(seed)`` stream (PCG64
+seeded through SeedSequence), computed by a pure-Python port of the few draws
+:func:`generate` makes, so the same seed reproduces the same scenario on any
+platform and numpy version without importing ``numpy.random``. The seed is
+recorded in the scenario itself and in every saved run.
 """
 
 from __future__ import annotations
@@ -30,6 +32,106 @@ from .model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
 # ---------------------------------------------------------------------------
 # Randomized generation
 # ---------------------------------------------------------------------------
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``."""
+    entropy = [seed & _MASK32]          # little-endian 32-bit words of the seed
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+
+
+class _Generator:
+    """The draws :func:`generate` makes from numpy's ``default_rng(seed)``:
+    PCG64 (128-bit LCG, XSL-RR output) seeded through SeedSequence, with the
+    ``Generator`` methods of the same names and the same values. Its 32-bit
+    draws halve a 64-bit output and keep the other half for the next one, as
+    numpy does."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * self._MULT + self._inc) & _MASK128
+        self._half = None
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * self._MULT + self._inc) & _MASK128
+        rot, word = state >> 122, ((state >> 64) ^ state) & _MASK64
+        return (word >> rot | word << (-rot & 63)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def uniform(self, low: float, high: float, size: tuple[int, ...] | None = None):
+        low, width = float(low), float(high) - float(low)
+        if size is None:
+            return low + width * self.random()
+        return np.array([low + width * self.random()
+                         for _ in range(math.prod(size))]).reshape(size)
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """Uniform on [low, high), or [0, low) without ``high``: Lemire's
+        multiply-and-reject on 32-bit draws."""
+        if high is None:
+            low, high = 0, low
+        span = high - 1 - low
+        if span == 0:
+            return low
+        if not 0 < span <= _MASK32:
+            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got [{low}, {high})")
+        if span == _MASK32:
+            return low + self._next32()
+        prod = self._next32() * (span + 1)
+        if prod & _MASK32 < span + 1:
+            threshold = (_MASK32 - span) % (span + 1)
+            while prod & _MASK32 < threshold:
+                prod = self._next32() * (span + 1)
+        return low + (prod >> 32)
+
+    def choice(self, a):
+        return a[self.integers(len(a))]
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -57,7 +159,7 @@ class GeneratorSpec:
     kernel_shapes: tuple[str, ...] = ("uniform", "triangular")
 
 
-def _topology_dag(spec: GeneratorSpec, rng: np.random.Generator) -> LeadershipDag:
+def _topology_dag(spec: GeneratorSpec, rng: _Generator) -> LeadershipDag:
     n = spec.n_agents
     if spec.topology == "chain":
         return LeadershipDag.chain(n)
@@ -83,10 +185,10 @@ def _is_finite_number(value) -> bool:
 
 def generate(spec: GeneratorSpec) -> Scenario:
     """Draw a concrete scenario; deterministic for a given seed."""
-    for name in ("n_agents", "dim", "delay_steps"):
+    for name, least in (("n_agents", 1), ("dim", 1), ("delay_steps", 1), ("rng_seed", 0)):
         value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
     if not spec.beta_choices:
         raise ScenarioError("beta_choices must not be empty")
     if not all(_is_finite_number(b) for b in spec.beta_choices):
@@ -100,15 +202,16 @@ def generate(spec: GeneratorSpec) -> Scenario:
             lo, hi = bounds
         except (TypeError, ValueError):
             lo = hi = None
-        if not (_is_finite_number(lo) and _is_finite_number(hi) and lo <= hi):
-            raise ScenarioError(f"{name} must be two finite numbers [lo, hi] with lo <= hi, "
-                                f"got {bounds!r}")
+        if not (_is_finite_number(lo) and _is_finite_number(hi) and lo <= hi
+                and math.isfinite(float(hi) - float(lo))):
+            raise ScenarioError(f"{name} must be two finite numbers [lo, hi] with lo <= hi "
+                                f"and a finite width, got {bounds!r}")
     if not spec.tau_range[0] > 0:
         raise ScenarioError(f"tau_range must have a lower bound > 0, got {spec.tau_range!r}")
     if not spec.kernel_shapes or not all(s in DelayKernel.BUILTIN_SHAPES for s in spec.kernel_shapes):
         raise ScenarioError(f"kernel_shapes must be a non-empty list of {DelayKernel.BUILTIN_SHAPES}, "
                             f"got {list(spec.kernel_shapes)}")
-    rng = np.random.default_rng(spec.rng_seed)
+    rng = _Generator(int(spec.rng_seed))
     dag = _topology_dag(spec, rng)
 
     tau = float(rng.uniform(*spec.tau_range))

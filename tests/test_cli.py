@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 import hlflock.cli
 import hlflock.diagnostics
 from hlflock.cli import main
-from hlflock.integrator import Trajectory, simulate, write_trajectory_csv
+from hlflock.integrator import (BlowUpError, Trajectory, simulate, simulate_many,
+                                write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
 from hlflock.scenarios import load_scenario, save_scenario
@@ -28,16 +30,46 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_drawing_a_scenario_loads_neither_numpy_random_nor_concurrent_futures():
+    # generate draws from its own PCG64 port; only sweep --workers > 1 needs a pool
+    src = str(Path(hlflock.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, hlflock.cli; from hlflock.scenarios import GeneratorSpec, generate; "
+            "generate(GeneratorSpec(topology='random_hl', n_agents=5, dim=2, rng_seed=3)); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('numpy.random', 'concurrent.futures'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def hot_scenario(rng_seed=0):
+    """A two-agent chain whose follower blows up: a window of 8 steps, as the
+    generator's default ``delay_steps``, in one dimension."""
+    return Scenario(dag=LeadershipDag.chain(2), dim=1,
+                    potential=Potential.cucker_smale(0.0),
+                    kernel=DelayKernel.uniform(0.08, height=1e5),
+                    history=HistorySpec.constant([[0.0], [1.0]], [[0.0], [1.0]]),
+                    t_end=2.0, dt=0.01, rng_seed=rng_seed)
+
+
 @pytest.fixture
 def simulate_calls(monkeypatch):
-    """Count every simulate call the CLI and the probes make."""
+    """Count every scenario the CLI and the probes simulate, one at a time or
+    through simulate_many."""
     calls = []
 
     def counted(scenario, on_step=None):
         calls.append(scenario.rng_seed)
         return simulate(scenario, on_step)
+
+    def counted_many(scenarios):
+        calls.extend(scenario.rng_seed for scenario in scenarios)
+        return simulate_many(scenarios)
     for module in (hlflock.cli, hlflock.diagnostics):
         monkeypatch.setattr(module, "simulate", counted)
+    monkeypatch.setattr(hlflock.cli, "simulate_many", counted_many)
     return calls
 
 
@@ -157,6 +189,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,patch", [
+        ("beta", {"potential": {"family": "cucker_smale", "beta": math.nan}}),
+        ("amplitude", {"forcing": {"family": "power_law", "amplitude": math.inf,
+                                   "exponent": 3.0, "direction": [1.0, 0.0]}}),
+        ("exponent", {"forcing": {"family": "power_law", "amplitude": 1.0,
+                                  "exponent": math.nan, "direction": [1.0, 0.0]}}),
+        ("decay_power", {"forcing": {"family": "log_damped", "amplitude": 1.0,
+                                     "decay_power": math.inf, "direction": [1.0, 0.0]}}),
+        ("t_end", {"t_end": math.inf}),
+        ("magnitudes", {"forcing": {"family": "table", "times": [0.0, 1.0],
+                                    "magnitudes": [math.nan, 0.0], "direction": [1.0, 0.0]}}),
+        ("times", {"forcing": {"family": "table", "times": [0.0, math.inf],
+                               "magnitudes": [1.0, 0.0], "direction": [1.0, 0.0]}}),
+    ])
+    def test_non_finite_number_is_usage_error(self, two_flock_file, tmp_path, capsys,
+                                              field, patch):
+        # Python's json reads and writes NaN and Infinity
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**json.loads(two_flock_file.read_text()), **patch}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_defaults_to_env_root(self, two_flock_file, tmp_path, monkeypatch):
         root = tmp_path / "envroot"
         monkeypatch.setenv("HLFLOCK_OUT", str(root))
@@ -262,6 +318,24 @@ class TestCheckCommand:
         path = tmp_path / "one.json"
         save_scenario(scen, path)
         assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_after_earlier_reports(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(BlowUpError) as alone:
+            simulate(hot_scenario())
+        real = hlflock.cli.load_scenario
+        monkeypatch.setattr(hlflock.cli, "load_scenario", lambda path, seed=None: (
+            hot_scenario(seed) if seed == 6 else real(path, seed=seed)))
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 3, "dim": 1, "rng_seed": 0}}))
+        out = tmp_path / "chk"
+        assert main(["check", "--scenario", str(path), "--out", str(out),
+                     "--count", "3", "--seed", "5", "--probes", "ball"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("ball_invariance: PASS") == 1
+        assert captured.err == f"error: {alone.value}\n"
+        assert not (out / "check_report.json").exists()
 
     def test_unknown_probe_name_is_usage_error(self, two_flock_file, tmp_path):
         assert main(["check", "--scenario", str(two_flock_file),
@@ -465,6 +539,28 @@ class TestSweepCommand:
             b = (outs[2] / f"run_{seed:05d}" / "trajectory.csv").read_bytes()
             assert a == b
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_keeps_earlier_bundles(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(BlowUpError) as alone:
+            simulate(hot_scenario())
+        real = hlflock.cli.generate
+        monkeypatch.setattr(hlflock.cli, "generate", lambda spec: (
+            hot_scenario(2) if spec.rng_seed == 2 else real(spec)))
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 3, "dim": 1, "rng_seed": 0}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                     "--count", "4", "--seed", "0"]) == 3
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["run_00000", "run_00001"]
+        ref = tmp_path / "ref"
+        assert main(["sweep", "--scenario", str(path), "--out", str(ref),
+                     "--count", "2", "--seed", "0"]) == 0
+        for name in ("run_00000", "run_00001"):
+            for f in ("scenario.json", "trajectory.csv", "report.json"):
+                assert (out / name / f).read_bytes() == (ref / name / f).read_bytes()
+
 
 @pytest.mark.parametrize("command", ["check", "sweep"])
 @pytest.mark.parametrize("count", ["0", "-2"])
@@ -475,3 +571,12 @@ def test_count_below_one_is_usage_error(tmp_path, capsys, command, count):
     assert main([command, "--scenario", str(path), "--out", str(out), "--count", count]) == 2
     assert "--count" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,seed", [("simulate", "-3"), ("check", "-2"), ("sweep", "-1")])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, seed):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 2}}))
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(path), "--out", str(out), "--seed", seed]) == 2
+    assert "rng_seed" in capsys.readouterr().err

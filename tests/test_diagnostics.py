@@ -479,6 +479,16 @@ class TestPotentialPrimitive:
         assert phi.dtype == ref.dtype and phi.shape == ref.shape
         assert phi.tobytes() == ref.tobytes()
 
+    def test_working_memory_is_about_the_two_grids_it_returns(self):
+        scen = make_scenario()
+        _potential_primitive(scen, 3.0)         # warm up
+        tracemalloc.start()
+        s_grid, phi = _potential_primitive(scen, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the grid and its primitive, plus temporaries of one 4096-interval chunk
+        assert peak < 2.5 * s_grid.nbytes
+
 
 # ---------------------------------------------------------------------------
 # Free-will leader

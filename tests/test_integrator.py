@@ -1,15 +1,20 @@
+import pickle
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hlflock.integrator
 from hlflock.integrator import (BlowUpError, Trajectory, _coupling, _decimal17,
                                 _format_rows, _NodeRing, _trapezoid_mu_weights,
-                                read_trajectory_csv, simulate, simulate_oracle,
-                                trajectory_columns, write_trajectory_csv)
+                                read_trajectory_csv, simulate, simulate_many,
+                                simulate_oracle, step_groups, trajectory_columns,
+                                write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
 from hlflock.scenarios import GeneratorSpec, generate, load_scenario
@@ -454,6 +459,113 @@ class TestNodeCacheMatchesWindowRecompute:
         simulate(scen)
         n_edges = scen.dag.edge_arrays()[0].size
         assert sum(seen) == n_edges * (m + 1 + 2 * scen.n_steps)
+
+
+# ---------------------------------------------------------------------------
+# Batches: simulate_many
+# ---------------------------------------------------------------------------
+
+_TRAJECTORY_FIELDS = ("times", "x", "v", "hist_times", "hist_x", "hist_v")
+
+
+def assert_same_trajectory(got, want):
+    assert got.scenario is want.scenario
+    for name in _TRAJECTORY_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+
+
+_BATCH_POTENTIALS = (Potential.cucker_smale(0.0), Potential.cucker_smale(0.25),
+                     Potential.cucker_smale(0.5), Potential.cucker_smale(1.0),
+                     _TABLE_POTENTIAL, _CUSTOM_POTENTIAL)
+
+
+def _batch_scenario(seed, dim, m, dt, n_steps, kernel_shape, potential, forced, n_agents):
+    """``_random_scenario`` on a grid of step dt with n_steps >= m steps, any
+    built-in or table kernel, and a table forcing for even seeds."""
+    scen = _random_scenario(seed, dim, m, "uniform", potential, forced, n_agents)
+    tau = m * dt
+    kernel = {"uniform": lambda: DelayKernel.uniform(tau),
+              "triangular": lambda: DelayKernel.triangular(tau),
+              "truncated_bump": lambda: DelayKernel.truncated_bump(tau),
+              "table": lambda: DelayKernel.table([0.0, 0.4 * tau, tau], [3.0, 1.0, 0.5])
+              }[kernel_shape]()
+    if forced and seed % 2 == 0:
+        scen = replace(scen, forcing=LeaderForcing.table([0.0, 0.3, 1.0], [0.5, -0.2, 0.1],
+                                                         dim=dim))
+    return replace(scen, kernel=kernel, t_end=n_steps * dt, dt=dt, rng_seed=seed)
+
+
+@st.composite
+def scenario_batches(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from([1, 2, 5]), st.integers(1, 3)),
+                         min_size=1, max_size=2))
+    batch = []
+    for k in range(draw(st.integers(1, 7))):
+        m, dim = draw(st.sampled_from(keys))
+        batch.append(_batch_scenario(
+            seed=draw(st.integers(0, 2**16)), dim=dim, m=m,
+            dt=draw(st.sampled_from([0.05, 0.04, 0.1, 0.0625])),
+            n_steps=m + draw(st.integers(0, 40)),
+            kernel_shape=draw(st.sampled_from(["uniform", "triangular", "truncated_bump",
+                                               "table"])),
+            potential=draw(st.sampled_from(_BATCH_POTENTIALS)),
+            forced=draw(st.booleans()), n_agents=draw(st.integers(1, 5))))
+    return batch
+
+
+class TestSimulateMany:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=scenario_batches(), buffer_rows=st.sampled_from([2, 3, 7, 64]),
+           group_rows=st.sampled_from([1, 200, 1 << 18]))
+    def test_each_trajectory_is_bitwise_equal_to_simulate(self, batch, buffer_rows,
+                                                          group_rows):
+        # small buffers and group caps make the batch flush often and split
+        with mock.patch.object(hlflock.integrator, "_BUFFER_ROWS", buffer_rows), \
+                mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", group_rows):
+            got = simulate_many(batch)
+        assert len(got) == len(batch)
+        for traj, scen in zip(got, batch):
+            assert_same_trajectory(traj, simulate(scen))
+
+    def test_a_blow_up_is_returned_in_its_place(self):
+        hot = two_agent(beta=0.0, kernel=DelayKernel.uniform(0.1, height=1e5), t_end=2.0)
+        with pytest.raises(BlowUpError) as alone:
+            simulate(hot)
+        # the same scenario with a horizon that ends before it blows up
+        brief = replace(hot, t_end=round(alone.value.last_finite_t - 0.05, 2))
+        calm = _batch_scenario(3, 1, 10, 0.01, 300, "triangular",
+                               Potential.cucker_smale(0.5), True, 4)
+        # one group (m = 10, d = 1): three step sizes, three potentials
+        other = _batch_scenario(4, 1, 10, 0.02, 150, "uniform", Potential.cucker_smale(0.25),
+                                False, 3)
+        batch = [calm, hot, brief, other]
+        assert len(list(step_groups(batch))) == 1
+        with np.errstate(all="raise"):
+            got = simulate_many(batch)
+        err = got[1]
+        assert isinstance(err, BlowUpError)
+        assert str(err) == str(alone.value)
+        assert (err.t, err.agent, err.last_finite_t) == (
+            alone.value.t, alone.value.agent, alone.value.last_finite_t)
+        for k in (0, 2, 3):
+            assert_same_trajectory(got[k], simulate(batch[k]))
+
+    def test_blow_up_pickles(self):
+        err = pickle.loads(pickle.dumps(BlowUpError(0.5, 3, 0.25)))
+        assert (err.t, err.agent, err.last_finite_t) == (0.5, 3, 0.25)
+        assert str(err) == str(BlowUpError(0.5, 3, 0.25))
+
+    def test_groups_are_consecutive_runs_of_one_window_and_dimension(self):
+        a = two_agent(dim=1, tau=0.1, dt=0.01)      # m = 10, 2 agents x 61 rows
+        b = two_agent(dim=2, x0=((0.0, 0.0), (1.0, 0.0)), v0=((1.0, 0.0), (0.0, 0.0)))
+        c = two_agent(dim=1, tau=0.2, dt=0.02)      # m = 10 again, 2 agents x 36 rows
+        assert list(step_groups([a, c, b, a])) == [[a, c], [b], [a]]
+        with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 2 * 61 + 2 * 36):
+            assert list(step_groups([a, c, a])) == [[a, c], [a]]
+        with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 1):
+            assert list(step_groups([a, c])) == [[a], [c]]
 
 
 def _reference_oracle(scen, refinement):

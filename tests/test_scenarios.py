@@ -4,13 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hlflock.scenarios
 
 from hlflock.diagnostics import ProbeReport
 from hlflock.integrator import simulate
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError,
                            validate_hierarchy)
-from hlflock.scenarios import (GeneratorSpec, generate, load_scenario,
+from hlflock.scenarios import (GeneratorSpec, _Generator, generate, load_scenario,
                                save_run, save_scenario, scenario_to_dict)
 
 
@@ -227,6 +231,58 @@ class TestSchemaErrors:
                                                   "colour": "red"}}))
         with pytest.raises(ScenarioError, match="colour"):
             load_scenario(path)
+
+
+def _draw(rng, op: int, arg: int):
+    """One Generator call chosen by ``op``; ``arg`` picks its range."""
+    if op == 0:
+        return rng.random()
+    if op == 1:
+        return rng.uniform(-arg / 7.0, arg / 3.0)
+    if op == 2:
+        return rng.uniform(0.0, 1.5, size=(arg % 4 + 1, arg % 3 + 1)).tolist()
+    if op == 3:
+        return int(rng.integers(arg % 5, arg % 5 + arg))
+    return float(rng.choice(np.asarray([0.0, 0.25, 0.5, 1.0][:arg % 4 + 1])))
+
+
+class TestGeneratorPort:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160)),
+           calls=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
+               [1, 2, 3, 7, 100, 2**31 + 5, 2**32])), max_size=40))
+    def test_draws_equal_numpy_default_rng(self, seed, calls):
+        port, ref = _Generator(seed), np.random.default_rng(seed)
+        for op, arg in calls:
+            assert _draw(port, op, arg) == _draw(ref, op, arg)
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(topology="chain", n_agents=4, dim=1, velocity_range=(0.0, 1.0),
+                      tau_range=(0.2, 0.5), delay_steps=40, sim_span=4.0),
+        GeneratorSpec(topology="binary_tree", n_agents=9, dim=2,
+                      beta_choices=(0.0, 0.1, 0.2, 0.3, 0.4)),
+        GeneratorSpec(topology="random_hl", n_agents=12, dim=3, edge_prob=0.3,
+                      kernel_shapes=("uniform", "triangular", "truncated_bump")),
+        GeneratorSpec(topology="random_hl", n_agents=6, edge_prob=1.0, beta_choices=(0.5,),
+                      kernel_shapes=("triangular",)),
+    ], ids=["chain", "binary_tree", "random_hl", "random_hl-single-choices"])
+    def test_scenarios_equal_those_drawn_with_numpy(self, monkeypatch, spec):
+        for seed in range(60):
+            drawn = json.dumps(scenario_to_dict(generate(replace(spec, rng_seed=seed))))
+            with monkeypatch.context() as m:
+                m.setattr(hlflock.scenarios, "_Generator", np.random.default_rng)
+                ref = json.dumps(scenario_to_dict(generate(replace(spec, rng_seed=seed))))
+            assert drawn == ref
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ScenarioError, match="rng_seed"):
+            generate(GeneratorSpec(topology="chain", n_agents=3, rng_seed=seed))
+
+    def test_range_of_infinite_width_is_rejected(self):
+        with pytest.raises(ScenarioError, match="position_range"):
+            generate(GeneratorSpec(topology="chain", n_agents=3,
+                                   position_range=(-1e308, 1e308)))
 
 
 class TestGeneratorFiles:
