@@ -93,7 +93,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     # one scenario keeps the file's own seed unless --seed is given; several
-    # are drawn from consecutive seeds starting at --seed (default 0)
+    # are drawn from a generator file, from consecutive seeds starting at
+    # --seed (default 0)
+    if args.count > 1:
+        try:
+            load_generator(args.scenario)
+        except ScenarioError as e:
+            raise ScenarioError(f"--count {args.count} draws seeds from a generator file: {e}") from None
     seeds = ([args.seed] if args.count == 1
              else [(args.seed or 0) + k for k in range(args.count)])
     scenarios = [_with_overrides(load_scenario(args.scenario, seed=seed), args)

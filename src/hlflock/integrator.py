@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Potential, Scenario, ScenarioError
+from .model import Potential, Scenario, ScenarioError, _integer
 
 
 class BlowUpError(RuntimeError):
@@ -120,13 +120,13 @@ class _NodeRing:
     r..r+m is the contiguous (L, E*d+1) slice starting at row r % L. Memory
     is O(m * E * d) whatever the horizon.
 
-    ``potential`` is the potential of every edge, or a list of (potential,
-    stop) pairs: the edges from the previous pair's stop up to ``stop`` use
-    that potential, which is called once per node on those edges only (a
-    single potential on all edges at once). ``weights`` holds the quadrature
-    weight of each window position, (L,) for every edge or (L, E) per edge;
-    ``self.weights`` repeats it across a row, so that weighting a window is
-    one elementwise product (a broadcast column is slower). ``cols`` and
+    ``potential`` is a list of (potential, stop) pairs: the edges from the
+    previous pair's stop up to ``stop`` use that potential, which is called
+    once per node on those edges only (a single potential on all edges at
+    once). ``weights`` (L, E) holds the quadrature weight of each window
+    position per edge; ``self.weights`` repeats it across a row, so that
+    weighting a window is one elementwise product (a broadcast column is
+    slower). ``cols`` and
     ``lead_cols`` hold the flat index fol*d + c and led*d + c of the follower
     and leader coordinate that each column but the spare acts on,
     ``col_edge`` the edge of each such column, and ``bins`` is ``cols`` with
@@ -135,11 +135,9 @@ class _NodeRing:
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
-                 potential: Potential | list[tuple[Potential, int]], weights: np.ndarray):
+                 potential: list[tuple[Potential, int]], weights: np.ndarray):
         self.size = size = xw.shape[0]
         n_agents, dim = xw.shape[1:]
-        if isinstance(potential, Potential):
-            potential = [(potential, fol.size)]
         self.potential = potential[0][0] if len(potential) == 1 else None
         stops = [stop for _, stop in potential]
         self.pieces = [(p, slice(start, stop)) for (p, stop), start in zip(potential, [0] + stops)]
@@ -153,11 +151,8 @@ class _NodeRing:
         self.bins = np.append(self.cols, n_agents * dim)
         self.psi = np.zeros((2 * size, width))
         self.vl = np.zeros((2 * size, width))
-        if weights.ndim == 1:
-            self.weights = np.repeat(weights[:, None], width, axis=1)
-        else:
-            self.weights = np.zeros((size, width))
-            self.weights[:, :-1] = weights[:, self.col_edge]
+        self.weights = np.zeros((size, width))
+        self.weights[:, :-1] = weights[:, self.col_edge]
         self.vf = np.zeros(width)
         self.vf_cols = self.vf[:-1]
         self.rel = np.empty((size, width))
@@ -541,11 +536,9 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     kernels (the truncated bump) pay the full window per substep.
     """
     scenario.validate()
-    if not isinstance(refinement, int) or refinement < 1:
-        raise ScenarioError(f"refinement must be a positive integer, got {refinement!r}")
+    k_ref = _integer(refinement, "refinement", least=1)
     m, n = scenario.delay_steps, scenario.n_steps
     h = scenario.dt
-    k_ref = refinement
     h2 = h / k_ref
     m2, n2 = m * k_ref, n * k_ref
     n_agents, dim = scenario.n_agents, scenario.dim

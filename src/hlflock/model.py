@@ -18,6 +18,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -28,13 +30,91 @@ class ScenarioError(ValueError):
     """A scenario (or one of its components) violates a structural invariant."""
 
 
+# Typed readers: every number a scenario takes in, from JSON or from a Python
+# caller, is read by one of these, and an error names the field's path.
+
+def _reals(value, path: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``value`` as a float array of finite numbers with ``shape``, in which
+    None admits any length: no bool, string, None or list in a number's place."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        cells = value
+    else:       # as objects, so that a bool or a string is seen, not converted
+        cells = np.array(value, dtype=object)
+    if (cells.ndim == len(shape)
+            and all(n is None or n == k for n, k in zip(shape, cells.shape))
+            and (cells.dtype != object or all(
+                isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool)
+                for c in cells.flat))):
+        try:
+            array = np.asarray(cells, dtype=float)
+        except OverflowError:       # an int beyond the float range
+            array = np.array(math.inf)
+        if np.isfinite(array).all():
+            return array
+    dims = ", ".join("k" if n is None else str(n) for n in shape)
+    what = f"an array of finite numbers of shape ({dims})" if shape else "a finite number"
+    raise ScenarioError(f"{path} must be {what}, got {reprlib.repr(value)}")
+
+
+def _real(value, path: str, least: float | None = None) -> float:
+    """``value`` as a finite float, at least ``least`` when that is given."""
+    number = float(_reals(value, path, ()))
+    if least is not None and number < least:
+        raise ScenarioError(f"{path} must be >= {least}, got {number}")
+    return number
+
+
+def _integer(value, path: str, least: int | None = None) -> int:
+    """``value`` as an int: an integer that is neither a bool nor a float."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (least is None or value >= least)):
+        return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise ScenarioError(f"{path} must be an integer{bound}, got {reprlib.repr(value)}")
+
+
+@contextmanager
+def _fields_of(d, where: str):
+    """Read the JSON object ``d``, named ``where``: a missing key, or a
+    ScenarioError that starts with a field's name, names ``where.field``."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {reprlib.repr(d)}")
+    try:
+        yield
+    except KeyError as e:
+        raise ScenarioError(f"{where}.{e.args[0]} is missing") from None
+    except ScenarioError as e:
+        raise ScenarioError(f"{where}.{e}") from None
+
+
 class _JsonFamily:
     """A model family whose JSON form (``to_dict``) is all that defines it:
     two members are equal when they have the same type and the same form.
-    Lists of floats compare like ``np.array_equal`` (0.0 == -0.0)."""
+    Lists of floats compare like ``np.array_equal`` (0.0 == -0.0).
+
+    The form of a member is ``{_TAG: name}`` and then, in order, the fields
+    ``_FIELDS[name]`` of its family, each a number or an array. The
+    constructor takes the family's name and its fields, and reads them."""
+
+    _TAG = "family"
+    _FIELDS: dict[str, tuple[str, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.to_dict() == other.to_dict()
+
+    def to_dict(self) -> dict:
+        name = getattr(self, self._TAG)
+        return {self._TAG: name, **{k: np.asarray(getattr(self, k)).tolist()
+                                    for k in self._FIELDS[name]}}
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str):
+        """Inverse of :meth:`to_dict`; ``where`` names ``d`` in errors."""
+        with _fields_of(d, where):
+            name = d.get(cls._TAG)
+            if name in tuple(cls._FIELDS):      # a tuple: name need not be hashable
+                return cls(name, **{k: d[k] for k in cls._FIELDS[name]})
+        raise ScenarioError(f"{where}: unknown {cls._TAG} {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +140,15 @@ class LeadershipDag:
     """
 
     def __init__(self, n_agents: int, leaders: Mapping[int, Iterable[int]] | None = None):
-        if not isinstance(n_agents, int) or n_agents < 1:
-            raise ScenarioError(f"n_agents must be a positive integer, got {n_agents!r}")
-        leaders = dict(leaders or {})
-        sets: list[frozenset[int]] = []
-        for i in range(1, n_agents + 1):
-            l_i = frozenset(int(j) for j in leaders.get(i, ()))
-            for j in l_i:
+        n_agents = _integer(n_agents, "n_agents", least=1)
+        sets = [frozenset()] * n_agents
+        for i, l_i in (leaders or {}).items():
+            i = _integer(i, "leaders key")
+            l_i = frozenset(_integer(j, f"leaders of agent {i}") for j in l_i)
+            for j in (i, *l_i):
                 if not 1 <= j <= n_agents:
-                    raise ScenarioError(f"leader index {j} of agent {i} outside 1..{n_agents}")
-            sets.append(l_i)
-        for i in leaders:
-            if not 1 <= int(i) <= n_agents:
-                raise ScenarioError(f"agent index {i} outside 1..{n_agents}")
+                    raise ScenarioError(f"leaders of agent {i} name agent {j}, outside 1..{n_agents}")
+            sets[i - 1] = l_i
         self.n_agents = n_agents
         self._leaders = tuple(sets)
 
@@ -160,34 +236,31 @@ class Potential(_JsonFamily):
     family wraps an arbitrary callable.
     """
 
+    _FIELDS = {"cucker_smale": ("beta",), "table": ("distances", "values")}
+
     def __init__(self, family: str, *, beta: float | None = None,
                  distances: np.ndarray | None = None, values: np.ndarray | None = None,
                  func: Callable[[np.ndarray], np.ndarray] | None = None):
         self.family = family
-        self.beta = beta
-        self.distances = distances
-        self.values = values
         self.func = func
+        self.beta = _real(beta, "beta", least=0.0) if family == "cucker_smale" else None
+        self.distances = self.values = None
+        if family == "table":
+            self.distances = s = _reals(distances, "distances", (None,))
+            self.values = v = _reals(values, "values", s.shape)
+            if s.size < 2 or s[0] < 0 or np.any(np.diff(s) <= 0):
+                raise ScenarioError("distances must be >= 0 and strictly increasing, "
+                                    "with at least 2 samples")
+            if np.any(v < 0) or np.any(np.diff(v) > 0):
+                raise ScenarioError("values must be >= 0 and non-increasing")
 
     @classmethod
     def cucker_smale(cls, beta: float) -> "Potential":
-        if not (math.isfinite(beta) and beta >= 0):
-            raise ScenarioError(f"cucker_smale exponent beta must be finite and >= 0, got {beta}")
-        return cls("cucker_smale", beta=float(beta))
+        return cls("cucker_smale", beta=beta)
 
     @classmethod
     def table(cls, distances: Sequence[float], values: Sequence[float]) -> "Potential":
-        s = np.asarray(distances, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if s.ndim != 1 or s.shape != v.shape or s.size < 2:
-            raise ScenarioError("table potential needs matching 1-d sample arrays, >= 2 points")
-        if np.any(np.diff(s) <= 0) or s[0] < 0:
-            raise ScenarioError("table potential distances must be >= 0 and strictly increasing")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ScenarioError("table potential values must be finite and >= 0")
-        if np.any(np.diff(v) > 0):
-            raise ScenarioError("table potential values must be non-increasing")
-        return cls("table", distances=s, values=v)
+        return cls("table", distances=distances, values=values)
 
     @classmethod
     def custom(cls, func: Callable[[np.ndarray], np.ndarray]) -> "Potential":
@@ -225,22 +298,9 @@ class Potential(_JsonFamily):
 
     def to_dict(self) -> dict:
         """JSON form of a built-in family; a custom callable has none."""
-        if self.family == "cucker_smale":
-            return {"family": "cucker_smale", "beta": self.beta}
-        if self.family == "table":
-            return {"family": "table", "distances": self.distances.tolist(),
-                    "values": self.values.tolist()}
-        raise ScenarioError("custom potentials hold arbitrary callables and cannot be saved")
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "Potential":
-        """Inverse of :meth:`to_dict`; ``where`` names ``d`` in errors."""
-        family = d.get("family")
-        if family == "cucker_smale":
-            return cls.cucker_smale(float(d["beta"]))
-        if family == "table":
-            return cls.table(d["distances"], d["values"])
-        raise ScenarioError(f"{where}: unknown family {family!r}")
+        if self.family == "custom":
+            raise ScenarioError("custom potentials hold arbitrary callables and cannot be saved")
+        return super().to_dict()
 
     def __repr__(self) -> str:
         if self.family == "cucker_smale":
@@ -309,51 +369,54 @@ class DelayKernel(_JsonFamily):
 
     def __init__(self, shape: str, tau: float, *, height: float | None = None,
                  times: np.ndarray | None = None, values: np.ndarray | None = None):
-        if not (tau > 0 and math.isfinite(tau)):
-            raise ScenarioError(f"delay span tau must be positive and finite, got {tau}")
         self.shape = shape
-        self.tau = float(tau)
-        self.height = height
+        self.tau = _real(tau, "tau")
+        if not self.tau > 0:
+            raise ScenarioError(f"tau must be > 0, got {tau}")
+        self.height = None
         if shape == "table":
-            t = np.asarray(times, dtype=float)
-            v = np.asarray(values, dtype=float)
-            if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-                raise ScenarioError("table kernel needs matching 1-d sample arrays, >= 2 points")
-            if abs(t[0]) > 1e-12 * tau or abs(t[-1] - tau) > 1e-12 * tau or np.any(np.diff(t) <= 0):
-                raise ScenarioError("table kernel samples must increase from 0 to tau")
-            if np.any(v < 0) or not np.all(np.isfinite(v)):
-                raise ScenarioError("kernel weights must be finite and >= 0")
+            t = _reals(times, "times", (None,))
+            v = _reals(values, "values", t.shape)
+            if (t.size < 2 or abs(t[0]) > 1e-12 * self.tau or abs(t[-1] - self.tau) > 1e-12 * self.tau
+                    or np.any(np.diff(t) <= 0)):
+                raise ScenarioError("times must increase from 0 to tau, with at least 2 samples")
+            if np.any(v < 0):
+                raise ScenarioError("values must be >= 0")
             self._grid_t, self._grid_v = t, v
             self.tau = float(t[-1])     # a table is its samples, all that to_dict keeps
         else:
             if shape not in self.BUILTIN_SHAPES:
                 raise ScenarioError(f"unknown kernel shape {shape!r}")
-            self._grid_t = np.linspace(0.0, tau, _KERNEL_GRID_POINTS)
+            self.height = 1.0       # for the mass of unit height, when none is given
+            self.height = _real(1.0 / self.analytic_mass if height is None else height,
+                                "peak" if shape == "triangular" else "height")
+            self._grid_t = np.linspace(0.0, self.tau, _KERNEL_GRID_POINTS)
             self._grid_v = self._eval_builtin(self._grid_t)
         self.mu0 = float(np.trapezoid(self._grid_v, self._grid_t))
         if not self.mu0 > 0:
-            raise ScenarioError("kernel mass must be positive")
+            raise ScenarioError(f"mass must be positive, got {self.mu0}")
 
     @classmethod
     def uniform(cls, tau: float, height: float | None = None) -> "DelayKernel":
-        return cls("uniform", tau, height=float(height) if height is not None else 1.0 / tau)
+        return cls("uniform", tau, height=height)
 
     @classmethod
     def triangular(cls, tau: float, peak: float | None = None) -> "DelayKernel":
         """Symmetric triangle on [0, tau] peaking at tau/2; mass = peak * tau / 2."""
-        return cls("triangular", tau, height=float(peak) if peak is not None else 2.0 / tau)
+        return cls("triangular", tau, height=peak)
 
     @classmethod
     def truncated_bump(cls, tau: float, height: float | None = None) -> "DelayKernel":
         """Smooth bump exp(-1/(1-u^2)) rescaled to [0, tau]; vanishes at both ends."""
-        if height is None:
-            height = 1.0 / (0.5 * tau * _BUMP_INTEGRAL)   # normalize mass to 1
-        return cls("truncated_bump", tau, height=float(height))
+        return cls("truncated_bump", tau, height=height)
 
     @classmethod
     def table(cls, times: Sequence[float], values: Sequence[float]) -> "DelayKernel":
-        t = np.asarray(times, dtype=float)
-        return cls("table", float(t[-1]), times=t, values=np.asarray(values, dtype=float))
+        """Samples from delay 0 to tau, which is the last sample time."""
+        t = _reals(times, "times", (None,))
+        if not t.size:
+            raise ScenarioError("times must not be empty")
+        return cls("table", t[-1], times=t, values=values)
 
     def _eval_builtin(self, s: np.ndarray) -> np.ndarray:
         if self.shape == "uniform":
@@ -409,15 +472,15 @@ class DelayKernel(_JsonFamily):
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DelayKernel":
         """Inverse of :meth:`to_dict`; a missing height parameter gives unit mass."""
-        shape = d.get("shape")
-        if shape == "uniform":
-            return cls.uniform(float(d["tau"]), d.get("height"))
-        if shape == "triangular":
-            return cls.triangular(float(d["tau"]), d.get("peak"))
-        if shape == "truncated_bump":
-            return cls.truncated_bump(float(d["tau"]), d.get("height"))
-        if shape == "table":
-            return cls.table(d["times"], d["values"])
+        with _fields_of(d, where):
+            shape = d.get("shape")
+            if shape == "table":
+                return cls.table(d["times"], d["values"])
+            if shape in cls.BUILTIN_SHAPES:
+                param = "peak" if shape == "triangular" else "height"
+                # read here, since the constructor takes None for unit mass
+                height = _real(d[param], param) if param in d else None
+                return cls(shape, d["tau"], height=height)
         raise ScenarioError(f"{where}: unknown shape {shape!r}")
 
     def __repr__(self) -> str:
@@ -436,31 +499,25 @@ class HistoryFn(_JsonFamily):
     an out-of-range lookup is an error rather than an extrapolation.
     """
 
+    _TAG = "kind"
+    _FIELDS = {"constant": ("value",), "affine": ("value", "slope"), "table": ("times", "values")}
+
     def __init__(self, kind: str, *, value: np.ndarray | None = None,
                  slope: np.ndarray | None = None,
                  times: np.ndarray | None = None, values: np.ndarray | None = None):
         self.kind = kind
-        self.value = None if value is None else np.asarray(value, dtype=float)
-        self.slope = None if slope is None else np.asarray(slope, dtype=float)
-        self.times = None if times is None else np.asarray(times, dtype=float)
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        if kind == "constant":
-            if self.value is None or self.value.ndim != 1:
-                raise ScenarioError("constant history needs a 1-d value vector")
-        elif kind == "affine":
-            if self.value is None or self.slope is None or self.value.shape != self.slope.shape:
-                raise ScenarioError("affine history needs matching value and slope vectors")
+        self.value = self.slope = self.times = self.values = None
+        if kind in ("constant", "affine"):
+            self.value = _reals(value, "value", (None,))
+            if kind == "affine":
+                self.slope = _reals(slope, "slope", self.value.shape)
         elif kind == "table":
-            if (self.times is None or self.values is None or self.times.ndim != 1
-                    or self.values.ndim != 2 or self.values.shape[0] != self.times.size):
-                raise ScenarioError("table history needs times (k,) and values (k, dim)")
+            self.times = _reals(times, "times", (None,))
+            self.values = _reals(values, "values", (self.times.size, None))
             if np.any(np.diff(self.times) <= 0):
-                raise ScenarioError("table history times must be strictly increasing")
+                raise ScenarioError("times must be strictly increasing")
         else:
             raise ScenarioError(f"unknown history kind {kind!r}")
-        for arr in (self.value, self.slope, self.values):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ScenarioError("history values must be finite")
 
     @property
     def dim(self) -> int:
@@ -484,28 +541,6 @@ class HistoryFn(_JsonFamily):
                                 f"(covers [{self.times[0]}, {self.times[-1]}])")
         return np.stack([np.interp(s, self.times, self.values[:, k])
                          for k in range(self.values.shape[1])], axis=-1)
-
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value.tolist()}
-        if self.kind == "affine":
-            return {"kind": "affine", "value": self.value.tolist(), "slope": self.slope.tolist()}
-        return {"kind": "table", "times": self.times.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "HistoryFn":
-        """Inverse of :meth:`to_dict`; ``where`` names ``d`` in errors."""
-        kind = d.get("kind")
-        try:
-            if kind == "constant":
-                return cls("constant", value=d["value"])
-            if kind == "affine":
-                return cls("affine", value=d["value"], slope=d["slope"])
-            if kind == "table":
-                return cls("table", times=d["times"], values=d["values"])
-        except KeyError as e:
-            raise ScenarioError(f"{where}: missing key {e.args[0]!r} for {kind} history") from None
-        raise ScenarioError(f"{where}: unknown history kind {kind!r}")
 
 
 class HistorySpec:
@@ -568,36 +603,38 @@ class LeaderForcing(_JsonFamily):
     is zero beyond the last one.
     """
 
+    _FIELDS = {"zero": (), "power_law": ("amplitude", "exponent", "direction"),
+               "log_damped": ("amplitude", "decay_power", "direction"),
+               "table": ("times", "magnitudes", "direction")}
+
     def __init__(self, family: str, *, amplitude: float = 0.0, exponent: float | None = None,
                  decay_power: float | None = None, times: np.ndarray | None = None,
                  magnitudes: np.ndarray | None = None, direction: np.ndarray | None = None):
-        for name, value in (("amplitude", amplitude), ("exponent", exponent),
-                            ("decay_power", decay_power)):
-            if value is not None and not math.isfinite(value):
-                raise ScenarioError(f"forcing {name} must be finite, got {value}")
         self.family = family
-        self.amplitude = float(amplitude)
-        self.exponent = exponent
-        self.decay_power = decay_power
-        self.times = None if times is None else np.asarray(times, dtype=float)
-        self.magnitudes = None if magnitudes is None else np.asarray(magnitudes, dtype=float)
-        self.direction = None if direction is None else np.asarray(direction, dtype=float)
-        if self.direction is not None:
+        self.amplitude = _real(amplitude, "amplitude")
+        self.exponent = _real(exponent, "exponent") if family == "power_law" else None
+        self.decay_power = _real(decay_power, "decay_power") if family == "log_damped" else None
+        self.times = self.magnitudes = self.direction = None
+        if family == "table":
+            self.times = _reals(times, "times", (None,))
+            self.magnitudes = _reals(magnitudes, "magnitudes", self.times.shape)
+            if self.times.size < 2 or self.times[0] < 0 or np.any(np.diff(self.times) <= 0):
+                raise ScenarioError("times must increase strictly from t >= 0, "
+                                    "with at least 2 samples")
+        if family != "zero":
+            self.direction = _reals(direction, "direction", (None,))
             norm = float(np.linalg.norm(self.direction))
-            if not norm > 0:
-                raise ScenarioError("forcing direction must be a nonzero vector")
+            if not 0 < norm < math.inf:
+                raise ScenarioError("direction must be a nonzero vector of finite length")
             if abs(norm - 1.0) > 1e-12:   # keep already-unit vectors bit-stable
                 self.direction = self.direction / norm
 
     @staticmethod
-    def _resolve_direction(direction, dim: int | None) -> np.ndarray | None:
-        if direction is not None:
-            return np.asarray(direction, dtype=float)
-        if dim is not None:
-            e = np.zeros(dim)
-            e[0] = 1.0
-            return e
-        raise ScenarioError("provide a direction vector or dim for a built-in forcing")
+    def _resolve_direction(direction, dim: int | None):
+        """``direction``, or the first axis of ``dim`` dimensions without it."""
+        if direction is None and dim is not None:
+            return np.eye(1, _integer(dim, "dim", least=1))[0]
+        return direction
 
     @classmethod
     def zero(cls) -> "LeaderForcing":
@@ -606,13 +643,13 @@ class LeaderForcing(_JsonFamily):
     @classmethod
     def power_law(cls, amplitude: float, exponent: float,
                   direction=None, dim: int | None = None) -> "LeaderForcing":
-        return cls("power_law", amplitude=amplitude, exponent=float(exponent),
+        return cls("power_law", amplitude=amplitude, exponent=exponent,
                    direction=cls._resolve_direction(direction, dim))
 
     @classmethod
     def log_damped(cls, amplitude: float, n_agents: int,
                    direction=None, dim: int | None = None) -> "LeaderForcing":
-        if n_agents < 2:
+        if _integer(n_agents, "n_agents") < 2:
             raise ScenarioError("log_damped forcing is defined for flocks of >= 2 agents")
         return cls("log_damped", amplitude=amplitude, decay_power=float(n_agents - 1),
                    direction=cls._resolve_direction(direction, dim))
@@ -620,15 +657,7 @@ class LeaderForcing(_JsonFamily):
     @classmethod
     def table(cls, times: Sequence[float], magnitudes: Sequence[float],
               direction=None, dim: int | None = None) -> "LeaderForcing":
-        t = np.asarray(times, dtype=float)
-        m = np.asarray(magnitudes, dtype=float)
-        if t.ndim != 1 or t.shape != m.shape or t.size < 2 or np.any(np.diff(t) <= 0):
-            raise ScenarioError("table forcing needs strictly increasing times and matching magnitudes")
-        if t[0] < 0:
-            raise ScenarioError("table forcing times must start at t >= 0")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
-            raise ScenarioError("table forcing times and magnitudes must be finite")
-        return cls("table", times=t, magnitudes=m,
+        return cls("table", times=times, magnitudes=magnitudes,
                    direction=cls._resolve_direction(direction, dim))
 
     @property
@@ -679,34 +708,10 @@ class LeaderForcing(_JsonFamily):
             return float(abs(self.amplitude) * val)
         return float(np.trapezoid(np.abs(self.magnitudes), self.times))
 
-    def to_dict(self) -> dict:
-        if self.family == "zero":
-            return {"family": "zero"}
-        if self.family == "power_law":
-            return {"family": "power_law", "amplitude": self.amplitude,
-                    "exponent": self.exponent, "direction": self.direction.tolist()}
-        if self.family == "log_damped":
-            return {"family": "log_damped", "amplitude": self.amplitude,
-                    "decay_power": self.decay_power, "direction": self.direction.tolist()}
-        return {"family": "table", "times": self.times.tolist(),
-                "magnitudes": self.magnitudes.tolist(), "direction": self.direction.tolist()}
-
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "LeaderForcing":
         """Inverse of :meth:`to_dict`; a missing family means zero forcing."""
-        family = d.get("family", "zero")
-        if family == "zero":
-            return cls.zero()
-        if family == "power_law":
-            return cls.power_law(float(d["amplitude"]), float(d["exponent"]),
-                                 direction=d["direction"])
-        if family == "log_damped":
-            return cls("log_damped", amplitude=float(d["amplitude"]),
-                       decay_power=float(d["decay_power"]),
-                       direction=np.asarray(d["direction"], dtype=float))
-        if family == "table":
-            return cls.table(d["times"], d["magnitudes"], direction=d["direction"])
-        raise ScenarioError(f"{where}: unknown family {family!r}")
+        return super().from_dict({"family": "zero", **d} if isinstance(d, dict) else d, where)
 
     def __repr__(self) -> str:
         if self.family == "zero":

@@ -26,7 +26,8 @@ import numpy as np
 
 from .integrator import Trajectory, write_trajectory_csv
 from .model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
-                    LeadershipDag, Potential, Scenario, ScenarioError)
+                    LeadershipDag, Potential, Scenario, ScenarioError,
+                    _fields_of, _integer, _real, _reals)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,10 @@ class GeneratorSpec:
     construction). Delay span, potential exponent, and kernel shape are
     drawn from the listed ranges; the step is tied to the delay span so the
     window is always ``delay_steps`` steps wide.
+
+    Every field is read on construction: a malformed one is a
+    :class:`ScenarioError` that names it, and the ranges and choices are kept
+    as tuples.
     """
     topology: str
     n_agents: int
@@ -158,6 +163,31 @@ class GeneratorSpec:
     beta_choices: tuple[float, ...] = (0.0, 0.25, 0.5)
     kernel_shapes: tuple[str, ...] = ("uniform", "triangular")
 
+    def __post_init__(self):
+        def put(name: str, value):
+            object.__setattr__(self, name, value)
+            return value
+
+        for name, least in (("n_agents", 1), ("dim", 1), ("delay_steps", 1), ("rng_seed", 0)):
+            put(name, _integer(getattr(self, name), name, least))
+        for name in ("edge_prob", "sim_span"):
+            put(name, _real(getattr(self, name), name))
+        for name in ("position_range", "velocity_range", "tau_range"):
+            lo, hi = put(name, tuple(_reals(getattr(self, name), name, (2,)).tolist()))
+            if not (lo <= hi and math.isfinite(hi - lo)) or (name == "tau_range" and not lo > 0):
+                raise ScenarioError(f"{name} must be [lo, hi] with lo <= hi, a finite width "
+                                    f"and, for tau_range, lo > 0; got {[lo, hi]}")
+        betas = put("beta_choices", tuple(_reals(self.beta_choices, "beta_choices", (None,)).tolist()))
+        if not betas or min(betas) < 0:
+            raise ScenarioError(f"beta_choices must be a non-empty list of numbers >= 0, "
+                                f"got {list(betas)}")
+        shapes = self.kernel_shapes
+        if not (isinstance(shapes, (list, tuple)) and shapes
+                and all(s in DelayKernel.BUILTIN_SHAPES for s in shapes)):
+            raise ScenarioError(f"kernel_shapes must be a non-empty list of "
+                                f"{DelayKernel.BUILTIN_SHAPES}, got {shapes!r}")
+        put("kernel_shapes", tuple(shapes))
+
 
 def _topology_dag(spec: GeneratorSpec, rng: _Generator) -> LeadershipDag:
     n = spec.n_agents
@@ -167,7 +197,8 @@ def _topology_dag(spec: GeneratorSpec, rng: _Generator) -> LeadershipDag:
         return LeadershipDag(n, {i: {i // 2} for i in range(2, n + 1)})
     if spec.topology == "random_hl":
         if n > 1 and not 0.0 < spec.edge_prob <= 1.0:
-            raise ScenarioError(f"random_hl needs edge_prob in (0, 1], got {spec.edge_prob}")
+            raise ScenarioError(f"edge_prob must be in (0, 1] for random_hl, "
+                                f"got {spec.edge_prob}")
         leaders = {}
         for i in range(2, n + 1):
             picks = {j for j in range(1, i) if rng.random() < spec.edge_prob}
@@ -175,47 +206,19 @@ def _topology_dag(spec: GeneratorSpec, rng: _Generator) -> LeadershipDag:
                 picks = {int(rng.integers(1, i))}
             leaders[i] = picks
         return LeadershipDag(n, leaders)
-    raise ScenarioError(f"unknown topology {spec.topology!r}")
-
-
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
+    raise ScenarioError(f"topology {spec.topology!r} is unknown")
 
 
 def generate(spec: GeneratorSpec) -> Scenario:
     """Draw a concrete scenario; deterministic for a given seed."""
-    for name, least in (("n_agents", 1), ("dim", 1), ("delay_steps", 1), ("rng_seed", 0)):
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
-    if not spec.beta_choices:
-        raise ScenarioError("beta_choices must not be empty")
-    if not all(_is_finite_number(b) for b in spec.beta_choices):
-        raise ScenarioError(f"beta_choices must hold finite numbers, got {list(spec.beta_choices)}")
-    for name in ("sim_span", "edge_prob"):
-        if not _is_finite_number(getattr(spec, name)):
-            raise ScenarioError(f"{name} must be a finite number, got {getattr(spec, name)!r}")
-    for name in ("position_range", "velocity_range", "tau_range"):
-        bounds = getattr(spec, name)
-        try:
-            lo, hi = bounds
-        except (TypeError, ValueError):
-            lo = hi = None
-        if not (_is_finite_number(lo) and _is_finite_number(hi) and lo <= hi
-                and math.isfinite(float(hi) - float(lo))):
-            raise ScenarioError(f"{name} must be two finite numbers [lo, hi] with lo <= hi "
-                                f"and a finite width, got {bounds!r}")
-    if not spec.tau_range[0] > 0:
-        raise ScenarioError(f"tau_range must have a lower bound > 0, got {spec.tau_range!r}")
-    if not spec.kernel_shapes or not all(s in DelayKernel.BUILTIN_SHAPES for s in spec.kernel_shapes):
-        raise ScenarioError(f"kernel_shapes must be a non-empty list of {DelayKernel.BUILTIN_SHAPES}, "
-                            f"got {list(spec.kernel_shapes)}")
-    rng = _Generator(int(spec.rng_seed))
+    rng = _Generator(spec.rng_seed)
     dag = _topology_dag(spec, rng)
 
     tau = float(rng.uniform(*spec.tau_range))
     dt = tau / spec.delay_steps
+    if not math.isfinite(spec.sim_span / dt):
+        raise ScenarioError(f"sim_span ({spec.sim_span}) spans more steps of "
+                            f"{dt} than a float holds")
     n_steps = max(spec.delay_steps, int(math.ceil(spec.sim_span / dt)))
     beta = float(rng.choice(np.asarray(spec.beta_choices, dtype=float)))
     shape = spec.kernel_shapes[int(rng.integers(len(spec.kernel_shapes)))]
@@ -244,38 +247,34 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "t_end": scenario.t_end, "dt": scenario.dt, "rng_seed": scenario.rng_seed}
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return d[key]
-
-
 def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
-    try:
-        n_agents = int(_require(data, "n_agents", where))
-        dim = int(_require(data, "dim", where))
-        leaders = {int(i): [int(j) for j in js]
-                   for i, js in _require(data, "leaders", where).items()}
-        dag = LeadershipDag(n_agents, leaders)
-
-        potential = Potential.from_dict(_require(data, "potential", where), f"{where}.potential")
-        kernel = DelayKernel.from_dict(_require(data, "kernel", where), f"{where}.kernel")
+    with _fields_of(data, where):
+        n_agents = _integer(data["n_agents"], "n_agents", least=1)
+        history = data["history"]
+        # checked before the hierarchy, whose construction takes time in n_agents
+        if not (isinstance(history, list) and len(history) == n_agents):
+            raise ScenarioError(f"n_agents ({n_agents}) must equal the number of entries "
+                                f"in the history list")
+        leaders = data["leaders"]
+        with _fields_of(leaders, "leaders"):
+            for key, js in leaders.items():
+                if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                    raise ScenarioError(f"{key} must be a decimal agent index")
+                if not isinstance(js, list):
+                    raise ScenarioError(f"{key} must be a list of agent indices")
+        dag = LeadershipDag(n_agents, {int(key): js for key, js in leaders.items()})
         positions, velocities = [], []
-        for k, entry in enumerate(_require(data, "history", where)):
-            positions.append(HistoryFn.from_dict(entry["position"], f"{where}.history[{k}].position"))
-            velocities.append(HistoryFn.from_dict(entry["velocity"], f"{where}.history[{k}].velocity"))
-        history = HistorySpec(positions, velocities)
-        forcing = LeaderForcing.from_dict(data.get("forcing", {}), f"{where}.forcing")
-
-        scenario = Scenario(dag=dag, dim=dim, potential=potential, kernel=kernel,
-                            history=history, forcing=forcing,
-                            t_end=float(_require(data, "t_end", where)),
-                            dt=float(_require(data, "dt", where)),
-                            rng_seed=int(data.get("rng_seed", 0)))
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise ScenarioError(f"{where}: malformed scenario data ({e})") from e
+        for k, entry in enumerate(history):
+            with _fields_of(entry, f"history[{k}]"):
+                positions.append(HistoryFn.from_dict(entry["position"], "position"))
+                velocities.append(HistoryFn.from_dict(entry["velocity"], "velocity"))
+        scenario = Scenario(dag=dag, dim=_integer(data["dim"], "dim"),
+                            potential=Potential.from_dict(data["potential"], "potential"),
+                            kernel=DelayKernel.from_dict(data["kernel"], "kernel"),
+                            history=HistorySpec(positions, velocities),
+                            forcing=LeaderForcing.from_dict(data.get("forcing", {}), "forcing"),
+                            t_end=_real(data["t_end"], "t_end"), dt=_real(data["dt"], "dt"),
+                            rng_seed=_integer(data.get("rng_seed", 0), "rng_seed", least=0))
     problems = scenario.problems()
     if problems:
         raise ScenarioError(f"{where}: " + "; ".join(problems))
@@ -283,19 +282,15 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
 
 
 def _generator_from_dict(data: dict, where: str) -> GeneratorSpec:
-    known = {f for f in GeneratorSpec.__dataclass_fields__}
-    extra = set(data) - known
-    if extra:
-        raise ScenarioError(f"{where}: unknown generator fields {sorted(extra)}")
-    try:
-        kwargs = dict(data)
-        for key in ("position_range", "velocity_range", "tau_range",
-                    "beta_choices", "kernel_shapes"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return GeneratorSpec(**kwargs)
-    except TypeError as e:
-        raise ScenarioError(f"{where}: malformed generator spec ({e})") from e
+    """The spec in the "generator" object of ``data``, the file ``where``."""
+    with _fields_of(data, where):
+        spec = data["generator"]
+        with _fields_of(spec, "generator"):
+            spec["topology"], spec["n_agents"]      # a missing one is named
+            unknown = set(spec) - set(GeneratorSpec.__dataclass_fields__)
+            if not unknown:
+                return GeneratorSpec(**spec)
+        raise ScenarioError(f"generator: unknown fields {sorted(unknown)}")
 
 
 def _read_json(path: Path) -> dict:
@@ -303,6 +298,8 @@ def _read_json(path: Path) -> dict:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:   # not UTF-8, an over-long integer, deep nesting
+        raise ScenarioError(f"{path}: unreadable JSON ({e})") from e
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected a JSON object at the top level")
     return data
@@ -310,11 +307,7 @@ def _read_json(path: Path) -> dict:
 
 def load_generator(path) -> GeneratorSpec:
     """Load a generator-spec file: a JSON object with a top-level "generator" key."""
-    path = Path(path)
-    data = _read_json(path)
-    if "generator" not in data:
-        raise ScenarioError(f"{path}: not a generator-spec file (no top-level \"generator\" key)")
-    return _generator_from_dict(data["generator"], f"{path}:generator")
+    return _generator_from_dict(_read_json(Path(path)), str(path))
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:
@@ -323,13 +316,13 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
     path = Path(path)
     data = _read_json(path)
     if "generator" in data:
-        spec = _generator_from_dict(data["generator"], f"{path}:generator")
+        spec = _generator_from_dict(data, str(path))
         if seed is not None:
             spec = replace(spec, rng_seed=seed)
         return generate(spec)
     scenario = scenario_from_dict(data, where=str(path))
     if seed is not None:
-        scenario = replace(scenario, rng_seed=seed)
+        scenario = replace(scenario, rng_seed=_integer(seed, "rng_seed", least=0))
     return scenario
 
 

@@ -1,21 +1,32 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hlflock.cli
 import hlflock.diagnostics
+import hlflock.model
+import hlflock.scenarios
 from hlflock.cli import main
 from hlflock.integrator import (BlowUpError, Trajectory, simulate, simulate_many,
                                 write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
 from hlflock.scenarios import load_scenario, save_scenario
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_import_loads_no_scipy():
@@ -341,6 +352,15 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(two_flock_file),
                      "--out", str(tmp_path), "--probes", "ball,telepathy"]) == 2
 
+    def test_count_needs_a_generator_file(self, two_flock_file, tmp_path, capsys,
+                                          simulate_calls):
+        out = tmp_path / "chk"
+        assert main(["check", "--scenario", str(two_flock_file), "--out", str(out),
+                     "--count", "4"]) == 2
+        assert "--count" in capsys.readouterr().err
+        assert simulate_calls == []
+        assert not out.exists()
+
     def test_generator_with_count(self, tmp_path):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"generator": {
@@ -579,4 +599,129 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command, seed):
     path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 2}}))
     out = tmp_path / "o"
     assert main([command, "--scenario", str(path), "--out", str(out), "--seed", seed]) == 2
+    assert "rng_seed" in capsys.readouterr().err
+
+
+def test_huge_agent_count_fails_fast(tmp_path, capsys):
+    # the history length is checked before the hierarchy is built agent by agent
+    data = json.loads((GOLDEN / "table-table-table.json").read_text())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**data, "n_agents": 10**9}))
+    start = time.perf_counter()
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "n_agents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"n_agents": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "long-integer"])
+def test_unreadable_json_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "bad.json" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One bad value in a scenario or generator file
+# ---------------------------------------------------------------------------
+
+_FUZZ_FILES = sorted(GOLDEN.glob("*.json")) + [REPO / "perfbench" / "specs" / "sweep_chain.json"]
+_DELETE = "<delete the key>"
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1.5, 1e308, "1", True, None, [], _DELETE]
+_INTEGER_KEYS = {"n_agents", "dim", "rng_seed", "delay_steps"}
+# keys a file may leave out: a generator field has a default, and so has a
+# kernel's height; no forcing, or no forcing family, is zero forcing
+_OPTIONAL_KEYS = {"why", "generator", "forcing", "rng_seed", "height", "peak"}
+_OPTIONAL_GENERATOR_KEYS = set(hlflock.scenarios.GeneratorSpec.__dataclass_fields__) - {
+    "topology", "n_agents"}
+
+
+def _nodes(node, path=()):
+    """The path and value of every dict value and list item below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+_FUZZ_TARGETS = [(f, path) for f in _FUZZ_FILES
+                 for path, _ in _nodes(json.loads(f.read_text()))]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _optional(path) -> bool:
+    key = path[-1]
+    return (key in _OPTIONAL_KEYS or path[0] == "leaders"
+            or path == ("forcing", "family")
+            or (path[0] == "generator" and key in _OPTIONAL_GENERATOR_KEYS))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # 1e308 overflows on purpose
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(_FUZZ_TARGETS), new=st.sampled_from(_FUZZ_VALUES))
+def test_one_bad_value_exits_cleanly_and_names_its_field(target, new):
+    source, path = target
+    data = json.loads(source.read_text())
+    *parents, key = path
+    node = data
+    for step in parents:
+        node = node[step]
+    original = node[key]
+    if new == _DELETE:
+        assume(isinstance(node, dict))
+        del node[key]
+    else:
+        node[key] = new
+    field = next(step for step in reversed(path) if isinstance(step, str))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / source.name
+        scenario.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
+    err = err.getvalue()
+    assert code in (0, 2, 3), err
+    finite = _is_number(new) and math.isfinite(new)
+    integer_field = field in _INTEGER_KEYS or path[0] == "leaders"
+    if new == _DELETE:
+        if not _optional(path):
+            assert code == 2 and key in err, err
+    elif _is_number(original) and (not finite or (new == 1.5 and integer_field)):
+        assert code == 2 and field in err, err
+    if code == 3:
+        assert finite, err
+
+
+def test_benchmark_tracer_patches_names_that_exist(tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps these module and class attributes by name
+    monkeypatch.syspath_prepend(str(REPO))
+    from perfbench.tracing import Tracer
+
+    owners = (hlflock.cli, hlflock.diagnostics, hlflock.scenarios, hlflock.model,
+              hlflock.model.HistorySpec, hlflock.model.Potential)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--scenario", str(REPO / "perfbench/specs/sweep_chain.json"),
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["integrator.heun_steps"] > 0
+    assert metrics["model.potential.evals"] > 0
+    for owner, attrs in zip(owners, before):
+        after = vars(owner)
+        assert all(after[name] is value for name, value in attrs.items()), owner
+
+
+def test_negative_seed_on_a_scenario_file_is_usage_error(two_flock_file, tmp_path, capsys):
+    # the seed is saved with the scenario, which must load again
+    assert main(["simulate", "--scenario", str(two_flock_file), "--out", str(tmp_path / "o"),
+                 "--seed", "-5"]) == 2
     assert "rng_seed" in capsys.readouterr().err

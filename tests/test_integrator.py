@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hlflock.integrator
 from hlflock.integrator import (BlowUpError, Trajectory, _coupling, _decimal17,
-                                _format_rows, _NodeRing, _trapezoid_mu_weights,
+                                _format_rows, _Group,
                                 read_trajectory_csv, simulate, simulate_many,
                                 simulate_oracle, step_groups, trajectory_columns,
                                 write_trajectory_csv)
@@ -33,7 +33,7 @@ def two_agent(dim=1, x0=((0.0,), (1.0,)), v0=((1.0,), (0.0,)), beta=0.0,
 def window_coupling(scen, xw, vw, v_now):
     """The delay coupling simulate applies to every agent over the window of
     stored states xw, vw (m+1, N, d), oldest first; v_now (N, d) is current."""
-    ring = _NodeRing(xw, vw, *scen.dag.edge_arrays(), scen.potential, _trapezoid_mu_weights(scen))
+    ring = _Group([scen]).ring(xw, vw)
     return _coupling(ring, 0, v_now)
 
 

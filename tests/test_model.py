@@ -347,6 +347,40 @@ class TestScenario:
 
 
 # ---------------------------------------------------------------------------
+# Numbers from Python callers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: Potential.cucker_smale("0.5"), "beta"),
+    (lambda: Potential.cucker_smale(True), "beta"),
+    (lambda: Potential.cucker_smale(-0.5), "beta"),
+    (lambda: Potential.table([0.0, math.nan], [1.0, 0.5]), "distances"),
+    (lambda: DelayKernel.uniform(0.1, height="10"), "height"),
+    (lambda: DelayKernel.triangular(None), "tau"),
+    (lambda: DelayKernel.table([0.0, 0.1], [1.0, True]), "values"),
+    (lambda: HistoryFn("constant", value=[1.0, "2"]), "value"),
+    (lambda: HistoryFn("affine", value=[1.0], slope=[1.0, 2.0]), "slope"),
+    (lambda: HistoryFn("table", times=[-0.1, 0.0], values=[1.0, 2.0]), "values"),
+    (lambda: LeaderForcing.power_law(1.0, None, dim=1), "exponent"),
+    (lambda: LeaderForcing.table([0.0, 1.0], [1.0, 0.0], direction=[True]), "direction"),
+    (lambda: LeadershipDag(2.0), "n_agents"),
+    (lambda: LeadershipDag(3, {2: [1.5]}), "leaders"),
+], ids=["string", "bool", "negative-beta", "nan-sample", "string-height", "none-tau",
+        "bool-sample", "string-entry", "slope-shape", "table-shape", "none-exponent",
+        "bool-direction", "float-count", "float-leader"])
+def test_constructors_read_numbers_strictly(build, field):
+    with pytest.raises(ScenarioError, match=field):
+        build()
+
+
+def test_constructors_accept_numpy_numbers():
+    kernel = DelayKernel.uniform(np.float32(0.5), height=np.int64(2))
+    assert (kernel.tau, kernel.height) == (0.5, 2.0)
+    assert LeadershipDag(np.int64(2), {np.int64(2): [np.int64(1)]}) == LeadershipDag.chain(2)
+    assert HistoryFn("constant", value=np.array([1, 2])).to_dict()["value"] == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
 # Family equality through the JSON form
 # ---------------------------------------------------------------------------
 

@@ -14,8 +14,8 @@ from hlflock.integrator import simulate
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError,
                            validate_hierarchy)
-from hlflock.scenarios import (GeneratorSpec, _Generator, generate, load_scenario,
-                               save_run, save_scenario, scenario_to_dict)
+from hlflock.scenarios import (GeneratorSpec, _Generator, generate, load_generator,
+                               load_scenario, save_run, save_scenario, scenario_to_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,17 @@ class TestGeneratorFiles:
         a = load_scenario(path, seed=11)
         assert a.rng_seed == 11
         assert a == generate(GeneratorSpec(topology="random_hl", n_agents=4, rng_seed=11))
+
+
+    def test_lists_are_read_as_tuples_of_floats(self, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 3, "tau_range": [0.1, 1],
+            "beta_choices": [0, 0.5], "kernel_shapes": ["uniform"]}}))
+        spec = load_generator(path)
+        assert spec == GeneratorSpec(topology="chain", n_agents=3, tau_range=(0.1, 1.0),
+                                     beta_choices=(0.0, 0.5), kernel_shapes=("uniform",))
+        assert hash(spec) == hash(replace(spec))
 
 
 class TestSaveRun:
