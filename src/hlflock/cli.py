@@ -68,7 +68,7 @@ def _summary(traj) -> dict:
     return {
         "final_velocity_diameter": float(diag._pairwise_diameter(traj.v[-1:])[0]),
         "final_position_diameter": float(diag._pairwise_diameter(traj.x[-1:])[0]),
-        "max_speed": float(diag.speeds(traj.v).max()),
+        "max_speed": diag.max_speed(traj.v),
         "history_speed_bound": diag.history_speed_bound(traj),
         "t_end": float(traj.times[-1]),
         "n_steps": int(traj.times.size - 1),

@@ -29,6 +29,9 @@ from .model import LeadershipDag, Scenario, check_forcing_conditions
 DIAMETER_FLOOR = 1e-12      # dV values at or below this are rounding noise
 SPEED_TOL = 1e-8            # ball / hull invariance and diameter-monotonicity slack
 DEFAULT_BOUND_TOL = 1e-6    # relative slack on exponential envelopes
+# Elements of one block of a pass over a whole trajectory: the diameter's
+# (d, N, steps) planes, the speeds' (steps, N, d) rows. Bounds the temporaries.
+_BLOCK_VALUES = 1 << 16
 
 
 class PreconditionError(ValueError):
@@ -68,27 +71,34 @@ class ConsensusSeries:
 def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
     """(T, N, d) -> (T,) max Euclidean distance over agent pairs.
 
-    One sweep over the agents: agent i against itself and every later agent,
-    for all steps at once, with squared norms summed coordinate by
-    coordinate. Each pair is visited once, in O(T*N*d) working memory. The
-    i == i term is 0, or NaN where agent i's state is not finite, so
-    non-finite input gives NaN as the all-pairs form does. The square root is
-    taken once, of the running maximum; sqrt is monotone and correctly
-    rounded, so this equals the maximum of the distances bit for bit.
+    The steps are swept in blocks whose (d, N, steps) planes hold at most
+    ``_BLOCK_VALUES`` elements (one step if N*d is larger). In each block, one
+    sweep over the agents: agent i against itself and every later agent, with
+    squared norms summed coordinate by coordinate. Each pair is visited once,
+    and the working memory is a few blocks whatever T. The i == i term is 0,
+    or NaN where agent i's state is not finite, so non-finite input gives NaN
+    as the all-pairs form does. The square root is taken once, of the running
+    maximum; sqrt is monotone and correctly rounded, so this equals the
+    maximum of the distances bit for bit. Every step is computed on its own,
+    so the blocking does not change a bit either.
     """
-    # (d, N, T): one contiguous row per agent and coordinate, so every
-    # difference and the max over agents run along contiguous memory.
-    planes = np.ascontiguousarray(arr.transpose(2, 1, 0))
-    best = np.zeros(arr.shape[0])
-    for i in range(arr.shape[1]):
-        sq = planes[0, i:] - planes[0, i]
-        sq *= sq
-        for plane in planes[1:]:
-            diff = plane[i:] - plane[i]
-            diff *= diff
-            sq += diff
-        np.maximum(best, sq.max(axis=0), out=best)
-    return np.sqrt(best)
+    n_steps, n_agents, dim = arr.shape
+    step = max(1, _BLOCK_VALUES // (n_agents * dim))
+    best = np.zeros(n_steps)
+    for lo in range(0, n_steps, step):
+        # (d, N, steps): one contiguous row per agent and coordinate, so every
+        # difference and the max over agents run along contiguous memory.
+        planes = np.ascontiguousarray(arr[lo:lo + step].transpose(2, 1, 0))
+        block = best[lo:lo + step]
+        for i in range(n_agents):
+            sq = planes[0, i:] - planes[0, i]
+            sq *= sq
+            for plane in planes[1:]:
+                diff = plane[i:] - plane[i]
+                diff *= diff
+                sq += diff
+            np.maximum(block, sq.max(axis=0), out=block)
+    return np.sqrt(best, out=best)
 
 
 def consensus_series(traj: Trajectory) -> ConsensusSeries:
@@ -151,9 +161,15 @@ def fit_decay_rate(series: ConsensusSeries,
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def speeds(v: np.ndarray) -> np.ndarray:
-    """(T, N, d) velocities -> (T, N) Euclidean speeds."""
-    return np.sqrt(np.einsum("knd,knd->kn", v, v))
+def max_speed(v: np.ndarray) -> float:
+    """Largest Euclidean speed in (T, N, d) velocities: the square root of the
+    largest squared norm, found over blocks of at most ``_BLOCK_VALUES``
+    elements. sqrt is monotone and correctly rounded, so this is the largest
+    of the speeds bit for bit."""
+    step = max(1, _BLOCK_VALUES // v[0].size)
+    largest = np.max([np.einsum("knd,knd->kn", v[lo:lo + step], v[lo:lo + step]).max()
+                      for lo in range(0, v.shape[0], step)])
+    return float(np.sqrt(largest))
 
 
 def history_speed_bound(traj: Trajectory) -> float:
@@ -161,7 +177,7 @@ def history_speed_bound(traj: Trajectory) -> float:
     velocity-ball radius)."""
     if traj.hist_v.size == 0:
         raise PreconditionError("trajectory carries no prehistory samples")
-    return float(speeds(traj.hist_v).max())
+    return max_speed(traj.hist_v)
 
 
 def calibrate_step_slack(traj: Trajectory, refinement: int = 2) -> float:
@@ -293,17 +309,17 @@ def ball_invariance_probe(traj: Trajectory) -> ProbeReport:
     if not scenario.forcing.is_zero:
         raise PreconditionError("ball invariance assumes the unforced system")
     d0 = history_speed_bound(traj)
-    max_speed = float(speeds(traj.v).max())
+    run_speed = max_speed(traj.v)
     hull_hi = traj.hist_v.max(axis=(0, 1))    # per coordinate
     hull_lo = traj.hist_v.min(axis=(0, 1))
     run_hi = traj.v.max(axis=(0, 1))
     run_lo = traj.v.min(axis=(0, 1))
     hull_excess = float(np.maximum(run_hi - hull_hi, hull_lo - run_lo).max())
-    passed = bool(max_speed <= d0 + SPEED_TOL and hull_excess <= SPEED_TOL)
+    passed = bool(run_speed <= d0 + SPEED_TOL and hull_excess <= SPEED_TOL)
     return ProbeReport(
         name="ball_invariance", passed=passed,
-        details={"speed_bound": d0, "max_speed": max_speed,
-                 "speed_excess": max_speed - d0, "hull_excess": hull_excess,
+        details={"speed_bound": d0, "max_speed": run_speed,
+                 "speed_excess": run_speed - d0, "hull_excess": hull_excess,
                  "tolerance": SPEED_TOL})
 
 

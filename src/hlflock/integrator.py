@@ -39,12 +39,14 @@ place in the results; the other scenarios run on.
 
 Trajectories go to CSV with every number in C's ``%.17g``, the bytes
 ``np.savetxt(fmt="%.17g")`` writes, so a read gives back the same doubles.
-:func:`write_csv` formats about 8k values per pass with numpy calls, exactly
+:func:`write_csv` formats about 4k values per pass with numpy calls, exactly
 (a double-double product with 10**(16-e), rounded half to even), straight
 from the trajectory arrays. The few values it cannot prove correctly rounded
 (non-finite, |x| outside 1e-275..1e291, too near a rounding tie) go through
-Python's formatter. :func:`read_trajectory_csv` raises :class:`ScenarioError` naming
-the file for anything that is not such a CSV.
+Python's formatter. :func:`read_trajectory_csv` parses as many values per
+pass into arrays allocated once, so a read holds one copy of the trajectory;
+it raises :class:`ScenarioError` naming the file for anything that is not
+such a CSV.
 """
 
 from __future__ import annotations
@@ -301,6 +303,21 @@ _GROUP_AGENT_ROWS = 1 << 18
 _BUFFER_ROWS = 64
 
 
+def _state_arrays(scenario: Scenario, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty position and velocity arrays of ``rows`` states of the scenario's
+    flock. A step count too large to allocate is the scenario's error, named
+    by its ``t_end / dt``."""
+    shape = (rows, scenario.n_agents, scenario.dim)
+    try:
+        x = np.empty(shape)
+        return x, np.empty_like(x)
+    except (MemoryError, ValueError):       # ValueError: more elements than an array can index
+        raise ScenarioError(
+            f"t_end / dt = {scenario.t_end!r} / {scenario.dt!r} is {scenario.n_steps} steps: "
+            f"its trajectory needs {16 * math.prod(shape)} bytes, more than can be "
+            f"allocated") from None
+
+
 def step_groups(scenarios: Iterable[Scenario]) -> Iterator[list[Scenario]]:
     """Split ``scenarios``, in order, into the groups :func:`simulate_many`
     steps as one system: runs of consecutive scenarios with the same
@@ -401,9 +418,10 @@ class _Group:
         hist_s, xs, vs = [], [], []
         for s, n in zip(self.scenarios, self.steps):
             hist_s.append((np.arange(m + 1) - m) * s.dt)
-            xs.append(np.empty((m + n + 1, s.n_agents, dim)))
-            vs.append(np.empty_like(xs[-1]))
-            xs[-1][: m + 1], vs[-1][: m + 1] = s.history.sample(hist_s[-1])
+            x, v = _state_arrays(s, m + n + 1)
+            x[: m + 1], v[: m + 1] = s.history.sample(hist_s[-1])
+            xs.append(x)
+            vs.append(v)
         if len(xs) == 1:
             # a group of one steps straight in its trajectory arrays
             X, V = xs[0], vs[0]
@@ -615,8 +633,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
             moments.append((lo, cnt, a, b, *run_sums(0, lo, cnt, bool(b))))
             lo += cnt
 
-    x_out = np.empty((n + 1, n_agents, dim))
-    v_out = np.empty_like(x_out)
+    x_out, v_out = _state_arrays(scenario, n + 1)
     x_out[0] = xs0[m2]
     v_out[0] = vs0[m2]
 
@@ -703,7 +720,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
 # is laid out in six little-endian words with NUL in every unused byte, and the
 # NULs are deleted at the end.
 
-_CSV_CHUNK_VALUES = 8192      # values formatted per pass; bounds the writer's temporaries
+_CSV_CHUNK_VALUES = 4096      # values formatted or parsed per pass; bounds the temporaries
 _E_MIN, _E_MAX = -275, 290    # exponents of the fast path: no split overflows, no lo underflows
 # The double-double x * 10**(16-e) is within 2**-104 * 1e17 < 5e-15 of the exact
 # product; a fractional part this close to 1/2 (or to 0 at D = 1e16) is left to Python.
@@ -881,13 +898,21 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     write_csv(path, trajectory_columns(n_agents, dim), blocks())
 
 
+def _is_data_line(line: bytes) -> bool:
+    """Whether np.loadtxt reads a row from this line: it is neither a '#'
+    comment nor empty. A line of spaces is a row, and a malformed one."""
+    return line[:1] != b"#" and line not in (b"\n", b"\r\n", b"\r")
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Load a trajectory CSV written by :func:`write_trajectory_csv`.
 
     Only the step grid is recoverable from the file, so the returned
     trajectory has an empty prehistory and no scenario attached. A file that
     is not such a CSV raises :class:`ScenarioError` naming it (and the file
-    line of the first malformed data row).
+    line of the first malformed data row). The data rows are counted first,
+    so ``times``, ``x`` and ``v`` are allocated once and filled a chunk of rows
+    at a time: the read holds one copy of the trajectory.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("latin-1")
@@ -899,19 +924,31 @@ def read_trajectory_csv(path) -> Trajectory:
         if (n_agents < 1 or dim < 1 or len(names) != 1 + 2 * n_agents * dim
                 or trajectory_columns(n_agents, dim) != names):
             raise ScenarioError(f"{path}: not a trajectory CSV (header starts {names[:2]})")
-        if not fh.peek(1):
+        start = fh.tell()
+        n_rows = sum(map(_is_data_line, fh))
+        if n_rows == 0:
             raise ScenarioError(f"{path}: trajectory CSV has no data rows")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise ScenarioError(f"{path}: malformed trajectory data: "
-                                f"{_first_bad_row(path, len(names)) or err}") from None
-    if data.shape[0] == 0 or data.shape[1] != len(names):
-        raise ScenarioError(f"{path}: expected rows of {len(names)} values, "
-                            f"read {data.shape[0]} rows of {data.shape[1]}")
-    times = data[:, 0]
-    states = data[:, 1:].reshape(data.shape[0], n_agents, dim, 2)
-    x, v = states[..., 0].copy(), states[..., 1].copy()
+        fh.seek(start)
+        times = np.empty(n_rows)
+        x = np.empty((n_rows, n_agents, dim))
+        v = np.empty_like(x)
+        lines = filter(_is_data_line, fh)
+        step = _chunk_rows(len(names))
+        for r in range(0, n_rows, step):
+            rows = min(step, n_rows - r)
+            try:
+                block = np.loadtxt(itertools.islice(lines, rows), delimiter=",", ndmin=2)
+                if block.shape != (rows, len(names)):
+                    raise ValueError(f"expected rows of {len(names)} values, "
+                                     f"read {block.shape[0]} rows of {block.shape[1]}")
+            except ValueError as err:
+                raise ScenarioError(f"{path}: malformed trajectory data: "
+                                    f"{_first_bad_row(path, len(names)) or err}") from None
+            times[r:r + rows] = block[:, 0]
+            # x then v for each agent and coordinate, the order of trajectory_columns
+            pairs = block[:, 1:].reshape(rows, n_agents, dim, 2)
+            x[r:r + rows] = pairs[..., 0]
+            v[r:r + rows] = pairs[..., 1]
     empty = np.empty((0, n_agents, dim))
     return Trajectory(times=times, x=x, v=v,
                       hist_times=np.empty(0), hist_x=empty, hist_v=empty, scenario=None)
@@ -919,14 +956,14 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def _first_bad_row(path, n_values: int) -> str | None:
     """Describe the first data row that is not ``n_values`` numbers, by its
-    1-based line in the file (the header is line 1). Blank and '#' comment
+    1-based line in the file (the header is line 1). Empty and '#' comment
     lines are skipped, as np.loadtxt skips them."""
-    with open(path, encoding="latin-1") as fh:
+    with open(path, "rb") as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
-            cells = line.split("#", 1)[0].split(",")
-            if len(cells) == 1 and not cells[0].strip():
+            if not _is_data_line(line):
                 continue
+            cells = line.decode("latin-1").split("#", 1)[0].split(",")
             if len(cells) != n_values:
                 return f"row at line {lineno} has {len(cells)} values, expected {n_values}"
             for col, cell in enumerate(cells, start=1):

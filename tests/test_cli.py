@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from hlflock.integrator import (BlowUpError, Trajectory, simulate, simulate_many
                                 write_trajectory_csv)
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
-from hlflock.scenarios import load_scenario, save_scenario
+from hlflock.scenarios import GeneratorSpec, generate, load_scenario, save_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -611,6 +612,40 @@ def test_huge_agent_count_fails_fast(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 1.0
     assert "n_agents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end", [1e14, 1e20])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_trajectory_too_large_to_allocate_is_usage_error(tmp_path, capsys, command, t_end):
+    data = json.loads((GOLDEN / "rich.json").read_text())
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**data, "t_end": t_end}))
+    scen = load_scenario(path)
+    rows = scen.delay_steps + scen.n_steps + 1
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"t_end / dt = {t_end!r} / {scen.dt!r} is {scen.n_steps} steps" in err
+    assert f"needs {16 * rows * scen.n_agents * scen.dim} bytes" in err
+
+
+def test_simulate_and_fit_decay_hold_one_copy_of_the_trajectory(tmp_path):
+    # 200 agents on a binary tree in the plane over 1000 steps: x and v are 6.4 MB
+    scen = generate(GeneratorSpec(topology="binary_tree", n_agents=200, dim=2, rng_seed=1,
+                                  tau_range=(0.1, 0.1), delay_steps=10, sim_span=10.0))
+    assert scen.n_steps == 1000
+    path = tmp_path / "wide.json"
+    save_scenario(scen, path)
+    states = 2 * (scen.n_steps + 1) * scen.n_agents * scen.dim * 8
+    for argv in (["simulate", "--scenario", str(path), "--out", str(tmp_path / "sim")],
+                 ["fit-decay", "--traj", str(tmp_path / "sim" / "trajectory.csv"),
+                  "--out", str(tmp_path / "fit")]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * states, argv[0]
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"n_agents": ' + b"1" * 5000 + b"}"],

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
@@ -16,7 +17,8 @@ from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
                                  check_two_flock_bound, consensus_series,
                                  fit_decay_rate, free_will_consensus_probe,
                                  hat_leader_series, history_speed_bound,
-                                 lyapunov_probe, positivity_probe, run_probes)
+                                 lyapunov_probe, max_speed, positivity_probe,
+                                 run_probes)
 from hlflock.integrator import Trajectory, simulate
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
@@ -119,11 +121,26 @@ def diameter_inputs(draw):
     return arr
 
 
+def block_edge(t, n, d):
+    """A (t, n, d) input with a NaN in its last step, for the time-block edges."""
+    arr = np.random.default_rng(t * 100 + n * 10 + d).normal(size=(t, n, d))
+    arr[-1, n // 2, 0] = np.nan
+    return arr
+
+
 class TestPairwiseDiameterMatchesAllPairs:
+    # With 24 values per block, three agents in the plane make blocks of four
+    # steps; five agents in three dimensions make blocks of one step.
     @settings(max_examples=300, deadline=None)
-    @given(diameter_inputs())
-    def test_matches_broadcast_reference(self, arr):
-        got, ref = _pairwise_diameter(arr), broadcast_diameter(arr)
+    @given(diameter_inputs(), st.sampled_from([1, 24, 100, hlflock.diagnostics._BLOCK_VALUES]))
+    @example(block_edge(5, 3, 2), 24)
+    @example(block_edge(4, 3, 2), 24)
+    @example(block_edge(3, 3, 2), 24)
+    @example(block_edge(1, 3, 2), 24)
+    @example(block_edge(4, 5, 3), 12)
+    def test_matches_broadcast_reference(self, arr, block_values):
+        with mock.patch.object(hlflock.diagnostics, "_BLOCK_VALUES", block_values):
+            got, ref = _pairwise_diameter(arr), broadcast_diameter(arr)
         nan = np.isnan(ref)
         assert np.array_equal(np.isnan(got), nan)
         if arr.shape[2] <= 2:
@@ -348,6 +365,21 @@ class TestBallInvarianceProbe:
                          hist_v=np.empty((0, 2, 1)), scenario=None)
         with pytest.raises(PreconditionError):
             history_speed_bound(bad)
+
+    # 6 values: blocks of two steps of three agents in 1-D, of one step in 2-D and 3-D
+    @pytest.mark.parametrize("block_values", [1, 6, hlflock.diagnostics._BLOCK_VALUES])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_max_speed_is_the_largest_speed_bit_for_bit(self, block_values, dim):
+        rng = np.random.default_rng(dim)
+        v = rng.normal(size=(9, 3, dim)) * 10.0 ** rng.integers(-8, 9, (9, 3, dim))
+        speeds = np.sqrt(np.einsum("knd,knd->kn", v, v))
+        order = np.argsort(speeds.max(axis=1))      # each prefix's largest speed is in its last step
+        v, speeds = v[order], speeds[order]
+        with mock.patch.object(hlflock.diagnostics, "_BLOCK_VALUES", block_values):
+            for k in range(1, v.shape[0] + 1):
+                assert max_speed(v[:k]) == speeds[:k].max()
+            v[-1, 1, 0] = np.nan
+            assert np.isnan(max_speed(v))
 
 
 # ---------------------------------------------------------------------------

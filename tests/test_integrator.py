@@ -257,6 +257,12 @@ class TestOracle:
         with pytest.raises(ScenarioError):
             simulate_oracle(two_agent(), 0)
 
+    @pytest.mark.parametrize("t_end", [1e14, 1e20])
+    def test_trajectory_too_large_to_allocate_names_t_end(self, t_end):
+        scen = two_agent(t_end=t_end)
+        with pytest.raises(ScenarioError, match=rf"t_end / dt = .* is {scen.n_steps} steps"):
+            simulate_oracle(scen, 1)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("refinement", [1, 3])
     def test_position_overflow_is_blow_up(self, refinement):
@@ -743,6 +749,80 @@ class TestTrajectoryCsv:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * (x.nbytes + v.nbytes)
+
+    @staticmethod
+    def wide_trajectory():
+        """200 agents in the plane over 1001 steps: 6.4 MB of states."""
+        rng = np.random.default_rng(5)
+        empty = np.empty((0, 200, 2))
+        return Trajectory(times=np.arange(1001) * 0.01, x=rng.normal(size=(1001, 200, 2)),
+                          v=rng.normal(size=(1001, 200, 2)),
+                          hist_times=np.empty(0), hist_x=empty, hist_v=empty)
+
+    def test_write_peak_is_under_a_quarter_of_the_states(self, tmp_path):
+        traj = self.wide_trajectory()
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * (traj.x.nbytes + traj.v.nbytes)
+
+    def test_read_holds_one_copy_of_the_trajectory(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_trajectory_csv(self.wide_trajectory(), path)
+        tracemalloc.start()
+        try:
+            back = read_trajectory_csv(path)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = (back.times, back.x, back.v)
+        assert all(a.flags.owndata for a in arrays)
+        assert retained <= 1.05 * sum(a.nbytes for a in arrays)
+
+    @pytest.mark.parametrize("rows,message", [
+        (["0.3,0,0,1,1", "0.4,0,0,1", "0.5,0,0,1,1"], "row at line 6 has 4 values, expected 5"),
+        (["0.3,0,0,1", "0.4,0,0,1", "0.5,0,0,1"], "row at line 5 has 4 values, expected 5"),
+        (["0.3,0,0,1,1,1", "0.4,0,0,1,1,1"], "row at line 5 has 6 values, expected 5"),
+        (["0.3,0,0,1,1", "0.4,0,a,1,1", "0.5,0,0,1,1"],
+         "row at line 6, column 3: 'a' is not a number"),
+    ], ids=["ragged-row", "block-all-short", "last-block-all-long", "non-numeric-cell"])
+    def test_bad_row_after_the_first_block_names_its_line(self, tmp_path, rows, message):
+        # three rows per block: the first block (lines 2-4) is good
+        path = tmp_path / "bad.csv"
+        good = ["0,0,0,1,1", "0.1,0,0,1,1", "0.2,0,0,1,1"]
+        path.write_text("\n".join(["t,x1_1,v1_1,x2_1,v2_1", *good, *rows]) + "\n")
+        with mock.patch.object(hlflock.integrator, "_CSV_CHUNK_VALUES", 15), \
+                pytest.raises(ScenarioError) as exc:
+            read_trajectory_csv(path)
+        assert str(exc.value) == f"{path}: malformed trajectory data: {message}"
+
+    def test_a_line_of_spaces_is_a_malformed_row(self, tmp_path):
+        # np.loadtxt skips only empty and '#' lines
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x1_1,v1_1,x2_1,v2_1\n0,0,0,1,1\n\n   \n0.1,0,0,1,1\n")
+        with pytest.raises(ValueError):
+            np.loadtxt(path, delimiter=",", skiprows=1)
+        with pytest.raises(ScenarioError, match="row at line 4 has 1 values, expected 5"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("chunk_values", [10, 4096])
+    @pytest.mark.parametrize("body", [
+        "0,0,0,1,1\n0.1,0.5,0,1,1\n0.2,1,2,3,4",
+        "\n# comment\n0,0,0,1,1\n\r\n#  # indented\n0.1,0.5,0,1,1 # inline\n"
+        "\t0.2,1,2,3,4\r\n 0.3,1,2,3,5\n\n",
+    ], ids=["no-trailing-newline", "blank-and-comment-lines"])
+    def test_reads_what_loadtxt_reads(self, tmp_path, chunk_values, body):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x1_1,v1_1,x2_1,v2_1\n" + body)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with mock.patch.object(hlflock.integrator, "_CSV_CHUNK_VALUES", chunk_values):
+            back = read_trajectory_csv(path)
+        np.testing.assert_array_equal(back.times, table[:, 0])
+        np.testing.assert_array_equal(back.x[..., 0], table[:, 1::2])
+        np.testing.assert_array_equal(back.v[..., 0], table[:, 2::2])
 
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
