@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -182,7 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     seeds = range(args.seed, args.seed + args.count)
-    if args.workers <= 1:
+    if args.workers == 1:
         results = _sweep_worker((spec, seeds, str(out), args.probes))
     else:
         # imported here, its only use: it pulls in logging, traceback and string
@@ -252,8 +253,12 @@ def main(argv=None) -> int:
             if unknown:
                 raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; "
                                     f"choose from {PROBE_NAMES}")
-        if "count" in args and args.count < 1:
-            raise ScenarioError(f"--count must be >= 1, got {args.count}")
+        for name in ("count", "workers"):
+            if getattr(args, name, 1) < 1:
+                raise ScenarioError(f"--{name} must be >= 1, got {getattr(args, name)}")
+        window = getattr(args, "window", None)
+        if window and not -math.inf < window[0] < window[1] < math.inf:     # NaN fails too
+            raise ScenarioError(f"--window T_A T_B must be finite with T_A < T_B, got {window}")
         return args.run(args)
     except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

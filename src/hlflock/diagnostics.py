@@ -32,6 +32,16 @@ DEFAULT_BOUND_TOL = 1e-6    # relative slack on exponential envelopes
 # Elements of one block of a pass over a whole trajectory: the diameter's
 # (d, N, steps) planes, the speeds' (steps, N, d) rows. Bounds the temporaries.
 _BLOCK_VALUES = 1 << 16
+# Pruning bounds: values within +-_PRUNE_MAX square and sum without overflow, and a
+# lower bound of at least _PRUNE_MIN_LB keeps every underflow far below the margin.
+_PRUNE_MAX = 1e150
+_PRUNE_MIN_LB = 1e-150
+# Relative slack on the pruning threshold per coordinate: the centroid distances
+# and the squared pair distances are off by a few d units in the last place.
+_PRUNE_MARGIN = 1e-9
+# Below this many agents the whole sweep of a block is cheaper than the test
+# that prunes it (measured on smooth flocks in one to three dimensions).
+_PRUNE_MIN_AGENTS = 10
 
 
 class PreconditionError(ValueError):
@@ -71,16 +81,16 @@ class ConsensusSeries:
 def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
     """(T, N, d) -> (T,) max Euclidean distance over agent pairs.
 
-    The steps are swept in blocks whose (d, N, steps) planes hold at most
-    ``_BLOCK_VALUES`` elements (one step if N*d is larger). In each block, one
-    sweep over the agents: agent i against itself and every later agent, with
-    squared norms summed coordinate by coordinate. Each pair is visited once,
-    and the working memory is a few blocks whatever T. The i == i term is 0,
-    or NaN where agent i's state is not finite, so non-finite input gives NaN
-    as the all-pairs form does. The square root is taken once, of the running
-    maximum; sqrt is monotone and correctly rounded, so this equals the
-    maximum of the distances bit for bit. Every step is computed on its own,
-    so the blocking does not change a bit either.
+    The steps are taken in blocks whose (d, N, steps) planes hold at most
+    ``_BLOCK_VALUES`` elements (one step if N*d is larger), so the working
+    memory is a few blocks whatever T. In each block :func:`_kept_agents`
+    measures every pair with the agent farthest from the centroid, and the
+    sweep (:func:`_sweep`) then visits only the agents that can be an
+    endpoint of a farther pair, or all of them where it cannot prune. Both
+    form every squared distance exactly as the all-pairs form, so the maximum
+    is the same bit for bit. The square root is taken once, of the
+    running maximum; sqrt is monotone and correctly rounded, so this equals
+    the maximum of the distances bit for bit.
     """
     n_steps, n_agents, dim = arr.shape
     step = max(1, _BLOCK_VALUES // (n_agents * dim))
@@ -90,15 +100,83 @@ def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
         # difference and the max over agents run along contiguous memory.
         planes = np.ascontiguousarray(arr[lo:lo + step].transpose(2, 1, 0))
         block = best[lo:lo + step]
-        for i in range(n_agents):
-            sq = planes[0, i:] - planes[0, i]
-            sq *= sq
-            for plane in planes[1:]:
-                diff = plane[i:] - plane[i]
-                diff *= diff
-                sq += diff
-            np.maximum(block, sq.max(axis=0), out=block)
+        kept = _kept_agents(planes, block)
+        _sweep(planes if kept is None else planes[:, kept], block)
     return np.sqrt(best, out=best)
+
+
+def _sweep(planes: np.ndarray, best: np.ndarray) -> None:
+    """Raise ``best`` (steps,) to the largest squared distance between agents
+    of the (d, n, steps) ``planes``: agent i against itself and every later
+    agent, squares summed coordinate by coordinate, so each pair is visited
+    once. The i == i term is 0, or NaN where agent i's state is not finite,
+    so non-finite input gives NaN as the all-pairs form does."""
+    for i in range(planes.shape[1]):
+        sq = planes[0, i:] - planes[0, i]
+        sq *= sq
+        for plane in planes[1:]:
+            diff = plane[i:] - plane[i]
+            diff *= diff
+            sq += diff
+        np.maximum(best, sq.max(axis=0), out=best)
+
+
+def _kept_agents(planes: np.ndarray, best: np.ndarray) -> np.ndarray | None:
+    """Raise ``best`` (steps,) to each step's largest squared distance from
+    the agent farthest from the centroid, p, and return the indices, in
+    order, of the agents of the (d, N, steps) ``planes`` that can still be an
+    endpoint of a farther pair; or None to sweep them all.
+
+    Every pair with p is measured here, as :func:`_sweep` measures it, and
+    the largest, LB, is a pair distance. Let r_i be agent i's distance from
+    the centroid. A pair (i, j) without p has distance at most
+    r_i + r_j <= r_i + r_rest, r_rest the largest r of the agents other than
+    p, so it can exceed LB only if r_i + r_rest >= LB, lowered here by
+    d * ``_PRUNE_MARGIN`` of LB to cover rounding.
+
+    None is returned for fewer than ``_PRUNE_MIN_AGENTS`` agents, a value that
+    is not finite or not within +-``_PRUNE_MAX``, a step whose LB is below
+    ``_PRUNE_MIN_LB``, and a kept set so large that its planes and their sweep
+    would take more memory than the whole sweep (it would save little time
+    either). Its two (N, steps) buffers match the whole sweep's two, so
+    pruning adds only a few (steps,) arrays to the working memory.
+    """
+    dim, n, cols = planes.shape
+    if n < _PRUNE_MIN_AGENTS or not (-_PRUNE_MAX <= planes.min() and planes.max() <= _PRUNE_MAX):
+        return None                     # a NaN fails the bounds test too
+    acc, scratch = np.empty((n, cols)), np.empty((n, cols))
+    steps = np.arange(cols)
+    centroid = planes.mean(axis=1)
+    _squared_distances(planes, centroid, acc, scratch)
+    far = acc.argmax(axis=0)
+    acc[far, steps] = 0.0
+    r_rest = np.sqrt(acc.max(axis=0))
+    _squared_distances(planes, planes[:, far, steps], acc, scratch)
+    lb_sq = acc.max(axis=0)
+    if lb_sq.min() < _PRUNE_MIN_LB ** 2:
+        return None
+    np.maximum(best, lb_sq, out=best)
+    threshold = np.sqrt(lb_sq) * (1.0 - _PRUNE_MARGIN * dim) - r_rest
+    np.maximum(threshold, 0.0, out=threshold)
+    threshold *= threshold              # compared with squared distances below
+    _squared_distances(planes, centroid, acc, scratch)
+    keep = np.greater_equal(acc, threshold, out=scratch.view(np.bool_)[:, :cols])
+    keep[far, steps] = False
+    kept = np.flatnonzero(keep.any(axis=1))
+    return kept if (dim + 2) * kept.size <= 2 * n else None
+
+
+def _squared_distances(planes: np.ndarray, centre: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> None:
+    """Squared distance from each agent of the (d, N, steps) ``planes`` to
+    ``centre`` (d, steps), into ``out`` (N, steps), summed coordinate by
+    coordinate as :func:`_sweep` sums them; ``scratch`` is an (N, steps) buffer."""
+    np.subtract(planes[0], centre[0], out=out)
+    out *= out
+    for plane, c in zip(planes[1:], centre[1:]):
+        np.subtract(plane, c, out=scratch)
+        scratch *= scratch
+        out += scratch
 
 
 def consensus_series(traj: Trajectory) -> ConsensusSeries:

@@ -55,6 +55,7 @@ import bisect
 import functools
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -303,19 +304,36 @@ _GROUP_AGENT_ROWS = 1 << 18
 _BUFFER_ROWS = 64
 
 
-def _state_arrays(scenario: Scenario, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empty position and velocity arrays of ``rows`` states of the scenario's
-    flock. A step count too large to allocate is the scenario's error, named
-    by its ``t_end / dt``."""
-    shape = (rows, scenario.n_agents, scenario.dim)
+@functools.cache
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not tell."""
     try:
-        x = np.empty(shape)
-        return x, np.empty_like(x)
-    except (MemoryError, ValueError):       # ValueError: more elements than an array can index
-        raise ScenarioError(
-            f"t_end / dt = {scenario.t_end!r} / {scenario.dt!r} is {scenario.n_steps} steps: "
-            f"its trajectory needs {16 * math.prod(shape)} bytes, more than can be "
-            f"allocated") from None
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _state_arrays(shape: tuple[int, int, int], cause: str) -> tuple[np.ndarray, np.ndarray]:
+    """Empty position and velocity arrays of ``shape`` (states, agents, d). A
+    shape larger than the machine's memory, which a system that overcommits
+    would still allocate, or too large to allocate, is a
+    :class:`ScenarioError` that names its ``cause``."""
+    need = 16 * math.prod(shape)
+    if need <= _physical_memory():
+        try:
+            x = np.empty(shape)
+            return x, np.empty_like(x)
+        except (MemoryError, ValueError):   # ValueError: more elements than an array can index
+            pass
+    raise ScenarioError(f"{cause}: its trajectory needs {need} bytes, more than can be allocated")
+
+
+def _run_arrays(scenario: Scenario, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_state_arrays` for ``rows`` states of the scenario's flock,
+    named by its step count."""
+    return _state_arrays((rows, scenario.n_agents, scenario.dim),
+                         f"t_end / dt = {scenario.t_end!r} / {scenario.dt!r} is "
+                         f"{scenario.n_steps} steps")
 
 
 def step_groups(scenarios: Iterable[Scenario]) -> Iterator[list[Scenario]]:
@@ -418,7 +436,7 @@ class _Group:
         hist_s, xs, vs = [], [], []
         for s, n in zip(self.scenarios, self.steps):
             hist_s.append((np.arange(m + 1) - m) * s.dt)
-            x, v = _state_arrays(s, m + n + 1)
+            x, v = _run_arrays(s, m + n + 1)
             x[: m + 1], v[: m + 1] = s.history.sample(hist_s[-1])
             xs.append(x)
             vs.append(v)
@@ -633,7 +651,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
             moments.append((lo, cnt, a, b, *run_sums(0, lo, cnt, bool(b))))
             lo += cnt
 
-    x_out, v_out = _state_arrays(scenario, n + 1)
+    x_out, v_out = _run_arrays(scenario, n + 1)
     x_out[0] = xs0[m2]
     v_out[0] = vs0[m2]
 
@@ -721,6 +739,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
 # NULs are deleted at the end.
 
 _CSV_CHUNK_VALUES = 4096      # values formatted or parsed per pass; bounds the temporaries
+_SCAN_BYTES = 1 << 18         # bytes per pass of the CSV reader's row count
 _E_MIN, _E_MAX = -275, 290    # exponents of the fast path: no split overflows, no lo underflows
 # The double-double x * 10**(16-e) is within 2**-104 * 1e17 < 5e-15 of the exact
 # product; a fractional part this close to 1/2 (or to 0 at D = 1e16) is left to Python.
@@ -904,6 +923,28 @@ def _is_data_line(line: bytes) -> bool:
     return line[:1] != b"#" and line not in (b"\n", b"\r\n", b"\r")
 
 
+def _count_data_lines(fh) -> int:
+    """How many lines from ``fh``'s position to its end :func:`_is_data_line`
+    accepts, found ``_SCAN_BYTES`` at a time. Each newline starts a line (the
+    header's starts the first, and a sentinel newline ends the file, so a
+    last line "\\r" reads as "\\r\\n"). The line is not data if the byte after
+    its newline is '#' or a newline, or the two bytes after it are "\\r\\n". A
+    pass decides the newlines whose two bytes it holds and carries the rest.
+    """
+    count, carry = 0, b"\n"
+    while True:
+        block = fh.read(_SCAN_BYTES)
+        buf = np.frombuffer(carry + (block or b"\n"), np.uint8)
+        end = buf.size - 2                # the newlines before end are decided here
+        at = np.flatnonzero(buf[:end] == 10)
+        first, second = buf[at + 1], buf[at + 2]
+        count += at.size - np.count_nonzero((first == 35) | (first == 10)
+                                            | ((first == 13) & (second == 10)))
+        if not block:
+            return count
+        carry = buf[end:].tobytes()
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Load a trajectory CSV written by :func:`write_trajectory_csv`.
 
@@ -911,8 +952,8 @@ def read_trajectory_csv(path) -> Trajectory:
     trajectory has an empty prehistory and no scenario attached. A file that
     is not such a CSV raises :class:`ScenarioError` naming it (and the file
     line of the first malformed data row). The data rows are counted first,
-    so ``times``, ``x`` and ``v`` are allocated once and filled a chunk of rows
-    at a time: the read holds one copy of the trajectory.
+    from the bytes, so ``times``, ``x`` and ``v`` are allocated once and filled
+    a chunk of rows at a time: the read holds one copy of the trajectory.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("latin-1")
@@ -925,7 +966,7 @@ def read_trajectory_csv(path) -> Trajectory:
                 or trajectory_columns(n_agents, dim) != names):
             raise ScenarioError(f"{path}: not a trajectory CSV (header starts {names[:2]})")
         start = fh.tell()
-        n_rows = sum(map(_is_data_line, fh))
+        n_rows = _count_data_lines(fh)
         if n_rows == 0:
             raise ScenarioError(f"{path}: trajectory CSV has no data rows")
         fh.seek(start)

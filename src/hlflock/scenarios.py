@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .integrator import Trajectory, write_trajectory_csv
+from .integrator import Trajectory, _state_arrays, write_trajectory_csv
 from .model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                     LeadershipDag, Potential, Scenario, ScenarioError,
                     _fields_of, _integer, _real, _reals)
@@ -146,7 +146,8 @@ class GeneratorSpec:
     drawn from the listed ranges; the step is tied to the delay span so the
     window is always ``delay_steps`` steps wide.
 
-    Every field is read on construction: a malformed one is a
+    Every field is read on construction: a malformed one, or an ``n_agents``
+    and ``dim`` whose shortest run cannot be allocated, is a
     :class:`ScenarioError` that names it, and the ranges and choices are kept
     as tuples.
     """
@@ -187,6 +188,16 @@ class GeneratorSpec:
             raise ScenarioError(f"kernel_shapes must be a non-empty list of "
                                 f"{DelayKernel.BUILTIN_SHAPES}, got {shapes!r}")
         put("kernel_shapes", tuple(shapes))
+        # The shortest run the spec draws (tau at tau_range[1]) must be
+        # allocatable, so an absurd size fails here, not while `generate`
+        # builds the hierarchy agent by agent. A span of more steps than a
+        # float holds fails in `generate`, so it is checked at the fewest.
+        fewest = self.sim_span / (self.tau_range[1] / self.delay_steps)
+        steps = math.ceil(fewest) if math.isfinite(fewest) else self.delay_steps
+        rows = self.delay_steps + max(self.delay_steps, steps) + 1
+        _state_arrays((rows, self.n_agents, self.dim),
+                      f"n_agents = {self.n_agents}, dim = {self.dim} and sim_span = "
+                      f"{self.sim_span} give runs of at least {rows} states")
 
 
 def _topology_dag(spec: GeneratorSpec, rng: _Generator) -> LeadershipDag:

@@ -435,15 +435,16 @@ class TestFitDecayCommand:
         assert exc.value.code == 2
         assert not (tmp_path / "fit").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--dt", "0.5"), ("--t-end", "1"),
-                                            ("--seed", "3")])
-    def test_scenario_overrides_with_traj_are_usage_error(self, tmp_path, capsys,
-                                                          flag, value):
+    # scenario overrides, and windows that are not finite with T_A < T_B
+    @pytest.mark.parametrize("args", [("--dt", "0.5"), ("--t-end", "1"), ("--seed", "3"),
+                                      ("--window", "5", "3"), ("--window", "2", "2"),
+                                      ("--window", "nan", "3"), ("--window", "0", "inf"),
+                                      ("--window", "1e400", "1e401")], ids=" ".join)
+    def test_bad_options_with_traj_are_usage_error(self, tmp_path, capsys, args):
         csv_path = self.planted_csv(tmp_path / "planted.csv", np.linspace(0.0, 3.0, 301))
         out = tmp_path / "fit"
-        assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out),
-                     flag, value]) == 2
-        assert flag in capsys.readouterr().err
+        assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out), *args]) == 2
+        assert args[0] in capsys.readouterr().err
         assert not out.exists()
 
     def test_decay_fit_csv_matches_savetxt(self, tmp_path):
@@ -583,14 +584,15 @@ class TestSweepCommand:
                 assert (out / name / f).read_bytes() == (ref / name / f).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["check", "sweep"])
-@pytest.mark.parametrize("count", ["0", "-2"])
-def test_count_below_one_is_usage_error(tmp_path, capsys, command, count):
+@pytest.mark.parametrize("command,flag", [("check", "--count"), ("sweep", "--count"),
+                                          ("sweep", "--workers")])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_count_or_workers_below_one_is_usage_error(tmp_path, capsys, command, flag, value):
     path = tmp_path / "gen.json"
     path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 2}}))
     out = tmp_path / "o"
-    assert main([command, "--scenario", str(path), "--out", str(out), "--count", count]) == 2
-    assert "--count" in capsys.readouterr().err
+    assert main([command, "--scenario", str(path), "--out", str(out), flag, value]) == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -612,6 +614,22 @@ def test_huge_agent_count_fails_fast(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 1.0
     assert "n_agents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", [1.0, 1e308])
+@pytest.mark.parametrize("field", ["n_agents", "dim"])
+@pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
+def test_huge_generator_size_fails_fast(tmp_path, capsys, command, field, span):
+    # checked when the spec is read, before the hierarchy is built or a value is
+    # drawn, also where the span has more steps than a float holds
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 3,
+                                              field: 10**9, "sim_span": span}}))
+    start = time.perf_counter()
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"{field} = 1000000000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("t_end", [1e14, 1e20])

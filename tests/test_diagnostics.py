@@ -110,14 +110,37 @@ def broadcast_diameter(arr):
 
 @st.composite
 def diameter_inputs(draw):
-    t, n, d = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    """Uniform draws over many magnitudes, and flock-like ones that the
+    diameter prunes: a tight cluster with a few outliers, agents on a sphere
+    round the centroid (every centroid distance ties), two distant clusters,
+    and a cluster scaled near 1e+-150 or into the subnormals. Then some agents
+    are made to coincide, and one value may be NaN or +-inf."""
+    t, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["uniform", "outliers", "sphere", "two_clusters", "extreme"]))
+    n = draw(st.integers(1, 40) if kind == "uniform" else st.integers(10, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lo, hi = sorted((draw(st.integers(-8, 8)), draw(st.integers(-8, 8))))
-    arr = rng.uniform(-1.0, 1.0, (t, n, d)) * 10.0 ** rng.integers(lo, hi + 1, (t, n, d))
+    # agents drift slowly from step to step, as a flock's states do
+    drift = 1e-3 * rng.normal(size=(t, n, d)).cumsum(axis=0)
+    if kind == "uniform":
+        lo, hi = sorted((draw(st.integers(-8, 8)), draw(st.integers(-8, 8))))
+        arr = rng.uniform(-1.0, 1.0, (t, n, d)) * 10.0 ** rng.integers(lo, hi + 1, (t, n, d))
+    elif kind == "sphere":
+        directions = rng.normal(size=(n, d))
+        arr = 3.0 + directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    elif kind == "two_clusters":
+        arr = 1e-2 * rng.normal(size=(n, d)) + drift
+        arr[: n // 2] += 10.0
+    else:
+        arr = 1e-3 * rng.normal(size=(n, d)) + drift
+        arr[:draw(st.integers(1, 3))] += rng.normal(size=d)
+        if kind == "extreme":
+            arr *= 10.0 ** draw(st.sampled_from([-320, -310, -160, -150, -147, 147, 150, 153]))
+    arr = np.array(np.broadcast_to(arr, (t, n, d)))
     for _ in range(draw(st.integers(0, 3))):          # coincident agents
         arr[:, rng.integers(n)] = arr[:, rng.integers(n)]
-    if draw(st.booleans()):
-        arr[rng.integers(t), rng.integers(n), rng.integers(d)] = np.nan
+    if draw(st.integers(0, 3)) == 0:
+        arr[rng.integers(t), rng.integers(n), rng.integers(d)] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
     return arr
 
 
@@ -139,7 +162,8 @@ class TestPairwiseDiameterMatchesAllPairs:
     @example(block_edge(1, 3, 2), 24)
     @example(block_edge(4, 5, 3), 12)
     def test_matches_broadcast_reference(self, arr, block_values):
-        with mock.patch.object(hlflock.diagnostics, "_BLOCK_VALUES", block_values):
+        with mock.patch.object(hlflock.diagnostics, "_BLOCK_VALUES", block_values), \
+                np.errstate(invalid="ignore"):
             got, ref = _pairwise_diameter(arr), broadcast_diameter(arr)
         nan = np.isnan(ref)
         assert np.array_equal(np.isnan(got), nan)
@@ -149,6 +173,100 @@ class TestPairwiseDiameterMatchesAllPairs:
             np.testing.assert_allclose(got[~nan], ref[~nan], rtol=1e-15, atol=0.0)
         if arr.shape[1] == 1:
             assert np.all(got[~nan] == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(diameter_inputs(), st.sampled_from([1, 24, 100, hlflock.diagnostics._BLOCK_VALUES]))
+    def test_pruned_sweep_equals_the_full_sweep(self, arr, block_values):
+        with mock.patch.object(hlflock.diagnostics, "_BLOCK_VALUES", block_values), \
+                np.errstate(invalid="ignore", over="ignore"):
+            got = _pairwise_diameter(arr)
+            with mock.patch.object(hlflock.diagnostics, "_kept_agents", lambda planes, best: None):
+                full = _pairwise_diameter(arr)
+        assert got.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_a_cluster_with_outliers_is_pruned_to_a_few_agents(self, d):
+        rng = np.random.default_rng(d)
+        arr = 1e-3 * rng.normal(size=(40, d)) + 1e-3 * rng.normal(size=(50, 40, d)).cumsum(axis=0)
+        arr[:, :3] += rng.normal(size=(3, d))
+        planes = np.ascontiguousarray(arr.transpose(2, 1, 0))
+        lower = np.zeros(50)
+        kept = hlflock.diagnostics._kept_agents(planes, lower)
+        assert kept is not None and kept.size <= 3
+        # the bound it keeps is a true pair distance at every step
+        diff = arr[:, :, None, :] - arr[:, None, :, :]
+        sq = np.einsum("tijd,tijd->tij", diff, diff).reshape(50, -1)
+        assert np.all((lower > 0) & (lower <= sq.max(axis=1) * (1 + 1e-15)))
+        with mock.patch.object(hlflock.diagnostics, "_kept_agents", lambda planes, best: None):
+            full = _pairwise_diameter(arr)
+        assert _pairwise_diameter(arr).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e151, 1e-151])
+    def test_blocks_that_cannot_be_pruned_safely_are_swept_whole(self, bad):
+        arr = np.random.default_rng(0).normal(size=(3, 20, 2))
+        arr[:, 0] += 5.0
+        planes = np.ascontiguousarray(arr.transpose(2, 1, 0))
+        kept_agents = hlflock.diagnostics._kept_agents
+        assert kept_agents(planes, np.zeros(3)) is not None
+        if abs(bad) < 1.0:          # a flock within 1e-150: squares could underflow
+            planes *= bad
+        else:
+            planes[0, 3, 1] = bad
+        assert kept_agents(planes, np.zeros(3)) is None
+        assert kept_agents(planes[:, :9], np.zeros(3)) is None     # too few agents
+
+    @pytest.mark.parametrize("shape", ["outliers", "polygon"])
+    def test_pruned_working_memory_is_within_the_whole_sweeps(self, shape):
+        # 2001 steps of a 200-agent flock in the plane: three outliers, which
+        # prune to a few agents, or a regular polygon, whose agents all tie
+        rng = np.random.default_rng(1)
+        arr = 1e-3 * rng.normal(size=(2001, 200, 2)).cumsum(axis=0) / 40
+        if shape == "outliers":
+            arr[:, :3] += [[1.0, 0.0], [-1.0, 0.5], [0.2, -1.0]]
+        else:
+            angles = 2 * np.pi * np.arange(200) / 200
+            arr = np.broadcast_to(np.column_stack([np.cos(angles), np.sin(angles)]),
+                                  arr.shape).copy()
+        kept = []
+        real = hlflock.diagnostics._kept_agents
+        peaks = {}
+        for name, prune in (("full", lambda planes, best: None),
+                            ("pruned", lambda *args: kept.append(real(*args)) or kept[-1])):
+            with mock.patch.object(hlflock.diagnostics, "_kept_agents", prune):
+                tracemalloc.start()
+                try:
+                    _pairwise_diameter(arr)
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        if shape == "outliers":
+            assert kept and all(k is not None and k.size < 20 for k in kept)
+        else:
+            assert kept and all(k is None for k in kept)
+        # one block's planes and two (N, steps) buffers, whatever T
+        block_bytes = 8 * hlflock.diagnostics._BLOCK_VALUES
+        assert peaks["pruned"] <= 1.01 * peaks["full"] < 3 * block_bytes
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_pair_just_above_the_pruning_bound_is_kept(self, seed):
+        # A cluster at the origin, an exact antipodal pair on the y axis, and
+        # the agent farthest from the centroid at (1 + eta, 0): its own pairs
+        # fall short of 2 by about eta, so the y-axis pair, whose bound
+        # r_i + r_rest exceeds LB by only about eta, must be kept.
+        rng = np.random.default_rng(seed)
+        eta = 10.0 ** rng.uniform(-9, -6)
+        cluster = 1e-3 * rng.normal(size=(4, 2))
+        pts = np.vstack([[[0.0, 1.0], [0.0, -1.0], [1.0 + eta, 0.0], [-1.0 + 2 * eta, 0.0]],
+                         cluster, -cluster])
+        turn = rng.uniform(0.0, 2 * np.pi)
+        arr = (pts @ np.array([[np.cos(turn), np.sin(turn)],
+                               [-np.sin(turn), np.cos(turn)]]))[None]
+        planes = np.ascontiguousarray(arr.transpose(2, 1, 0))
+        kept = hlflock.diagnostics._kept_agents(planes, np.zeros(1))
+        assert kept is not None and {0, 1} <= set(kept.tolist())
+        with mock.patch.object(hlflock.diagnostics, "_kept_agents", lambda planes, best: None):
+            full = _pairwise_diameter(arr)
+        assert _pairwise_diameter(arr).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 2, 5])

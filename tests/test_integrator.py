@@ -1,3 +1,4 @@
+import io
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hlflock.integrator
-from hlflock.integrator import (BlowUpError, Trajectory, _coupling, _decimal17,
-                                _format_rows, _Group,
+from hlflock.integrator import (BlowUpError, Trajectory, _count_data_lines, _coupling,
+                                _decimal17, _format_rows, _Group, _is_data_line,
                                 read_trajectory_csv, simulate, simulate_many,
                                 simulate_oracle, step_groups, trajectory_columns,
                                 write_trajectory_csv)
@@ -823,6 +824,27 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(back.times, table[:, 0])
         np.testing.assert_array_equal(back.x[..., 0], table[:, 1::2])
         np.testing.assert_array_equal(back.v[..., 0], table[:, 2::2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=40).map(lambda b: bytes(b"\n\r# 1,"[c % 6] for c in b)),
+           st.sampled_from([1, 2, 3, 7, hlflock.integrator._SCAN_BYTES]))
+    @example(b"\r", 1)
+    @example(b"1\n\r", 2)
+    @example(b"\n\n\r\n#\r\r\n", 3)
+    def test_row_count_is_the_lines_loadtxt_reads(self, body, scan_bytes):
+        with mock.patch.object(hlflock.integrator, "_SCAN_BYTES", scan_bytes):
+            count = _count_data_lines(io.BytesIO(body))
+        assert count == sum(map(_is_data_line, io.BytesIO(body)))
+
+    def test_rows_split_across_scan_blocks_read_as_one_pass(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x1_1,v1_1,x2_1,v2_1\n\n# c\n0,0,0,1,1\r\n\r\n0.1,0.5,0,1,1\n\r")
+        whole = read_trajectory_csv(path)
+        for scan_bytes in (1, 2, 5):
+            with mock.patch.object(hlflock.integrator, "_SCAN_BYTES", scan_bytes):
+                back = read_trajectory_csv(path)
+            assert back.times.tolist() == whole.times.tolist() == [0.0, 0.1]
+            np.testing.assert_array_equal(back.v, whole.v)
 
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
