@@ -61,7 +61,8 @@ class ConsensusSeries:
 
     Built from the positions (T, N, d) instead of ``position_diameter``, the
     position series is computed the first time it is read, so a caller that
-    reads only the velocity diameter never pays for it.
+    reads only the velocity diameter never pays for it. Built with neither,
+    reading it raises :class:`PreconditionError`.
     """
 
     def __init__(self, times: np.ndarray, velocity_diameter: np.ndarray,
@@ -75,6 +76,9 @@ class ConsensusSeries:
 
     @cached_property
     def position_diameter(self) -> np.ndarray:
+        if self._positions is None:
+            raise PreconditionError("the consensus series has no positions: it was built "
+                                    "with neither positions nor position_diameter")
         return _pairwise_diameter(self._positions)
 
 

@@ -16,9 +16,10 @@ Two schemes are provided on purpose:
   samples). The integrand's history-only factors, the potential on every
   edge and the leaders' velocities, are evaluated once per stored node and
   kept as flat rows in a doubled ring of 2(m+1) rows, so each window is one
-  contiguous slice, a coupling stage is a few flat numpy calls (weight,
-  multiply, a sequential sum over the window, a scatter per follower) and
-  the cache is O(m * edges * d) however long the run.
+  contiguous slice, a coupling stage is a few flat numpy calls (a
+  difference, a multiply fused into a sequential sum over the window, a
+  scatter per follower; the window is weighted once per step) and the cache
+  is O(m * edges * d) however long the run.
   :func:`simulate_many` steps a batch of scenarios of one (delay_steps, dim)
   as one disjoint flock: the same numpy calls advance all of them, each
   with its own step size, quadrature weights, potential and forcing, so a
@@ -120,8 +121,9 @@ class _NodeRing:
     of both is a spare that stays 0: it keeps every row at least two wide,
     which :func:`_coupling` relies on. Rows live in a doubled ring of 2L rows,
     L = m+1: node r sits in rows r % L and r % L + L, so the window of nodes
-    r..r+m is the contiguous (L, E*d+1) slice starting at row r % L. Memory
-    is O(m * E * d) whatever the horizon.
+    r..r+m is the contiguous (L, E*d+1) slice starting at row r % L. ``psi``
+    and ``vl`` are the two planes of ``rows``, so one copy fills both second
+    rows of a node. Memory is O(m * E * d) whatever the horizon.
 
     ``potential`` is a list of (potential, stop) pairs: the edges from the
     previous pair's stop up to ``stop`` use that potential, which is called
@@ -129,12 +131,18 @@ class _NodeRing:
     once). ``weights`` (L, E) holds the quadrature weight of each window
     position per edge; ``self.weights`` repeats it across a row, so that
     weighting a window is one elementwise product (a broadcast column is
-    slower). ``cols`` and
-    ``lead_cols`` hold the flat index fol*d + c and led*d + c of the follower
-    and leader coordinate that each column but the spare acts on,
-    ``col_edge`` the edge of each such column, and ``bins`` is ``cols`` with
-    the spare column sent to an extra bin N*d. ``vf``, ``rel`` and ``wpsi``
-    are the work buffers of :func:`_coupling`.
+    slower). ``cols`` and ``lead_cols`` hold the flat index fol*d + c and
+    led*d + c of the follower and leader coordinate that each column but the
+    spare acts on, ``pair_cols`` both as two rows, ``col_edge`` the edge of
+    each such column, and ``bins`` is ``cols`` with the spare column sent to
+    an extra bin N*d. ``dp``, ``vf``, ``rel`` and ``wpsi`` are work buffers.
+
+    ``wpsi`` holds the weighted window w * psi of the window that starts at
+    node ``wpsi_first`` (see :meth:`weighted_psi`). A step's corrector and the
+    next step's predictor read the same window, in which only the newest node
+    is stored again (the predicted state, then the corrected one), so each
+    Heun step weights one whole window and one row. Each entry is the same
+    single product whenever it is computed, so reusing it changes no bit.
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
@@ -145,46 +153,112 @@ class _NodeRing:
         stops = [stop for _, stop in potential]
         self.pieces = [(p, slice(start, stop)) for (p, stop), start in zip(potential, [0] + stops)]
         self.psi_edges = np.empty(fol.size)
-        # explicit, since a lone agent has E = 0 edges
-        self.edge_shape = (fol.size, dim)
         width = fol.size * dim + 1
         self.cols = (fol[:, None] * dim + np.arange(dim)).ravel()
         self.lead_cols = (led[:, None] * dim + np.arange(dim)).ravel()
+        self.pair_cols = np.stack([self.cols, self.lead_cols])
+        self.pair_x = np.empty(self.pair_cols.shape)
+        # explicit, since a lone agent has E = 0 edges
+        self.dp = np.empty((fol.size, dim))
         self.col_edge = np.repeat(np.arange(fol.size), dim)
         self.bins = np.append(self.cols, n_agents * dim)
-        self.psi = np.zeros((2 * size, width))
-        self.vl = np.zeros((2 * size, width))
+        self.rows = np.zeros((2, 2 * size, width))
+        self.psi, self.vl = self.rows
         self.weights = np.zeros((size, width))
         self.weights[:, :-1] = weights[:, self.col_edge]
         self.vf = np.zeros(width)
         self.vf_cols = self.vf[:-1]
         self.rel = np.empty((size, width))
         self.wpsi = np.empty((size, width))
+        self.wpsi_first: int | None = None
         for node in range(size):
             self.store(node, xw[node], vw[node])
 
     def store(self, node: int, x: np.ndarray, v: np.ndarray) -> None:
         """Fill both rows of window node ``node`` from its state x, v (N, d)."""
         row = node % self.size
-        x, v = x.ravel(), v.ravel()
-        dp = (x.take(self.cols) - x.take(self.lead_cols)).reshape(self.edge_shape)
-        dist = np.sqrt(np.einsum("ef,ef->e", dp, dp))
+        # in-range indices by construction; "clip" writes straight into the buffer
+        x.take(self.pair_cols, out=self.pair_x, mode="clip")
+        np.subtract(self.pair_x[0], self.pair_x[1], out=self.dp.reshape(-1))
+        dist = np.sqrt(np.einsum("ef,ef->e", self.dp, self.dp))
         if self.potential is not None:
             psi = self.potential(dist)
         else:
             psi = self.psi_edges
             for potential, edges in self.pieces:
                 psi[edges] = potential(dist[edges])
-        # in-range indices by construction; "clip" writes straight into the row
         psi.take(self.col_edge, out=self.psi[row, :-1], mode="clip")
         v.take(self.lead_cols, out=self.vl[row, :-1], mode="clip")
-        self.psi[row + self.size] = self.psi[row]
-        self.vl[row + self.size] = self.vl[row]
+        self.rows[:, row + self.size] = self.rows[:, row]
 
     def clear(self, cols: slice) -> None:
-        """Zero the columns ``cols`` of every stored node: their edges add 0."""
-        self.psi[:, cols] = 0.0
-        self.vl[:, cols] = 0.0
+        """Zero the columns ``cols`` of every stored node: their edges add 0.
+        The weighted window is dropped, since it may hold them non-finite."""
+        self.rows[:, :, cols] = 0.0
+        self.wpsi_first = None
+
+    def weighted_psi(self, first: int) -> np.ndarray:
+        """``wpsi`` filled with weights * psi over the window of nodes
+        first..first+m. A call with the previous call's ``first`` recomputes
+        only the newest row: between two such calls the stepper stores no
+        node but the newest again."""
+        lo = first % self.size
+        if first == self.wpsi_first:
+            np.multiply(self.weights[-1], self.psi[lo + self.size - 1], out=self.wpsi[-1])
+        else:
+            np.multiply(self.weights, self.psi[lo:lo + self.size], out=self.wpsi)
+            self.wpsi_first = first
+        return self.wpsi
+
+
+def _explicit_window_sum(rel: np.ndarray, wpsi: np.ndarray) -> np.ndarray:
+    """The window sum of ``rel * wpsi`` (L, W), written out: the products in
+    place in ``rel``, then an axis-0 reduce, which over a C-contiguous array
+    of at least two columns adds whole rows in order to +0.0."""
+    rel *= wpsi
+    return np.add.reduce(rel, axis=0)
+
+
+def _fused_window_sum(rel: np.ndarray, wpsi: np.ndarray) -> np.ndarray:
+    """The window sum of ``rel * wpsi`` (L, W) in one pass: einsum steps over
+    the rows in order and, at every column, adds the rounded product to the
+    running sum, which starts at +0.0 (when built without FMA contraction)."""
+    return np.einsum("ij,ij->j", rel, wpsi)
+
+
+def _window_sum_probes() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rel, wpsi) windows whose sums tell the row-ordered sum of rounded
+    products apart from a fused multiply-add, a reversed order and a blocked
+    (pairwise or several-accumulator) order, at widths 2 to 259."""
+    e = 2.0 ** -30
+    rel, wpsi = np.zeros((33, 3)), np.ones((33, 3))
+    # (1+e)^2 rounds to 1+2e, so the sum is 0; a fused multiply-add keeps e^2
+    rel[:2, 0] = -(1 + 2 * e), 1 + e
+    wpsi[1, 0] = 1 + e
+    # 1e16 - 1e16 + 1 is 1 in order; reversed, the 1 is lost against -1e16
+    rel[:3, 1] = 1e16, -1e16, 1.0
+    # in order each 1 is lost against 1e16, so the sum is 0; blocks keep them
+    rel[:, 2] = 1.0
+    rel[0, 2], rel[-1, 2] = 1e16, -1e16
+    for width in (2, 3, 8, 65, 259):
+        reps = -(-width // 3)
+        yield (np.ascontiguousarray(np.tile(rel, reps)[:, :width]),
+               np.ascontiguousarray(np.tile(wpsi, reps)[:, :width]))
+
+
+def _checked_window_sum(candidate: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """``candidate`` if it sums every probe window of :func:`_window_sum_probes`
+    bit for bit as :func:`_explicit_window_sum`, else the explicit form: a
+    numpy built to contract einsum's multiply-add to FMA, or to reorder it,
+    must not change the last bits of a run."""
+    for rel, wpsi in _window_sum_probes():
+        want = _explicit_window_sum(rel.copy(), wpsi)
+        if candidate(rel.copy(), wpsi).tobytes() != want.tobytes():
+            return _explicit_window_sum
+    return candidate
+
+
+_window_sum = _checked_window_sum(_fused_window_sum)
 
 
 def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
@@ -196,23 +270,30 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
     Each term is (w_k * psi_k) * (v_L,k - v_F) for window row k. The terms
     are added over the window in node order, then per follower in edge order
     starting from +0.0: the arithmetic of a direct sum over the window, so
-    the output is bit-identical to recomputing it. The sum must stay
-    sequential for that; a reassociated form such as sum(w psi v_L) -
-    sum(w psi) v_F, a BLAS dot or a pairwise sum rounds differently. An
-    axis-0 reduce over the C-contiguous (L, E*d+1) window adds whole rows in
-    order, but numpy turns a reduce over a single column into a pairwise sum;
-    the spare column rules that out. ``bincount`` adds in input order; the
-    spare column goes to a spare bin, so its input is never empty (on an
-    empty input it returns integers).
+    the output is bit-identical to recomputing it. A stage makes two passes
+    over the (L, E*d+1) window: the difference to the follower's velocity,
+    then the multiply fused into the row-ordered sum (:func:`_window_sum`);
+    the weights w_k * psi_k come from :meth:`_NodeRing.weighted_psi`, one
+    whole window per step. Every rounding stays where it was: each product is
+    rounded, then added to its column's running sum, row by row.
+
+    The sum must stay sequential for that; a reassociated form such as
+    sum(w psi v_L) - sum(w psi) v_F, a BLAS dot or a pairwise sum rounds
+    differently. Over a C-contiguous window both the einsum and an axis-0
+    reduce step through whole rows in order, but over a single column numpy
+    iterates down the column and sums it pairwise (the reduce) or in several
+    accumulators (the einsum); the spare column rules that out. A numpy
+    whose einsum contracts the multiply-add to one FMA rounds once instead of
+    twice, so :func:`_checked_window_sum` falls back to the explicit form
+    there. ``bincount`` adds in input order; the spare column goes to a
+    spare bin, so its input is never empty (on an empty input it returns
+    integers).
     """
     lo = first % ring.size
-    window = slice(lo, lo + ring.size)
     # in-range indices by construction; "clip" writes straight into the buffer
     v_now.take(ring.cols, out=ring.vf_cols, mode="clip")
-    rel = np.subtract(ring.vl[window], ring.vf, out=ring.rel)
-    np.multiply(ring.weights, ring.psi[window], out=ring.wpsi)
-    rel *= ring.wpsi
-    sums = np.add.reduce(rel, axis=0)
+    rel = np.subtract(ring.vl[lo:lo + ring.size], ring.vf, out=ring.rel)
+    sums = _window_sum(rel, ring.weighted_psi(first))
     return np.bincount(ring.bins, weights=sums)[:-1].reshape(v_now.shape)
 
 
@@ -588,6 +669,12 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     nd = n_agents * dim
     pbase = n_edges * dim                     # offset of psi in a node row
     nq = pbase + n_edges
+    # the ring's m2+1 rows of x, v and node values as Python floats, each an
+    # 8-byte list slot and a 24-byte float; checked before anything is sampled
+    need = 32 * (m2 + 1) * (2 * nd + nq)
+    if need > _physical_memory():
+        raise ScenarioError(f"refinement = {refinement!r}: the oracle's window ring of {m2 + 1} "
+                            f"rows needs {need} bytes, more than can be allocated")
 
     hist_s = (np.arange(m2 + 1) - m2) * h2
     xs0, vs0 = scenario.history.sample(hist_s)

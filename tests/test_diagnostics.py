@@ -69,6 +69,13 @@ class TestConsensusSeries:
         np.testing.assert_array_equal(ser.position_diameter, _pairwise_diameter(traj.x))
         assert len(calls) == 2
 
+    def test_position_diameter_without_positions_is_a_precondition_error(self):
+        t = np.linspace(0.0, 1.0, 5)
+        ser = ConsensusSeries(times=t, velocity_diameter=np.ones_like(t))
+        np.testing.assert_array_equal(ser.velocity_diameter, np.ones_like(t))
+        with pytest.raises(PreconditionError, match="no positions"):
+            ser.position_diameter
+
     def test_consensus_data_has_zero_diameter(self):
         v = np.full((5, 3, 2), 1.5)
         ser = consensus_series(synthetic_traj(np.arange(5.0), np.zeros((5, 3, 2)), v))

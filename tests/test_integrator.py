@@ -1,7 +1,9 @@
 import io
+import math
 import pickle
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -11,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hlflock.integrator
-from hlflock.integrator import (BlowUpError, Trajectory, _count_data_lines, _coupling,
-                                _decimal17, _format_rows, _Group, _is_data_line,
+from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum,
+                                _count_data_lines, _coupling, _decimal17,
+                                _explicit_window_sum, _format_rows, _Group, _is_data_line,
                                 read_trajectory_csv, simulate, simulate_many,
                                 simulate_oracle, step_groups, trajectory_columns,
                                 write_trajectory_csv)
@@ -258,6 +261,21 @@ class TestOracle:
         with pytest.raises(ScenarioError):
             simulate_oracle(two_agent(), 0)
 
+    @pytest.mark.parametrize("refinement", [10**9, 10**15])
+    def test_oversized_refinement_fails_fast_naming_it(self, refinement):
+        # a window ring of m * refinement + 1 rows, larger than physical memory, is
+        # refused before the history is sampled
+        scen = load_scenario(Path(__file__).resolve().parents[1]
+                             / "perfbench" / "specs" / "sweep_chain.json")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=rf"^refinement = {refinement}:"):
+                simulate_oracle(scen, refinement)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("t_end", [1e14, 1e20])
     def test_trajectory_too_large_to_allocate_names_t_end(self, t_end):
         scen = two_agent(t_end=t_end)
@@ -469,6 +487,100 @@ class TestNodeCacheMatchesWindowRecompute:
 
 
 # ---------------------------------------------------------------------------
+# The window sum: rounded products added row by row
+# ---------------------------------------------------------------------------
+
+def _rows_added_in_order(rel, wpsi):
+    """The window sum written out: every product rounded, then the rows added
+    one at a time to a running sum that starts at +0.0."""
+    products = rel * wpsi
+    acc = np.zeros(rel.shape[1])
+    for row in products:
+        acc += row
+    return acc
+
+
+def _fused_multiply_add(rel, wpsi):
+    """The rows added in order with one rounding per row, as an FMA does."""
+    acc = [0.0] * rel.shape[1]
+    for rel_row, wpsi_row in zip(rel.tolist(), wpsi.tolist()):
+        acc = [float(Fraction(a) + Fraction(r) * Fraction(w))
+               for a, r, w in zip(acc, rel_row, wpsi_row)]
+    return np.array(acc)
+
+
+def _rows_added_in_reverse(rel, wpsi):
+    return _rows_added_in_order(rel[::-1], wpsi[::-1])
+
+
+def _pairwise_per_column(rel, wpsi):
+    return np.ascontiguousarray((rel * wpsi).T).sum(axis=1)
+
+
+def assert_same_bits(got, want):
+    """Bitwise equal, except that a NaN matches any NaN: which operand's
+    payload NaN + NaN keeps is not fixed, and a NaN ends its scenario."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+                   1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                   1e16, -1e16, 1.0]
+
+
+@st.composite
+def windows(draw):
+    """A (rel, wpsi) pair of windows, 1..60 rows by 2..300 columns: normals
+    scaled by 1e-20..1e20, a drawn share of them replaced by drawn floats,
+    the special values included."""
+    shape = (draw(st.integers(1, 60)), draw(st.integers(2, 300)))
+    pool = np.array(draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats()),
+                                  min_size=1, max_size=8)))
+    share = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def window():
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        picked = rng.random(shape) < share
+        values[picked] = rng.choice(pool, size=int(picked.sum()))
+        return values
+
+    return window(), window()
+
+
+class TestWindowSum:
+    # _reference_simulate sums with einsum too, so it cannot tell whether this
+    # numpy's einsum rounds each product before adding it, row by row
+    @settings(max_examples=150, deadline=None)
+    @given(window=windows())
+    def test_is_the_rounded_products_added_row_by_row(self, window):
+        rel, wpsi = window
+        with np.errstate(all="ignore"):
+            want = _rows_added_in_order(rel, wpsi)
+            for window_sum in (hlflock.integrator._window_sum, _explicit_window_sum):
+                assert_same_bits(window_sum(rel.copy(), wpsi), want)
+
+    @pytest.mark.parametrize("other", [_fused_multiply_add, _rows_added_in_reverse,
+                                       _pairwise_per_column])
+    def test_a_sum_that_rounds_otherwise_falls_back_to_the_explicit_form(self, other):
+        assert _checked_window_sum(other) is _explicit_window_sum
+
+    def test_the_rows_added_in_order_pass_the_probes(self):
+        assert _checked_window_sum(_rows_added_in_order) is _rows_added_in_order
+
+    @pytest.mark.parametrize("seed,dim,m,kernel_shape", [(2, 3, 10, "table"),
+                                                         (9, 1, 40, "triangular")])
+    def test_the_explicit_form_steps_the_same_run(self, seed, dim, m, kernel_shape):
+        # the fallback is what a numpy with a contracting einsum steps with
+        scen = _random_scenario(seed, dim, m, kernel_shape, Potential.cucker_smale(0.5), True)
+        with mock.patch.object(hlflock.integrator, "_window_sum", _explicit_window_sum):
+            explicit = simulate(scen)
+        assert_same_trajectory(explicit, simulate(scen))
+
+
+# ---------------------------------------------------------------------------
 # Batches: simulate_many
 # ---------------------------------------------------------------------------
 
@@ -557,6 +669,33 @@ class TestSimulateMany:
         assert (err.t, err.agent, err.last_finite_t) == (
             alone.value.t, alone.value.agent, alone.value.last_finite_t)
         for k in (0, 2, 3):
+            assert_same_trajectory(got[k], simulate(batch[k]))
+
+    def test_a_blown_up_scenario_adds_exactly_zero_afterwards(self):
+        # Positions 1e200 apart are finite, but their distance overflows to inf,
+        # where psi(s) = 1 - s/(1 + s) is NaN: the hot scenario blows up on its
+        # first step with NaN in every row of its weighted window. Cleared, its
+        # columns must add +0.0 from then on; weights cached from before the
+        # clear would add NaN * 0 and blow it up again at every step.
+        hot = replace(two_agent(x0=((0.0,), (1e200,)), t_end=1.0),
+                      potential=Potential.custom(lambda s: 1.0 - s / (1.0 + s)))
+        calm = _batch_scenario(3, 1, 10, 0.01, 300, "triangular",
+                               Potential.cucker_smale(0.5), True, 4)
+        other = _batch_scenario(4, 1, 10, 0.02, 150, "uniform", Potential.cucker_smale(0.25),
+                                False, 3)
+        batch = [calm, hot, other]
+        assert len(list(step_groups(batch))) == 1
+        # the window's first rows are filled before stepping starts, where
+        # inf / inf still warns
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(BlowUpError) as alone:
+                simulate(hot)
+            with mock.patch.object(_Group, "blow_up", autospec=True,
+                                   side_effect=_Group.blow_up) as blow_up:
+                got = simulate_many(batch)
+        assert blow_up.call_count == 1
+        assert isinstance(got[1], BlowUpError) and str(got[1]) == str(alone.value)
+        for k in (0, 2):
             assert_same_trajectory(got[k], simulate(batch[k]))
 
     def test_blow_up_pickles(self):
