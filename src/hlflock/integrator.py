@@ -15,11 +15,12 @@ Two schemes are provided on purpose:
   an integer number of steps, so quadrature nodes coincide with stored
   samples). The integrand's history-only factors, the potential on every
   edge and the leaders' velocities, are evaluated once per stored node and
-  kept as flat rows in a doubled ring of 2(m+1) rows, so each window is one
-  contiguous slice, a coupling stage is a few flat numpy calls (a
-  difference, a multiply fused into a sequential sum over the window, a
-  scatter per follower; the window is weighted once per step) and the cache
-  is O(m * edges * d) however long the run.
+  kept in a ring of m+1 rows, one row per node: psi once per edge, the
+  velocities once per edge and coordinate. A coupling stage is a few numpy
+  calls (a difference, a multiply fused into a sequential sum over the
+  window, a scatter per follower; the window is weighted once per step), and
+  the ring with its work buffers holds (m+1)(E+1)(2d+3) doubles for E edges
+  in d dimensions, however long the run.
   :func:`simulate_many` steps a batch of scenarios of one (delay_steps, dim)
   as one disjoint flock: the same numpy calls advance all of them, each
   with its own step size, quadrature weights, potential and forcing, so a
@@ -114,35 +115,43 @@ class _NodeRing:
 
     The integrand at a stored node s is w(s) * psi(|x_i(s) - x_j(s)|) *
     (v_j(s) - v_i(now)): only the follower's current velocity changes between
-    Heun stages. Each node therefore gets one flat row per factor, filled once
-    when the node is stored: ``psi`` holds psi on every edge repeated per
-    coordinate, ``vl`` the gathered leader velocities, both edge-major with
-    E*d+1 columns, column e*d+c for edge e and coordinate c. The last column
-    of both is a spare that stays 0: it keeps every row at least two wide,
-    which :func:`_coupling` relies on. Rows live in a doubled ring of 2L rows,
-    L = m+1: node r sits in rows r % L and r % L + L, so the window of nodes
-    r..r+m is the contiguous (L, E*d+1) slice starting at row r % L. ``psi``
-    and ``vl`` are the two planes of ``rows``, so one copy fills both second
-    rows of a node. Memory is O(m * E * d) whatever the horizon.
+    Heun stages. Each node therefore gets one row per factor, filled once when
+    the node is stored: ``psi`` (L, E+1) holds psi on every edge, ``vl``
+    (L, d, E+1) the gathered leader velocities, coordinate-major, so entry
+    [r, c, e] is coordinate c of edge e's leader. Column E is a spare that
+    belongs to no edge: its psi and weight stay 0, so whatever velocity it
+    gathers (coordinate 0 of the first agent) it only adds to a bin that is
+    dropped. It keeps every row at least two wide, which :func:`_coupling`
+    relies on, and lets each gather fill whole rows. The ring holds L = m+1
+    rows: node r sits in row r % L, so the window of nodes r..r+m is rows
+    r % L..L-1 followed by rows 0..r % L - 1.
 
     ``potential`` is a list of (potential, stop) pairs: the edges from the
     previous pair's stop up to ``stop`` use that potential, which is called
     once per node on those edges only (a single potential on all edges at
-    once). ``weights`` (L, E) holds the quadrature weight of each window
-    position per edge; ``self.weights`` repeats it across a row, so that
-    weighting a window is one elementwise product (a broadcast column is
-    slower). ``cols`` and ``lead_cols`` hold the flat index fol*d + c and
-    led*d + c of the follower and leader coordinate that each column but the
-    spare acts on, ``pair_cols`` both as two rows, ``col_edge`` the edge of
-    each such column, and ``bins`` is ``cols`` with the spare column sent to
-    an extra bin N*d. ``dp``, ``vf``, ``rel`` and ``wpsi`` are work buffers.
+    once). ``weights`` (L, E+1) holds the quadrature weight of each window
+    position per edge. ``pair_cols`` holds the flat indices fol*d + c and
+    led*d + c of each edge's two agents, edge-major, for the distances;
+    ``fol_cols`` and ``lead_cols`` (d, E+1) hold fol*d + c and led*d + c
+    coordinate-major, for the gathers, and ``bins`` is ``fol_cols`` flat with
+    the spare column sent to an extra bin N*d. ``dp``, ``vf``, ``rel`` and
+    ``wpsi`` are work buffers. ``vl_rows``, ``rel_rows`` and ``vf_row`` view
+    ``vl``, ``rel`` and ``vf`` as one flat row per node for the elementwise
+    difference, ``wpsi_rows`` views ``wpsi`` as (L, E+1), and ``psi_edges``
+    is ``psi`` without its spare column.
 
-    ``wpsi`` holds the weighted window w * psi of the window that starts at
-    node ``wpsi_first`` (see :meth:`weighted_psi`). A step's corrector and the
-    next step's predictor read the same window, in which only the newest node
-    is stored again (the predicted state, then the corrected one), so each
-    Heun step weights one whole window and one row. Each entry is the same
-    single product whenever it is computed, so reusing it changes no bit.
+    ``wpsi`` (L, 1, E+1) holds the weighted window w * psi of the window that
+    starts at node ``wpsi_first`` (see :meth:`weighted_psi`). A step's
+    corrector and the next step's predictor read the same window, in which
+    only the newest node is stored again (the predicted state, then the
+    corrected one), so each Heun step weights one whole window and one row.
+    Each entry is the same single product whenever it is computed, so reusing
+    it changes no bit.
+
+    No buffer that holds psi repeats it per coordinate, and no row is stored
+    twice: the ring and its work buffers take (m+1)(E+1)(2d+3) doubles
+    (``psi``, ``weights``, ``wpsi``, then ``vl`` and ``rel``) whatever the
+    horizon, besides arrays of O(E * d) per edge.
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
@@ -152,49 +161,52 @@ class _NodeRing:
         self.potential = potential[0][0] if len(potential) == 1 else None
         stops = [stop for _, stop in potential]
         self.pieces = [(p, slice(start, stop)) for (p, stop), start in zip(potential, [0] + stops)]
-        self.psi_edges = np.empty(fol.size)
-        width = fol.size * dim + 1
-        self.cols = (fol[:, None] * dim + np.arange(dim)).ravel()
-        self.lead_cols = (led[:, None] * dim + np.arange(dim)).ravel()
-        self.pair_cols = np.stack([self.cols, self.lead_cols])
+        coords = np.arange(dim)
+        self.pair_cols = np.stack([(fol[:, None] * dim + coords).ravel(),
+                                   (led[:, None] * dim + coords).ravel()])
         self.pair_x = np.empty(self.pair_cols.shape)
         # explicit, since a lone agent has E = 0 edges
         self.dp = np.empty((fol.size, dim))
-        self.col_edge = np.repeat(np.arange(fol.size), dim)
-        self.bins = np.append(self.cols, n_agents * dim)
-        self.rows = np.zeros((2, 2 * size, width))
-        self.psi, self.vl = self.rows
-        self.weights = np.zeros((size, width))
-        self.weights[:, :-1] = weights[:, self.col_edge]
-        self.vf = np.zeros(width)
-        self.vf_cols = self.vf[:-1]
-        self.rel = np.empty((size, width))
-        self.wpsi = np.empty((size, width))
+        self.pair_fol, self.pair_led = self.pair_x
+        self.dp_flat = self.dp.ravel()
+        spare = np.zeros((dim, 1), np.intp)
+        self.fol_cols = np.append(fol * dim + coords[:, None], spare, axis=1)
+        self.lead_cols = np.append(led * dim + coords[:, None], spare, axis=1)
+        self.bins = np.append(self.fol_cols[:, :-1], spare + n_agents * dim, axis=1).ravel()
+        self.weights = weights
+        self.psi = np.zeros((size, fol.size + 1))
+        self.psi_edges = self.psi[:, :-1]
+        self.vl = np.zeros((size, dim, fol.size + 1))
+        self.vf = np.zeros((dim, fol.size + 1))
+        self.rel = np.empty(self.vl.shape)
+        self.wpsi = np.empty((size, 1, fol.size + 1))
+        self.vl_rows, self.rel_rows = self.vl.reshape(size, -1), self.rel.reshape(size, -1)
+        self.vf_row, self.wpsi_rows = self.vf.reshape(-1), self.wpsi[:, 0]
         self.wpsi_first: int | None = None
         for node in range(size):
             self.store(node, xw[node], vw[node])
 
     def store(self, node: int, x: np.ndarray, v: np.ndarray) -> None:
-        """Fill both rows of window node ``node`` from its state x, v (N, d)."""
+        """Fill the row of window node ``node`` from its state x, v (N, d)."""
         row = node % self.size
         # in-range indices by construction; "clip" writes straight into the buffer
         x.take(self.pair_cols, out=self.pair_x, mode="clip")
-        np.subtract(self.pair_x[0], self.pair_x[1], out=self.dp.reshape(-1))
+        np.subtract(self.pair_fol, self.pair_led, out=self.dp_flat)
         dist = np.sqrt(np.einsum("ef,ef->e", self.dp, self.dp))
+        psi = self.psi_edges[row]
         if self.potential is not None:
-            psi = self.potential(dist)
+            psi[...] = self.potential(dist)
         else:
-            psi = self.psi_edges
             for potential, edges in self.pieces:
                 psi[edges] = potential(dist[edges])
-        psi.take(self.col_edge, out=self.psi[row, :-1], mode="clip")
-        v.take(self.lead_cols, out=self.vl[row, :-1], mode="clip")
-        self.rows[:, row + self.size] = self.rows[:, row]
+        v.take(self.lead_cols, out=self.vl[row], mode="clip")
 
-    def clear(self, cols: slice) -> None:
-        """Zero the columns ``cols`` of every stored node: their edges add 0.
-        The weighted window is dropped, since it may hold them non-finite."""
-        self.rows[:, :, cols] = 0.0
+    def clear(self, edges: slice) -> None:
+        """Zero the edges ``edges`` of every stored node, in every coordinate:
+        they add 0. The weighted window is dropped, since it may hold them
+        non-finite."""
+        self.psi[:, edges] = 0.0
+        self.vl[:, :, edges] = 0.0
         self.wpsi_first = None
 
     def weighted_psi(self, first: int) -> np.ndarray:
@@ -203,33 +215,41 @@ class _NodeRing:
         only the newest row: between two such calls the stepper stores no
         node but the newest again."""
         lo = first % self.size
+        wpsi = self.wpsi_rows
         if first == self.wpsi_first:
-            np.multiply(self.weights[-1], self.psi[lo + self.size - 1], out=self.wpsi[-1])
+            # the newest node, first+m, is in the row before lo
+            np.multiply(self.weights[-1], self.psi[lo - 1], out=wpsi[-1])
         else:
-            np.multiply(self.weights, self.psi[lo:lo + self.size], out=self.wpsi)
+            n = self.size - lo
+            np.multiply(self.weights[:n], self.psi[lo:], out=wpsi[:n])
+            if lo:
+                np.multiply(self.weights[n:], self.psi[:lo], out=wpsi[n:])
             self.wpsi_first = first
         return self.wpsi
 
 
 def _explicit_window_sum(rel: np.ndarray, wpsi: np.ndarray) -> np.ndarray:
-    """The window sum of ``rel * wpsi`` (L, W), written out: the products in
-    place in ``rel``, then an axis-0 reduce, which over a C-contiguous array
-    of at least two columns adds whole rows in order to +0.0."""
+    """The window sum of ``rel * wpsi`` over axis 0, written out: the products
+    in place in ``rel`` (L, ...), ``wpsi`` broadcast against it, then an
+    axis-0 reduce, which over a C-contiguous array whose rows hold at least two
+    values adds whole rows in order to +0.0."""
     rel *= wpsi
     return np.add.reduce(rel, axis=0)
 
 
 def _fused_window_sum(rel: np.ndarray, wpsi: np.ndarray) -> np.ndarray:
-    """The window sum of ``rel * wpsi`` (L, W) in one pass: einsum steps over
-    the rows in order and, at every column, adds the rounded product to the
-    running sum, which starts at +0.0 (when built without FMA contraction)."""
-    return np.einsum("ij,ij->j", rel, wpsi)
+    """The window sum of ``rel * wpsi`` over axis 0 in one pass: einsum steps
+    over the rows in order and, at every entry, adds the rounded product to
+    the running sum, which starts at +0.0 (when built without FMA
+    contraction)."""
+    return np.einsum("i...,i...->...", rel, wpsi)
 
 
 def _window_sum_probes() -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(rel, wpsi) windows whose sums tell the row-ordered sum of rounded
     products apart from a fused multiply-add, a reversed order and a blocked
-    (pairwise or several-accumulator) order, at widths 2 to 259."""
+    (pairwise or several-accumulator) order, at widths 2 to 259: (L, W)
+    windows, then the stepper's (L, d, W) by (L, 1, W) windows for d = 1..3."""
     e = 2.0 ** -30
     rel, wpsi = np.zeros((33, 3)), np.ones((33, 3))
     # (1+e)^2 rounds to 1+2e, so the sum is 0; a fused multiply-add keeps e^2
@@ -240,10 +260,13 @@ def _window_sum_probes() -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # in order each 1 is lost against 1e16, so the sum is 0; blocks keep them
     rel[:, 2] = 1.0
     rel[0, 2], rel[-1, 2] = 1e16, -1e16
-    for width in (2, 3, 8, 65, 259):
-        reps = -(-width // 3)
-        yield (np.ascontiguousarray(np.tile(rel, reps)[:, :width]),
-               np.ascontiguousarray(np.tile(wpsi, reps)[:, :width]))
+    windows = [(np.ascontiguousarray(np.tile(rel, -(-width // 3))[:, :width]),
+                np.ascontiguousarray(np.tile(wpsi, -(-width // 3))[:, :width]))
+               for width in (2, 3, 8, 65, 259)]
+    yield from windows
+    for dim in (1, 2, 3):
+        for r, w in windows:
+            yield np.repeat(r[:, None], dim, axis=1), w[:, None]
 
 
 def _checked_window_sum(candidate: Callable[[np.ndarray, np.ndarray], np.ndarray]):
@@ -271,11 +294,14 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
     are added over the window in node order, then per follower in edge order
     starting from +0.0: the arithmetic of a direct sum over the window, so
     the output is bit-identical to recomputing it. A stage makes two passes
-    over the (L, E*d+1) window: the difference to the follower's velocity,
-    then the multiply fused into the row-ordered sum (:func:`_window_sum`);
-    the weights w_k * psi_k come from :meth:`_NodeRing.weighted_psi`, one
-    whole window per step. Every rounding stays where it was: each product is
-    rounded, then added to its column's running sum, row by row.
+    over the (L, d, E+1) window: the difference to the follower's velocity,
+    into ``rel`` in node order (two slices when the window wraps round the
+    ring), then the multiply by the (L, 1, E+1) weighted window, broadcast
+    over the coordinates and fused into the row-ordered sum
+    (:func:`_window_sum`); the weights w_k * psi_k come from
+    :meth:`_NodeRing.weighted_psi`, one whole window per step. Every rounding
+    stays where it was: each product is rounded, then added to its entry's
+    running sum, row by row.
 
     The sum must stay sequential for that; a reassociated form such as
     sum(w psi v_L) - sum(w psi) v_F, a BLAS dot or a pairwise sum rounds
@@ -285,16 +311,20 @@ def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
     accumulators (the einsum); the spare column rules that out. A numpy
     whose einsum contracts the multiply-add to one FMA rounds once instead of
     twice, so :func:`_checked_window_sum` falls back to the explicit form
-    there. ``bincount`` adds in input order; the spare column goes to a
-    spare bin, so its input is never empty (on an empty input it returns
+    there. ``bincount`` adds in input order, and each coordinate's edges are
+    in edge order, so each follower's terms are too; the spare columns go to
+    a spare bin, so its input is never empty (on an empty input it returns
     integers).
     """
     lo = first % ring.size
+    n = ring.size - lo
     # in-range indices by construction; "clip" writes straight into the buffer
-    v_now.take(ring.cols, out=ring.vf_cols, mode="clip")
-    rel = np.subtract(ring.vl[lo:lo + ring.size], ring.vf, out=ring.rel)
-    sums = _window_sum(rel, ring.weighted_psi(first))
-    return np.bincount(ring.bins, weights=sums)[:-1].reshape(v_now.shape)
+    v_now.take(ring.fol_cols, out=ring.vf, mode="clip")
+    np.subtract(ring.vl_rows[lo:], ring.vf_row, out=ring.rel_rows[:n])
+    if lo:
+        np.subtract(ring.vl_rows[:lo], ring.vf_row, out=ring.rel_rows[n:])
+    sums = _window_sum(ring.rel, ring.weighted_psi(first))
+    return np.bincount(ring.bins, weights=sums.ravel())[:-1].reshape(v_now.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +516,10 @@ class _Group:
                 pieces[-1] = (s.potential, stop)
             elif count:
                 pieces.append((s.potential, stop))
-        weights = np.stack([_trapezoid_mu_weights(s) for s in self.scenarios], axis=1)
-        return _NodeRing(xw, vw, fol, led, pieces,
-                         weights[:, np.repeat(np.arange(len(counts)), counts)])
+        weights = np.zeros((self.m + 1, fol.size + 1))
+        for s, (lo, hi) in zip(self.scenarios, self.edge_bounds):
+            weights[:, lo:hi] = _trapezoid_mu_weights(s)[:, None]
+        return _NodeRing(xw, vw, fol, led, pieces, weights)
 
     def blow_up(self, k: int, x_new: np.ndarray, v_new: np.ndarray, ring: _NodeRing) -> None:
         """Handle a non-finite state after step k. A scenario inside its
@@ -504,8 +535,7 @@ class _Group:
                 self.results[i] = _blow_up(t + self.dts[i], t, x_new[lo:hi], v_new[lo:hi])
             x_new[lo:hi] = 0.0
             v_new[lo:hi] = 0.0
-            e_lo, e_hi = self.edge_bounds[i]
-            ring.clear(slice(e_lo * self.dim, e_hi * self.dim))
+            ring.clear(slice(*self.edge_bounds[i]))
         self.n_live = max((n for n, err in zip(self.steps, self.results) if err is None),
                           default=0)
 
@@ -521,22 +551,23 @@ class _Group:
             x[: m + 1], v[: m + 1] = s.history.sample(hist_s[-1])
             xs.append(x)
             vs.append(v)
-        if len(xs) == 1:
-            # a group of one steps straight in its trajectory arrays
-            X, V = xs[0], vs[0]
-            ring = self.ring(X[: m + 1], V[: m + 1])
-            base, buffered = -m, False
-        else:
-            xw = np.concatenate([x[: m + 1] for x in xs], axis=1)
-            vw = np.concatenate([v[: m + 1] for v in vs], axis=1)
-            ring = self.ring(xw, vw)
-            X = np.empty((_BUFFER_ROWS,) + xw.shape[1:])
-            V = np.empty_like(X)
-            X[0], V[0] = xw[m], vw[m]
-            base, buffered = 0, True
-        x_seen, v_seen = X.view(), V.view()
-        _freeze(x_seen, v_seen)
+        # the ring evaluates psi on the prehistory, which may overflow too
         with np.errstate(over="ignore", invalid="ignore"):
+            if len(xs) == 1:
+                # a group of one steps straight in its trajectory arrays
+                X, V = xs[0], vs[0]
+                ring = self.ring(X[: m + 1], V[: m + 1])
+                base, buffered = -m, False
+            else:
+                xw = np.concatenate([x[: m + 1] for x in xs], axis=1)
+                vw = np.concatenate([v[: m + 1] for v in vs], axis=1)
+                ring = self.ring(xw, vw)
+                X = np.empty((_BUFFER_ROWS,) + xw.shape[1:])
+                V = np.empty_like(X)
+                X[0], V[0] = xw[m], vw[m]
+                base, buffered = 0, True
+            x_seen, v_seen = X.view(), V.view()
+            _freeze(x_seen, v_seen)
             for k in range(self.n_live):
                 j = k - base        # buffer row of the state after k steps
                 _heun_step(X[j], V[j], X[j + 1], V[j + 1], k, ring, self)

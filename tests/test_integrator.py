@@ -1,7 +1,11 @@
+import ast
+import inspect
 import io
 import math
 import pickle
+import textwrap
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 import hlflock.integrator
 from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum,
                                 _count_data_lines, _coupling, _decimal17,
-                                _explicit_window_sum, _format_rows, _Group, _is_data_line,
+                                _explicit_window_sum, _format_rows, _Group, _heun_step,
+                                _is_data_line, _window_sum_probes,
                                 read_trajectory_csv, simulate, simulate_many,
                                 simulate_oracle, step_groups, trajectory_columns,
                                 write_trajectory_csv)
@@ -307,6 +312,36 @@ class TestOracle:
         expected = 1.0 + oracle.times / (1.0 + oracle.times)
         np.testing.assert_allclose(oracle.v[:, 0, 0], expected, atol=2e-3)
 
+    def test_shares_no_code_with_the_heun_path(self):
+        # the cross-check is independent only if no Heun code runs in it: walk
+        # simulate_oracle, its nested functions and every integrator function
+        # it reaches, and collect every name they use
+        heun = {"_NodeRing", "_coupling", "_heun_step", "_Group", "_window_sum",
+                "_checked_window_sum", "_trapezoid_mu_weights", "simulate", "simulate_many",
+                "step_groups"}
+        module = hlflock.integrator
+
+        def own_function(name):
+            # defined in the integrator, looked at through functools wrappers
+            f = inspect.unwrap(getattr(module, name, None))
+            return inspect.isfunction(f) and f.__module__ == module.__name__
+
+        names, seen, todo = set(), set(), {"simulate_oracle"}
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(module, name))))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+            todo |= {n for n in names - seen if own_function(n)}
+        assert {"_scalar_potential", "_blow_up", "_run_arrays"} <= seen
+        assert not names & heun
+
 
 # ---------------------------------------------------------------------------
 # Scheme accuracy against closed-form and brute-force references
@@ -471,6 +506,39 @@ class TestNodeCacheMatchesWindowRecompute:
         np.testing.assert_array_equal(traj.x, x_ref)
         np.testing.assert_array_equal(traj.v, v_ref)
 
+    def test_window_holds_one_psi_column_per_edge_and_one_row_per_node(self):
+        # 64 agents, each led by all before it: E = 2016 edges in d = 2, m = 100.
+        # Filling the window and one Heun step allocate the (m+1)(E+1)(2d+3)
+        # doubles of the ring and its work buffers, plus O(E * d) arrays of
+        # indices, distances and one stage's sums; a psi repeated per
+        # coordinate, or a ring that holds each node twice, takes twice that.
+        n_agents, dim, m, dt = 64, 2, 100, 0.01
+        rng = np.random.default_rng(17)
+        scen = Scenario(dag=LeadershipDag(n_agents, {i: set(range(1, i))
+                                                     for i in range(2, n_agents + 1)}),
+                        dim=dim, potential=Potential.cucker_smale(0.5),
+                        kernel=DelayKernel.triangular(m * dt),
+                        history=HistorySpec.constant(rng.normal(size=(n_agents, dim)),
+                                                     rng.normal(size=(n_agents, dim))),
+                        t_end=m * dt, dt=dt)
+        n_edges = scen.dag.edge_arrays()[0].size
+        assert n_edges == 2016
+        group = _Group([scen])
+        x = np.empty((m + 2, n_agents, dim))
+        v = np.empty_like(x)
+        x[: m + 1], v[: m + 1] = scen.history.sample((np.arange(m + 1) - m) * dt)
+        tracemalloc.start()
+        try:
+            ring = group.ring(x[: m + 1], v[: m + 1])
+            _heun_step(x[m], v[m], x[m + 1], v[m + 1], 0, ring, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        window = (m + 1) * (n_edges + 1) * (2 * dim + 3) * 8
+        per_edge = 24 * (n_edges + 1) * dim * 8
+        assert peak <= window + per_edge
+        np.testing.assert_array_equal(x[m + 1], simulate(scen).x[1])
+
     @pytest.mark.parametrize("m", [1, 4])
     def test_potential_evaluated_once_per_edge_and_node(self, m):
         seen = []
@@ -494,7 +562,7 @@ def _rows_added_in_order(rel, wpsi):
     """The window sum written out: every product rounded, then the rows added
     one at a time to a running sum that starts at +0.0."""
     products = rel * wpsi
-    acc = np.zeros(rel.shape[1])
+    acc = np.zeros(products.shape[1:])
     for row in products:
         acc += row
     return acc
@@ -517,6 +585,16 @@ def _pairwise_per_column(rel, wpsi):
     return np.ascontiguousarray((rel * wpsi).T).sum(axis=1)
 
 
+def _per_entry(window_sum):
+    """``window_sum`` of (L, W) windows, lifted to windows that broadcast
+    against each other: every entry of the sum is one column."""
+    def lifted(rel, wpsi):
+        rel, wpsi = np.broadcast_arrays(rel, wpsi)
+        rows = len(rel)
+        return window_sum(rel.reshape(rows, -1), wpsi.reshape(rows, -1)).reshape(rel.shape[1:])
+    return lifted
+
+
 def assert_same_bits(got, want):
     """Bitwise equal, except that a NaN matches any NaN: which operand's
     payload NaN + NaN keeps is not fixed, and a NaN ends its scenario."""
@@ -530,24 +608,37 @@ _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
                    1e16, -1e16, 1.0]
 
 
-@st.composite
-def windows(draw):
-    """A (rel, wpsi) pair of windows, 1..60 rows by 2..300 columns: normals
-    scaled by 1e-20..1e20, a drawn share of them replaced by drawn floats,
-    the special values included."""
-    shape = (draw(st.integers(1, 60)), draw(st.integers(2, 300)))
+def _drawn_windows(draw, rel_shape, wpsi_shape):
+    """A (rel, wpsi) pair of windows of these shapes: normals scaled by
+    1e-20..1e20, a drawn share of them replaced by drawn floats, the special
+    values included."""
     pool = np.array(draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats()),
                                   min_size=1, max_size=8)))
     share = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def window():
+    def window(shape):
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
         picked = rng.random(shape) < share
         values[picked] = rng.choice(pool, size=int(picked.sum()))
         return values
 
-    return window(), window()
+    return window(rel_shape), window(wpsi_shape)
+
+
+@st.composite
+def windows(draw):
+    """A (rel, wpsi) pair of windows, 1..60 rows by 2..300 columns."""
+    shape = (draw(st.integers(1, 60)), draw(st.integers(2, 300)))
+    return _drawn_windows(draw, shape, shape)
+
+
+@st.composite
+def stepper_windows(draw):
+    """The stepper's window shapes: rel (L, d, W) for d = 1..3, and wpsi
+    (L, 1, W), broadcast over the coordinates; 1..60 rows, 2..300 columns."""
+    rows, dim, width = draw(st.integers(1, 60)), draw(st.integers(1, 3)), draw(st.integers(2, 300))
+    return _drawn_windows(draw, (rows, dim, width), (rows, 1, width))
 
 
 class TestWindowSum:
@@ -562,10 +653,29 @@ class TestWindowSum:
             for window_sum in (hlflock.integrator._window_sum, _explicit_window_sum):
                 assert_same_bits(window_sum(rel.copy(), wpsi), want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(window=stepper_windows())
+    def test_a_broadcast_window_is_the_rounded_products_added_row_by_row(self, window):
+        rel, wpsi = window
+        with np.errstate(all="ignore"):
+            want = _rows_added_in_order(rel, wpsi)
+            for window_sum in (hlflock.integrator._window_sum, _explicit_window_sum):
+                assert_same_bits(window_sum(rel.copy(), wpsi), want)
+
     @pytest.mark.parametrize("other", [_fused_multiply_add, _rows_added_in_reverse,
                                        _pairwise_per_column])
     def test_a_sum_that_rounds_otherwise_falls_back_to_the_explicit_form(self, other):
         assert _checked_window_sum(other) is _explicit_window_sum
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("other", [_fused_multiply_add, _rows_added_in_reverse,
+                                       _pairwise_per_column])
+    def test_the_stepper_shaped_probes_alone_tell_each_order_apart(self, dim, other):
+        probes = [(rel, wpsi) for rel, wpsi in _window_sum_probes()
+                  if rel.ndim == 3 and rel.shape[1] == dim]
+        assert probes and all(wpsi.shape == (len(rel), 1, rel.shape[2]) for rel, wpsi in probes)
+        assert any(_per_entry(other)(rel.copy(), wpsi).tobytes()
+                   != _explicit_window_sum(rel.copy(), wpsi).tobytes() for rel, wpsi in probes)
 
     def test_the_rows_added_in_order_pass_the_probes(self):
         assert _checked_window_sum(_rows_added_in_order) is _rows_added_in_order
@@ -697,6 +807,18 @@ class TestSimulateMany:
         assert isinstance(got[1], BlowUpError) and str(got[1]) == str(alone.value)
         for k in (0, 2):
             assert_same_trajectory(got[k], simulate(batch[k]))
+
+    def test_a_potential_invalid_on_the_prehistory_warns_nothing(self):
+        # psi(s) = 1 - s/(1 + s) is inf/inf at the prehistory's overflowing
+        # distance: the run blows up on its first step, and neither filling the
+        # window nor stepping emits a numpy warning
+        hot = replace(two_agent(x0=((0.0,), (1e200,)), t_end=1.0),
+                      potential=Potential.custom(lambda s: 1.0 - s / (1.0 + s)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError):
+                simulate(hot)
+        assert [str(w.message) for w in caught] == []
 
     def test_blow_up_pickles(self):
         err = pickle.loads(pickle.dumps(BlowUpError(0.5, 3, 0.25)))
