@@ -21,12 +21,14 @@ Two schemes are provided on purpose:
   window, a scatter per follower; the window is weighted once per step), and
   the ring with its work buffers holds (m+1)(E+1)(2d+3) doubles for E edges
   in d dimensions, however long the run.
-  :func:`simulate_many` steps a batch of scenarios of one (delay_steps, dim)
-  as one disjoint flock: the same numpy calls advance all of them, each
-  with its own step size, quadrature weights, potential and forcing, so a
-  step of many small scenarios costs about as much as a step of one. Every
-  operation acts per agent or per edge column, so each trajectory is
-  bit-identical to :func:`simulate`'s; :func:`simulate` is the group of one.
+  :func:`simulate_many` steps each run of consecutive scenarios with one
+  (delay_steps, dim) as one disjoint flock: the same numpy calls advance all
+  of them, each with its own step size, quadrature weights, potential and
+  forcing, so a step of many small scenarios costs about as much as a step
+  of one. Every operation acts per agent or per edge column, so each
+  trajectory is bit-identical to :func:`simulate`'s. :func:`simulate` is a
+  batch of one on the same path: every batch steps in a state buffer of 64
+  rows, copied into the scenarios' trajectory arrays each time it fills.
 * :func:`simulate_oracle` - explicit Euler on a refined grid with
   left-rectangle quadrature; deliberately different discretization used to
   cross-validate the main one. For piecewise-linear kernels (uniform,
@@ -128,14 +130,13 @@ class _NodeRing:
 
     ``potential`` is a list of (potential, stop) pairs: the edges from the
     previous pair's stop up to ``stop`` use that potential, which is called
-    once per node on those edges only (a single potential on all edges at
-    once). ``weights`` (L, E+1) holds the quadrature weight of each window
-    position per edge. ``pair_cols`` holds the flat indices fol*d + c and
-    led*d + c of each edge's two agents, edge-major, for the distances;
-    ``fol_cols`` and ``lead_cols`` (d, E+1) hold fol*d + c and led*d + c
-    coordinate-major, for the gathers, and ``bins`` is ``fol_cols`` flat with
-    the spare column sent to an extra bin N*d. ``dp``, ``vf``, ``rel`` and
-    ``wpsi`` are work buffers. ``vl_rows``, ``rel_rows`` and ``vf_row`` view
+    once per node on those edges only. ``weights`` (L, E+1) holds the
+    quadrature weight of each window position per edge. ``pair_cols`` holds
+    the flat indices fol*d + c and led*d + c of each edge's two agents,
+    edge-major, for the distances; ``fol_cols`` and ``lead_cols`` (d, E+1)
+    hold fol*d + c and led*d + c coordinate-major, for the gathers, and
+    ``bins`` is ``fol_cols`` flat with the spare column sent to an extra bin
+    N*d. ``dp``, ``vf``, ``rel`` and ``wpsi`` are work buffers. ``vl_rows``, ``rel_rows`` and ``vf_row`` view
     ``vl``, ``rel`` and ``vf`` as one flat row per node for the elementwise
     difference, ``wpsi_rows`` views ``wpsi`` as (L, E+1), and ``psi_edges``
     is ``psi`` without its spare column.
@@ -158,7 +159,6 @@ class _NodeRing:
                  potential: list[tuple[Potential, int]], weights: np.ndarray):
         self.size = size = xw.shape[0]
         n_agents, dim = xw.shape[1:]
-        self.potential = potential[0][0] if len(potential) == 1 else None
         stops = [stop for _, stop in potential]
         self.pieces = [(p, slice(start, stop)) for (p, stop), start in zip(potential, [0] + stops)]
         coords = np.arange(dim)
@@ -194,11 +194,8 @@ class _NodeRing:
         np.subtract(self.pair_fol, self.pair_led, out=self.dp_flat)
         dist = np.sqrt(np.einsum("ef,ef->e", self.dp, self.dp))
         psi = self.psi_edges[row]
-        if self.potential is not None:
-            psi[...] = self.potential(dist)
-        else:
-            for potential, edges in self.pieces:
-                psi[edges] = potential(dist[edges])
+        for potential, edges in self.pieces:
+            psi[edges] = potential(dist[edges])
         v.take(self.lead_cols, out=self.vl[row], mode="clip")
 
     def clear(self, edges: slice) -> None:
@@ -343,9 +340,9 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: n
     velocities advance with the average of the two stage derivatives. The
     stages run in place in x_new, v_new and the coupling outputs, with the
     operands of v_cur + h*a0, x_cur + h*v_cur, v_cur + 0.5*h*(a0 + a1) and
-    x_cur + 0.5*h*(v_cur + vp) (sum and product commute bitwise); h is one
-    number, or a column of each agent's own step. A forced root takes its
-    forcing at its scenario's own times k*h and k*h + h.
+    x_cur + 0.5*h*(v_cur + vp) (sum and product commute bitwise); h holds
+    each agent's own step. A forced root takes its forcing at its
+    scenario's own times k*h and k*h + h.
     """
     h = group.h
     dim = group.dim
@@ -410,8 +407,8 @@ def _freeze(*arrays: np.ndarray) -> None:
 # agents times stored rows m+n+1, summed over its scenarios. Their trajectories
 # are 16*d bytes per agent-row, so a group's arrays stay under 4 MB per dimension.
 _GROUP_AGENT_ROWS = 1 << 18
-# Rows of the state buffer a group of two or more steps in; every
-# _BUFFER_ROWS - 1 steps they are copied into the scenarios' own arrays.
+# Rows of the state buffer a group steps in; every _BUFFER_ROWS - 1 steps
+# they are copied into the scenarios' own arrays.
 _BUFFER_ROWS = 64
 
 
@@ -472,7 +469,7 @@ class _Group:
     Scenario i owns the agents ``bounds[i]`` of the union and, since edges
     follow agents, the edges ``edge_bounds[i]``. The scenarios are kept
     ordered by potential, so that each distinct potential's edges are one
-    run. ``h`` is the common step, or a column of each agent's step.
+    run. ``h`` (agents, d) holds each agent's step in every coordinate.
     ``forced`` lists (union row of the root, forcing, step) per forced
     scenario. ``results[i]`` is scenario i's :class:`BlowUpError` once it has
     failed; ``n_live`` is the longest horizon of the scenarios still running.
@@ -493,7 +490,9 @@ class _Group:
         sizes = [s.n_agents for s in self.scenarios]
         starts = list(itertools.accumulate(sizes, initial=0))
         self.bounds = list(itertools.pairwise(starts))
-        self.h = self.dts[0] if len(set(self.dts)) == 1 else np.repeat(self.dts, sizes)[:, None]
+        # full rows, not a column: broadcast over rows of only d values, a
+        # column product runs about 4x slower at N = 200, d = 2
+        self.h = np.repeat(self.dts, sizes)[:, None].repeat(self.dim, axis=1)
         self.half_h = 0.5 * self.h
         self.forced = [(lo, s.forcing, s.dt) for s, (lo, _) in zip(self.scenarios, self.bounds)
                        if not s.forcing.is_zero]
@@ -542,8 +541,13 @@ class _Group:
     def run(self, on_step: Callable[[FlockState], None] | None = None) -> list:
         """Step every scenario to its horizon; returns each one's
         :class:`Trajectory` or :class:`BlowUpError`, in the input order.
-        ``on_step`` is called after every step of a group of one."""
-        m, dim = self.m, self.dim
+
+        The union steps in a buffer of ``_BUFFER_ROWS`` states; each time it
+        fills, and at the end, :meth:`_flush` copies the new states into the
+        scenarios' own arrays. ``on_step`` is called after every step with
+        read-only copies of the union's new state, at the first scenario's
+        time."""
+        m = self.m
         hist_s, xs, vs = [], [], []
         for s, n in zip(self.scenarios, self.steps):
             hist_s.append((np.arange(m + 1) - m) * s.dt)
@@ -553,34 +557,29 @@ class _Group:
             vs.append(v)
         # the ring evaluates psi on the prehistory, which may overflow too
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(xs) == 1:
-                # a group of one steps straight in its trajectory arrays
-                X, V = xs[0], vs[0]
-                ring = self.ring(X[: m + 1], V[: m + 1])
-                base, buffered = -m, False
-            else:
-                xw = np.concatenate([x[: m + 1] for x in xs], axis=1)
-                vw = np.concatenate([v[: m + 1] for v in vs], axis=1)
-                ring = self.ring(xw, vw)
-                X = np.empty((_BUFFER_ROWS,) + xw.shape[1:])
-                V = np.empty_like(X)
-                X[0], V[0] = xw[m], vw[m]
-                base, buffered = 0, True
-            x_seen, v_seen = X.view(), V.view()
-            _freeze(x_seen, v_seen)
+            xw = np.concatenate([x[: m + 1] for x in xs], axis=1)
+            vw = np.concatenate([v[: m + 1] for v in vs], axis=1)
+            ring = self.ring(xw, vw)
+            X = np.empty((_BUFFER_ROWS,) + xw.shape[1:])
+            V = np.empty_like(X)
+            X[0], V[0] = xw[m], vw[m]
+            del xw, vw
+            base = 0
             for k in range(self.n_live):
                 j = k - base        # buffer row of the state after k steps
                 _heun_step(X[j], V[j], X[j + 1], V[j + 1], k, ring, self)
                 if self.n_live <= k:
                     break
                 if on_step is not None:
-                    on_step(FlockState((k + 1) * self.h, x_seen[j + 1], v_seen[j + 1]))
-                if buffered and j + 2 == _BUFFER_ROWS:
+                    # copies: a later step overwrites the buffer row
+                    x_new, v_new = X[j + 1].copy(), V[j + 1].copy()
+                    _freeze(x_new, v_new)
+                    on_step(FlockState((k + 1) * self.dts[0], x_new, v_new))
+                if j + 2 == _BUFFER_ROWS:
                     self._flush(X, V, base, k + 1, xs, vs)
                     X[0], V[0] = X[j + 1], V[j + 1]
                     base = k + 1
-            if buffered:
-                self._flush(X, V, base, k + 1, xs, vs)
+            self._flush(X, V, base, k + 1, xs, vs)
 
         out: list = [None] * len(self.order)
         for i, s in enumerate(self.scenarios):
@@ -612,10 +611,10 @@ def simulate(scenario: Scenario,
              on_step: Callable[[FlockState], None] | None = None) -> Trajectory:
     """Integrate the scenario from t=0 to t_end with the Heun stepper.
 
-    ``on_step``, if given, is called after every step with read-only views
-    of the new state. A state that stops being finite raises
-    :class:`BlowUpError`; overflow on the way there raises no numpy warning,
-    in ``on_step`` either.
+    ``on_step``, if given, is called after every step with read-only copies
+    of the new state, which it may keep; without it no state is copied. A
+    state that stops being finite raises :class:`BlowUpError`; overflow on
+    the way there raises no numpy warning, in ``on_step`` either.
     """
     scenario.validate()
     result, = _Group([scenario]).run(on_step)
@@ -629,23 +628,19 @@ def simulate_many(scenarios: Sequence[Scenario]) -> list[Trajectory | BlowUpErro
     its trajectory is bit-identical, or its :class:`BlowUpError` is returned
     in its place, in the input order.
 
-    Scenarios of one (delay_steps, dim) are stepped together as one disjoint
-    flock, in the groups of :func:`step_groups`: one Heun step advances every
-    scenario of a group with the numpy calls of one, which is what makes many
-    small scenarios cheap. Every operation of a step acts per agent or per
+    Each run of consecutive scenarios with one (delay_steps, dim) is stepped
+    together as one disjoint flock, in input order and in the groups of
+    :func:`step_groups`: one Heun step advances every scenario of a group
+    with the numpy calls of one, which is what makes many small scenarios
+    cheap. A batch that mixes keys is not reordered, so it steps in as many
+    groups as it has runs. Every operation of a step acts per agent or per
     edge column, and different scenarios share neither, so each scenario's
     numbers are the ones it gets alone. A scenario past its horizon steps on
     until the group's longest one ends, but can no longer fail.
     """
     for scenario in scenarios:
         scenario.validate()
-    order = sorted(range(len(scenarios)),
-                   key=lambda i: (scenarios[i].delay_steps, scenarios[i].dim))
-    done = [r for group in step_groups(scenarios[i] for i in order) for r in _Group(group).run()]
-    results: list = [None] * len(scenarios)
-    for i, result in zip(order, done):
-        results[i] = result
-    return results
+    return [r for group in step_groups(scenarios) for r in _Group(group).run()]
 
 
 def _scalar_potential(potential: Potential):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -169,10 +170,17 @@ class GeneratorSpec:
             object.__setattr__(self, name, value)
             return value
 
+        topologies = ("chain", "binary_tree", "random_hl")
+        if not (isinstance(self.topology, str) and self.topology in topologies):
+            raise ScenarioError(f"topology must be one of {topologies}, "
+                                f"got {reprlib.repr(self.topology)}")
         for name, least in (("n_agents", 1), ("dim", 1), ("delay_steps", 1), ("rng_seed", 0)):
             put(name, _integer(getattr(self, name), name, least))
         for name in ("edge_prob", "sim_span"):
             put(name, _real(getattr(self, name), name))
+        if self.topology == "random_hl" and self.n_agents > 1 and not 0.0 < self.edge_prob <= 1.0:
+            raise ScenarioError(f"edge_prob must be in (0, 1] for random_hl, "
+                                f"got {self.edge_prob}")
         for name in ("position_range", "velocity_range", "tau_range"):
             lo, hi = put(name, tuple(_reals(getattr(self, name), name, (2,)).tolist()))
             if not (lo <= hi and math.isfinite(hi - lo)) or (name == "tau_range" and not lo > 0):
@@ -206,18 +214,13 @@ def _topology_dag(spec: GeneratorSpec, rng: _Generator) -> LeadershipDag:
         return LeadershipDag.chain(n)
     if spec.topology == "binary_tree":
         return LeadershipDag(n, {i: {i // 2} for i in range(2, n + 1)})
-    if spec.topology == "random_hl":
-        if n > 1 and not 0.0 < spec.edge_prob <= 1.0:
-            raise ScenarioError(f"edge_prob must be in (0, 1] for random_hl, "
-                                f"got {spec.edge_prob}")
-        leaders = {}
-        for i in range(2, n + 1):
-            picks = {j for j in range(1, i) if rng.random() < spec.edge_prob}
-            if not picks:
-                picks = {int(rng.integers(1, i))}
-            leaders[i] = picks
-        return LeadershipDag(n, leaders)
-    raise ScenarioError(f"topology {spec.topology!r} is unknown")
+    leaders = {}        # random_hl, the last topology GeneratorSpec accepts
+    for i in range(2, n + 1):
+        picks = {j for j in range(1, i) if rng.random() < spec.edge_prob}
+        if not picks:
+            picks = {int(rng.integers(1, i))}
+        leaders[i] = picks
+    return LeadershipDag(n, leaders)
 
 
 def generate(spec: GeneratorSpec) -> Scenario:

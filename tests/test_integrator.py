@@ -201,13 +201,17 @@ class TestSimulate:
             assert err.value.last_finite_t == pytest.approx(err.value.t - scen.dt)
             assert "agent 2" in str(err.value)
 
-    def test_per_step_callback(self):
-        scen = two_agent(t_end=0.5)
+    @pytest.mark.parametrize("buffer_rows", [2, 64])
+    def test_per_step_callback(self, buffer_rows):
+        # 150 steps outrun the state buffer: a hook handed views of its rows
+        # would find the kept states overwritten by later steps
+        scen = two_agent(t_end=1.5)
         seen = []
-        traj = simulate(scen, on_step=seen.append)
-        assert len(seen) == scen.n_steps
+        with mock.patch.object(hlflock.integrator, "_BUFFER_ROWS", buffer_rows):
+            traj = simulate(scen, on_step=seen.append)
+        assert len(seen) == scen.n_steps > buffer_rows
         assert seen[0].t == pytest.approx(0.01)
-        assert seen[-1].t == pytest.approx(0.5)
+        assert seen[-1].t == pytest.approx(1.5)
         for k, state in enumerate(seen, start=1):
             np.testing.assert_array_equal(state.x, traj.x[k])
             np.testing.assert_array_equal(state.v, traj.v[k])
@@ -498,10 +502,14 @@ class TestNodeCacheMatchesWindowRecompute:
         (10, 2, 3, "uniform", Potential.cucker_smale(0.5), False, 1),
         (11, 1, 10, "table", Potential.cucker_smale(1.0), True, 1),
     ])
+    @pytest.mark.parametrize("buffer_rows", [2, 64])
     def test_simulate_is_bitwise_equal(self, seed, dim, m, kernel_shape, potential, forced,
-                                       n_agents):
+                                       n_agents, buffer_rows):
         scen = _random_scenario(seed, dim, m, kernel_shape, potential, forced, n_agents)
-        traj = simulate(scen)
+        # a lone scenario steps in the state buffer too, flushed every
+        # buffer_rows - 1 steps
+        with mock.patch.object(hlflock.integrator, "_BUFFER_ROWS", buffer_rows):
+            traj = simulate(scen)
         x_ref, v_ref = _reference_simulate(scen)
         np.testing.assert_array_equal(traj.x, x_ref)
         np.testing.assert_array_equal(traj.v, v_ref)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,6 +59,29 @@ class TestGenerate:
     def test_unknown_topology_rejected(self):
         with pytest.raises(ScenarioError, match="topology"):
             generate(GeneratorSpec(topology="ring", n_agents=3))
+
+    @pytest.mark.parametrize("field,generator", [
+        ("topology", {"topology": "ring"}),
+        ("topology", {"topology": ["chain"]}),
+        ("edge_prob", {"topology": "random_hl", "edge_prob": 1.5}),
+        ("edge_prob", {"topology": "random_hl", "edge_prob": 0.0}),
+    ])
+    def test_load_names_a_bad_topology_or_edge_probability(self, tmp_path, field, generator):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {"n_agents": 3, **generator}}))
+        named = re.escape(f"{path}.generator.{field} must be ")
+        with pytest.raises(ScenarioError, match="^" + named):
+            load_generator(path)
+
+    @pytest.mark.parametrize("generator", [
+        {"topology": "random_hl", "n_agents": 1, "edge_prob": 0.0},
+        {"topology": "chain", "n_agents": 3, "edge_prob": 1.5},
+        {"topology": "random_hl", "n_agents": 3, "edge_prob": 1.0},
+    ])
+    def test_edge_probability_is_read_only_where_it_draws(self, tmp_path, generator):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": generator}))
+        assert load_generator(path).edge_prob == generator["edge_prob"]
 
     def test_delay_grid_always_aligned(self):
         for seed in range(50):
