@@ -27,15 +27,9 @@ from .model import (
     leader_levels,
     validate_hierarchy,
 )
-from .integrator import (
-    BlowUpError,
-    FlockState,
-    Trajectory,
-    read_trajectory_csv,
-    simulate,
-    simulate_oracle,
-    write_trajectory_csv,
-)
+from .integrator import BlowUpError, FlockState, Trajectory, simulate
+from .oracle import simulate_oracle
+from .csvio import read_trajectory_csv, write_trajectory_csv
 from .diagnostics import (
     ConsensusSeries,
     DecayFit,

@@ -23,9 +23,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import diagnostics as diag
+from .csvio import read_trajectory_csv, write_csv, write_trajectory_csv
 from .diagnostics import PROBE_NAMES, run_probes
-from .integrator import (BlowUpError, Trajectory, read_trajectory_csv, simulate,
-                         simulate_many, step_groups, write_csv, write_trajectory_csv)
+from .integrator import BlowUpError, Trajectory, simulate, simulate_many, step_groups
 from .model import Scenario, ScenarioError
 from .scenarios import (generate, load_generator, load_scenario,
                         save_run, save_scenario)
@@ -95,16 +95,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     # one scenario keeps the file's own seed unless --seed is given; several
     # are drawn from a generator file, from consecutive seeds starting at
-    # --seed (default 0)
-    if args.count > 1:
+    # --seed (default 0), with the file read once
+    if args.count == 1:
+        scenarios = [_load(args)]
+    else:
         try:
-            load_generator(args.scenario)
+            spec = load_generator(args.scenario)
         except ScenarioError as e:
             raise ScenarioError(f"--count {args.count} draws seeds from a generator file: {e}") from None
-    seeds = ([args.seed] if args.count == 1
-             else [(args.seed or 0) + k for k in range(args.count)])
-    scenarios = [_with_overrides(load_scenario(args.scenario, seed=seed), args)
-                 for seed in seeds]
+        scenarios = [_with_overrides(generate(replace(spec, rng_seed=(args.seed or 0) + k)), args)
+                     for k in range(args.count)]
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     all_reports = []

@@ -23,8 +23,9 @@ import numpy as np
 
 # No probe simulates; ``simulate`` stays importable here because the
 # benchmark tracer (perfbench/tracing.py) wraps it in this module's namespace.
-from .integrator import Trajectory, simulate, simulate_oracle  # noqa: F401
+from .integrator import Trajectory, simulate  # noqa: F401
 from .model import LeadershipDag, Scenario, check_forcing_conditions
+from .oracle import simulate_oracle
 
 DIAMETER_FLOOR = 1e-12      # dV values at or below this are rounding noise
 SPEED_TOL = 1e-8            # ball / hull invariance and diameter-monotonicity slack

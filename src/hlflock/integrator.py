@@ -1,4 +1,4 @@
-"""Fixed-step integration of the delayed hierarchical flocking dynamics.
+"""Fixed-step Heun integration of the delayed hierarchical flocking dynamics.
 
 Velocities follow a memory term: each follower accelerates toward its
 leaders' past velocities, weighted by the delay kernel over the sliding
@@ -8,65 +8,46 @@ taken at the past time, the follower's velocity at the current time). The
 root agent feels only its exogenous forcing, which is identically zero in
 the unforced model.
 
-Two schemes are provided on purpose:
+:func:`simulate` steps Heun's predictor-corrector with composite-trapezoid
+quadrature of the delay integral on the step grid (the delay span must be an
+integer number of steps, so quadrature nodes coincide with stored samples).
+The integrand's history-only factors, the potential on every edge and the
+leaders' velocities, are evaluated once per stored node and kept in a ring
+of m+1 rows, one row per node: psi once per edge, the velocities once per
+edge and coordinate. A coupling stage is a few numpy calls (a difference, a
+multiply fused into a sequential sum over the window, a scatter per
+follower; the window is weighted once per step), and the ring with its work
+buffers holds (m+1)(E+1)(2d+3) doubles for E edges in d dimensions, however
+long the run.
 
-* :func:`simulate` - Heun's predictor-corrector with composite-trapezoid
-  quadrature of the delay integral on the step grid (the delay span must be
-  an integer number of steps, so quadrature nodes coincide with stored
-  samples). The integrand's history-only factors, the potential on every
-  edge and the leaders' velocities, are evaluated once per stored node and
-  kept in a ring of m+1 rows, one row per node: psi once per edge, the
-  velocities once per edge and coordinate. A coupling stage is a few numpy
-  calls (a difference, a multiply fused into a sequential sum over the
-  window, a scatter per follower; the window is weighted once per step), and
-  the ring with its work buffers holds (m+1)(E+1)(2d+3) doubles for E edges
-  in d dimensions, however long the run.
-  :func:`simulate_many` steps each run of consecutive scenarios with one
-  (delay_steps, dim) as one disjoint flock: the same numpy calls advance all
-  of them, each with its own step size, quadrature weights, potential and
-  forcing, so a step of many small scenarios costs about as much as a step
-  of one. Every operation acts per agent or per edge column, so each
-  trajectory is bit-identical to :func:`simulate`'s. :func:`simulate` is a
-  batch of one on the same path: every batch steps in a state buffer of 64
-  rows, copied into the scenarios' trajectory arrays each time it fills.
-* :func:`simulate_oracle` - explicit Euler on a refined grid with
-  left-rectangle quadrature; deliberately different discretization used to
-  cross-validate the main one. For piecewise-linear kernels (uniform,
-  triangular, table) running zeroth and first moment sums per linear piece
-  make a substep cost O(pieces * edges * d) whatever the window length; the
-  truncated bump pays the full window.
+:func:`simulate_many` steps each run of consecutive scenarios with one
+(delay_steps, dim) as one disjoint flock: the same numpy calls advance all of
+them, each with its own step size, quadrature weights, potential and
+forcing, so a step of many small scenarios costs about as much as a step of
+one. Every operation acts per agent or per edge column, so each trajectory
+is bit-identical to :func:`simulate`'s. :func:`simulate` is a batch of one
+on the same path: every batch steps in a state buffer of 64 rows, copied
+into the scenarios' trajectory arrays each time it fills.
 
 Any non-finite state aborts the run with a :class:`BlowUpError` naming the
 time, the first non-finite agent and the last finite time. In a batch the
 error names the scenario's own agent and times and takes that scenario's
-place in the results; the other scenarios run on.
-
-Trajectories go to CSV with every number in C's ``%.17g``, the bytes
-``np.savetxt(fmt="%.17g")`` writes, so a read gives back the same doubles.
-:func:`write_csv` formats about 4k values per pass with numpy calls, exactly
-(a double-double product with 10**(16-e), rounded half to even), straight
-from the trajectory arrays. The few values it cannot prove correctly rounded
-(non-finite, |x| outside 1e-275..1e291, too near a rounding tie) go through
-Python's formatter. :func:`read_trajectory_csv` parses as many values per
-pass into arrays allocated once, so a read holds one copy of the trajectory;
-it raises :class:`ScenarioError` naming the file for anything that is not
-such a CSV.
+place in the results; the other scenarios run on. The :class:`Trajectory`
+type and the allocation and blow-up helpers are shared with the oracle
+(:mod:`hlflock.oracle`) and the CSV files (:mod:`hlflock.csvio`).
 """
-
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Potential, Scenario, ScenarioError, _integer
+from .model import Potential, Scenario, ScenarioError
 
 
 class BlowUpError(RuntimeError):
@@ -641,488 +622,3 @@ def simulate_many(scenarios: Sequence[Scenario]) -> list[Trajectory | BlowUpErro
     for scenario in scenarios:
         scenario.validate()
     return [r for group in step_groups(scenarios) for r in _Group(group).run()]
-
-
-def _scalar_potential(potential: Potential):
-    """Potential as a scalar function of the *squared* distance, for the
-    oracle's plain-float inner loop."""
-    if potential.family == "cucker_smale":
-        beta = potential.beta
-        if beta == 0.0:
-            return lambda d2: 1.0
-        if beta == 0.5:
-            return lambda d2: 1.0 / math.sqrt(1.0 + d2)
-        return lambda d2: (1.0 + d2) ** (-beta)
-    return lambda d2: float(potential(math.sqrt(d2)))
-
-
-def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
-    """Brute-force cross-check: explicit Euler with step h/refinement and
-    left-rectangle quadrature of the delay integral, recorded on the coarse
-    grid so the result is directly comparable to :func:`simulate`.
-
-    Implemented as plain-float loops over a ring buffer, deliberately sharing
-    no array machinery with the Heun path. Each window node holds one row: the
-    potential-weighted leader velocities psi*v_L on every edge, then psi.
-
-    For a piecewise-linear kernel (uniform, triangular, table) the window's
-    m2 nodes fall into runs, one per linear piece of the kernel that holds a
-    node, inside which the rectangle weight of node j is a + b*(j - lo). Each
-    run keeps running zeroth and first moments of its rows, sum(row) and
-    sum((j - lo) * row), so its share of the window sum is a*s0 + b*s1. A
-    substep moves one node out of and one into every run, and the first
-    moment shifts by the zeroth: O(runs * edges * d) per substep, whatever
-    m2. A run with zero slope (the uniform kernel's only run) keeps no first
-    moment and runs the plain sliding sum. The first moment would integrate
-    the zeroth's rounding drift, so sloped runs are summed afresh once every
-    m2+1 substeps, which adds O(edges * d) per substep on average. Other
-    kernels (the truncated bump) pay the full window per substep.
-    """
-    scenario.validate()
-    k_ref = _integer(refinement, "refinement", least=1)
-    m, n = scenario.delay_steps, scenario.n_steps
-    h = scenario.dt
-    h2 = h / k_ref
-    m2, n2 = m * k_ref, n * k_ref
-    n_agents, dim = scenario.n_agents, scenario.dim
-    forcing = scenario.forcing
-    forced = not forcing.is_zero
-    psi_sq = _scalar_potential(scenario.potential)
-    fol_arr, led_arr = scenario.dag.edge_arrays()
-    fol = [int(e) * dim for e in fol_arr]     # flat base offsets
-    led = [int(e) * dim for e in led_arr]
-    n_edges = len(fol)
-    nd = n_agents * dim
-    pbase = n_edges * dim                     # offset of psi in a node row
-    nq = pbase + n_edges
-    # the ring's m2+1 rows of x, v and node values as Python floats, each an
-    # 8-byte list slot and a 24-byte float; checked before anything is sampled
-    need = 32 * (m2 + 1) * (2 * nd + nq)
-    if need > _physical_memory():
-        raise ScenarioError(f"refinement = {refinement!r}: the oracle's window ring of {m2 + 1} "
-                            f"rows needs {need} bytes, more than can be allocated")
-
-    hist_s = (np.arange(m2 + 1) - m2) * h2
-    xs0, vs0 = scenario.history.sample(hist_s)
-
-    # ring of the m2+1 live rows (window nodes plus current state)
-    ring = m2 + 1
-    x_ring = [list(map(float, xs0[r].ravel())) for r in range(m2 + 1)]
-    v_ring = [list(map(float, vs0[r].ravel())) for r in range(m2 + 1)]
-
-    rect_w = [h2 * float(scenario.kernel((m2 - j) * h2)) for j in range(m2)]
-
-    def node_row(xr: list, vr: list) -> list:
-        # per-edge potential-weighted leader velocity, then per-edge potential
-        row = [0.0] * nq
-        for e in range(n_edges):
-            fi, li = fol[e], led[e]
-            d2 = 0.0
-            for c in range(dim):
-                dx = xr[fi + c] - xr[li + c]
-                d2 += dx * dx
-            p = psi_sq(d2)
-            row[pbase + e] = p
-            for c in range(dim):
-                row[e * dim + c] = p * vr[li + c]
-        return row
-
-    q_ring: list = [None] * ring
-    if n_edges:
-        for r in range(m2 + 1):
-            q_ring[r] = node_row(x_ring[r], v_ring[r])
-
-    def run_sums(first: int, lo: int, cnt: int, sloped: bool) -> tuple[list, list | None]:
-        # sum(row) and, if sloped, sum((j - lo) * row) over the window nodes
-        # j = lo..lo+cnt-1 of the window whose oldest node is ``first``
-        s0 = [0.0] * nq
-        s1 = [0.0] * nq if sloped else None
-        for j in range(lo, lo + cnt):
-            row = q_ring[(first + j) % ring]
-            for k in range(nq):
-                s0[k] += row[k]
-                if sloped:
-                    s1[k] += (j - lo) * row[k]
-        return s0, s1
-
-    # one entry per run of window nodes lo..lo+cnt-1 on one linear piece of
-    # the kernel: (lo, cnt, a, b, zeroth moment, first moment or None)
-    moments = None
-    breaks = scenario.kernel.breakpoints
-    if breaks is not None and n_edges:
-        # the piece holding each node's delay (m2 - j) * h2; the kernel is
-        # continuous, so a node on a breakpoint may join either neighbour
-        last = len(breaks) - 2
-        piece = [min(max(bisect.bisect_right(breaks, (m2 - j) * h2) - 1, 0), last)
-                 for j in range(m2)]
-        moments = []
-        lo = 0
-        for _, run in itertools.groupby(piece):
-            cnt = len(list(run))
-            a = rect_w[lo]
-            b = (rect_w[lo + cnt - 1] - a) / (cnt - 1) if cnt > 1 else 0.0
-            moments.append((lo, cnt, a, b, *run_sums(0, lo, cnt, bool(b))))
-            lo += cnt
-
-    x_out, v_out = _run_arrays(scenario, n + 1)
-    x_out[0] = xs0[m2]
-    v_out[0] = vs0[m2]
-
-    for sub in range(n2):
-        slot_old = sub % ring
-        slot_cur = (sub + m2) % ring
-        xv = x_ring[slot_cur]
-        vv = v_ring[slot_cur]
-
-        acc = [0.0] * nd
-        if moments is not None:
-            # sum over a run's nodes of (a + b*(j - lo)) * row = a*s0 + b*s1
-            for lo, cnt, a, b, s0, s1 in moments:
-                for e in range(n_edges):
-                    fi, pe = fol[e], pbase + e
-                    wp = a * s0[pe] + b * s1[pe] if b else a * s0[pe]
-                    for c in range(dim):
-                        k = e * dim + c
-                        wu = a * s0[k] + b * s1[k] if b else a * s0[k]
-                        acc[fi + c] += wu - wp * vv[fi + c]
-        elif n_edges:
-            for e in range(n_edges):
-                fi, li, pe = fol[e], led[e], pbase + e
-                for j in range(m2):
-                    slot = (sub + j) % ring
-                    wp = rect_w[j] * q_ring[slot][pe]
-                    row_v = v_ring[slot]
-                    for c in range(dim):
-                        acc[fi + c] += wp * (row_v[li + c] - vv[fi + c])
-        if forced:
-            fvec = forcing.eval(sub * h2, dim)
-            for c in range(dim):
-                acc[c] = float(fvec[c])
-
-        v_new = [v + h2 * a for v, a in zip(vv, acc)]
-        x_new = [x + h2 * v for x, v in zip(xv, vv)]
-
-        if n_edges:
-            if moments is not None:
-                # node lo leaves each run and node lo+cnt enters it. The first
-                # moment integrates the zeroth's rounding drift, so sloped runs
-                # are summed afresh once per window length.
-                for lo, cnt, a, b, s0, s1 in moments:
-                    if b and (sub + 1) % ring == 0:
-                        s0[:], s1[:] = run_sums(sub + 1, lo, cnt, True)
-                        continue
-                    q_out = q_ring[(sub + lo) % ring]
-                    q_in = q_ring[(sub + lo + cnt) % ring]
-                    if b:
-                        for k in range(nq):
-                            s1[k] += (cnt - 1) * q_in[k] + q_out[k] - s0[k]
-                    for k in range(nq):
-                        s0[k] += q_in[k] - q_out[k]
-            q_ring[slot_old] = node_row(x_new, v_new)
-        x_ring[slot_old] = x_new
-        v_ring[slot_old] = v_new
-
-        if (sub + 1) % k_ref == 0:
-            i = (sub + 1) // k_ref
-            if not (all(map(math.isfinite, v_new)) and all(map(math.isfinite, x_new))):
-                raise _blow_up((sub + 1) * h2, (i - 1) * h,
-                               np.reshape(x_new, (n_agents, dim)),
-                               np.reshape(v_new, (n_agents, dim)))
-            for a in range(n_agents):
-                for c in range(dim):
-                    x_out[i, a, c] = x_new[a * dim + c]
-                    v_out[i, a, c] = v_new[a * dim + c]
-
-    times = np.arange(n + 1) * h
-    traj = Trajectory(times=times, x=x_out, v=v_out,
-                      hist_times=(np.arange(m + 1) - m) * h,
-                      hist_x=xs0[::k_ref].copy(), hist_v=vs0[::k_ref].copy(),
-                      scenario=scenario)
-    _freeze(traj.times, traj.x, traj.v, traj.hist_times, traj.hist_x, traj.hist_v)
-    return traj
-
-
-# ---------------------------------------------------------------------------
-# CSV export / import
-# ---------------------------------------------------------------------------
-
-# _format_rows writes C's "%.17g" for a whole block with numpy calls: each value
-# is rounded to an exact 17-digit integer D with x = +-D * 10**(e-16), its text
-# is laid out in six little-endian words with NUL in every unused byte, and the
-# NULs are deleted at the end.
-
-_CSV_CHUNK_VALUES = 4096      # values formatted or parsed per pass; bounds the temporaries
-_SCAN_BYTES = 1 << 18         # bytes per pass of the CSV reader's row count
-_E_MIN, _E_MAX = -275, 290    # exponents of the fast path: no split overflows, no lo underflows
-# The double-double x * 10**(16-e) is within 2**-104 * 1e17 < 5e-15 of the exact
-# product; a fractional part this close to 1/2 (or to 0 at D = 1e16) is left to Python.
-_HALF_TOL = 1e-12
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp split: a == hi + lo exactly, each with at most 26 significant bits."""
-    c = 134217729.0 * a       # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _word(text: str) -> int:
-    """Up to 8 ASCII characters, NUL padded, as one little-endian word."""
-    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
-
-
-@functools.cache
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """Row i, for the decimal exponent e = _E_MAX - i: 10**(16-e) as the
-    double-double hi + lo (hi correctly rounded, lo the correctly rounded
-    remainder), hi's split, and the half-way tolerance (0 where 10**(16-e) is
-    a double, so the product is exact). Built on the first write."""
-    hi, lo = [], []
-    for e in range(_E_MAX, _E_MIN - 1, -1):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        h = num / den
-        h_num, h_den = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * h_den - h_num * den) / (den * h_den))
-    hi, lo = np.array(hi), np.array(lo)
-    return (hi, *_split(hi), lo, np.where(lo == 0.0, 0.0, _HALF_TOL))
-
-
-@functools.cache
-def _text_table() -> tuple[np.ndarray, ...]:
-    """Text words: the digits of 0000..9999 (one in every even byte), the sign
-    and leading "0.000" of fixed notation by (negative, -e), and the exponent
-    suffix by e - _E_MIN (empty in fixed notation)."""
-    g = np.arange(10000, dtype=np.uint64)
-    quads = sum((g // 10 ** (3 - j) % 10 + ord("0")) << (16 * j) for j in range(4))
-    prefixes = np.array([_word(sign + ("0." + "0" * (z - 1) if z else ""))
-                         for sign in ("", "-") for z in range(5)], np.uint64)
-    suffixes = np.array([0 if -4 <= e <= 16 else _word(f"e{e:+03d}")
-                         for e in range(_E_MIN, _E_MAX + 1)], np.uint64)
-    return quads, prefixes, suffixes
-
-
-def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, e, ok): |x| rounded half to even to D * 10**(e-16), D in [1e16, 1e17),
-    where ok; +-0 gives D = 0, e = 0. Elsewhere (non-finite, outside the table,
-    an exponent estimate one off, an ambiguous rounding) ok is False."""
-    hi, hi_h, hi_l, lo, tols = _pow10_table()
-    ax = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(ax))
-        ok = (e >= _E_MIN) & (e <= _E_MAX)
-        i = np.where(ok, _E_MAX - e, 0).astype(np.intp)
-    a = np.where(ok, ax, 0.0)
-    # v = a * 10**(16-e) as ph + pl: Dekker's exact product a * hi, plus a * lo
-    a_h, a_l = _split(a)
-    b_h, b_l = hi_h[i], hi_l[i]
-    ph = a * hi[i]
-    pl = ((a_h * b_h - ph) + a_h * b_l + a_l * b_h) + a_l * b_l + a * lo[i]
-    s = ph + pl
-    pl -= s - ph            # now s + pl == ph + pl exactly
-    # any s near [1e16, 1e17) is above 2**53, an integer, so floor(v) = s + floor(pl)
-    r = np.floor(pl)
-    frac = pl - r
-    d = s.astype(np.int64) + r.astype(np.int64)
-    tol = tols[i]
-    ok &= (d >= 10**16) & ~((d == 10**16) & (frac < tol)) & ~(np.abs(frac - 0.5) < tol)
-    d += (frac > 0.5) | ((frac == 0.5) & (d % 2 == 1))
-    ok &= d < 10**17
-    zero = ax == 0.0
-    ok |= zero
-    d[~ok | zero] = 0
-    e[~ok | zero] = 0
-    return d, e.astype(np.int64), ok
-
-
-def _format_rows(block: np.ndarray) -> bytes:
-    """The rows of a C-contiguous 2-D float64 block as CSV lines, every value
-    in C's "%.17g": the bytes np.savetxt(fmt="%.17g", delimiter=",") writes.
-
-    A value's text words: 0 holds the sign, fixed notation's leading "0.000",
-    the first digit and a point slot; 1-4 the other 16 digits, each followed
-    by a point slot; 5 the exponent ("e+dd", "e-ddd") and the separator.
-    """
-    quads, prefixes, suffixes = _text_table()
-    x = block.reshape(-1)
-    d, e, ok = _decimal17(x)
-    d = d.view(np.uint64)
-    hi9 = d // 100000000
-    lo8 = d - hi9 * 100000000
-    d0 = hi9 // 100000000
-    mid = hi9 - d0 * 100000000
-    g1, g3 = mid // 10000, lo8 // 10000
-    g4 = lo8 - g3 * 10000
-    fixed = (e >= -4) & (e <= 16)         # %g at 17 digits: exponent form below 1e-4 and from 1e17
-    words = np.empty((x.size, 6), np.uint64)
-    lead = np.signbit(x) * 5 + np.where(fixed & (e < 0), -e, 0)
-    words[:, 0] = prefixes[lead] + ((d0 + ord("0")) << 48)
-    words[:, 1] = quads[g1]
-    words[:, 2] = quads[mid - g1 * 10000]
-    words[:, 3] = quads[g3]
-    words[:, 4] = quads[g4]
-    words[:, 5] = suffixes[e - _E_MIN] + (ord(",") << 40)
-    words[block.shape[1] - 1::block.shape[1], 5] -= (ord(",") - ord("\n")) << 40
-    text = words.view(np.uint8)
-    # drop trailing zeros after the point, and the point when no digit follows it
-    point = np.where(fixed, e, 0)                   # the digit it follows; < 0: in the prefix
-    last = np.full(x.size, 16)                      # the last digit kept
-    z = np.flatnonzero(g4 % 10 == 0)
-    tail = text[z, 8:40:2]                          # digits 1..16
-    nonzero = tail != ord("0")
-    last[z] = np.where(nonzero.any(axis=1), 16 - nonzero[:, ::-1].argmax(axis=1), 0)
-    keep = np.maximum(last[z], point[z])
-    text[z, 8:40:2] = np.where(np.arange(1, 17) <= keep[:, None], tail, 0)
-    p = np.flatnonzero((last > point) & (point >= 0))
-    text.reshape(-1)[p * text.shape[1] + 7 + 2 * point[p]] = ord(".")
-    for k in np.flatnonzero(~ok):
-        s = b"%.17g" % x[k]
-        text[k, :45] = 0                            # all but the separator
-        text[k, :len(s)] = np.frombuffer(s, np.uint8)
-    return words.tobytes().translate(None, b"\0")
-
-
-def _chunk_rows(n_cols: int) -> int:
-    return max(1, _CSV_CHUNK_VALUES // n_cols)
-
-
-def write_csv(path, names: Sequence[str], blocks: Iterable[np.ndarray]) -> None:
-    """Write a header line of column names, then the rows of each 2-D block,
-    every number in C's "%.17g" (17 significant digits, trailing zeros
-    dropped), as np.savetxt(fmt="%.17g", delimiter=",") would."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        for block in blocks:
-            block = np.ascontiguousarray(block, dtype=np.float64)
-            step = _chunk_rows(block.shape[1])
-            for r in range(0, block.shape[0], step):
-                fh.write(_format_rows(block[r:r + step]))
-
-
-def trajectory_columns(n_agents: int, dim: int) -> list[str]:
-    """Column names of the trajectory CSV: t, then x{i}_{k}, v{i}_{k} per
-    agent i=1..N and coordinate k=1..d."""
-    names = ["t"]
-    for i in range(1, n_agents + 1):
-        for k in range(1, dim + 1):
-            names.append(f"x{i}_{k}")
-            names.append(f"v{i}_{k}")
-    return names
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per stored step, full double precision (17 significant digits),
-    formatted a chunk of rows at a time straight from the trajectory arrays."""
-    n_agents, dim = traj.n_agents, traj.dim
-    n_cols = 1 + 2 * n_agents * dim
-    step = _chunk_rows(n_cols)
-
-    def blocks():
-        for r in range(0, traj.times.size, step):
-            times = traj.times[r:r + step]
-            block = np.empty((times.size, n_cols))
-            block[:, 0] = times
-            # x then v for each agent and coordinate, the order of trajectory_columns
-            pairs = block[:, 1:].reshape(times.size, n_agents, dim, 2)
-            pairs[..., 0] = traj.x[r:r + step]
-            pairs[..., 1] = traj.v[r:r + step]
-            yield block
-    write_csv(path, trajectory_columns(n_agents, dim), blocks())
-
-
-def _is_data_line(line: bytes) -> bool:
-    """Whether np.loadtxt reads a row from this line: it is neither a '#'
-    comment nor empty. A line of spaces is a row, and a malformed one."""
-    return line[:1] != b"#" and line not in (b"\n", b"\r\n", b"\r")
-
-
-def _count_data_lines(fh) -> int:
-    """How many lines from ``fh``'s position to its end :func:`_is_data_line`
-    accepts, found ``_SCAN_BYTES`` at a time. Each newline starts a line (the
-    header's starts the first, and a sentinel newline ends the file, so a
-    last line "\\r" reads as "\\r\\n"). The line is not data if the byte after
-    its newline is '#' or a newline, or the two bytes after it are "\\r\\n". A
-    pass decides the newlines whose two bytes it holds and carries the rest.
-    """
-    count, carry = 0, b"\n"
-    while True:
-        block = fh.read(_SCAN_BYTES)
-        buf = np.frombuffer(carry + (block or b"\n"), np.uint8)
-        end = buf.size - 2                # the newlines before end are decided here
-        at = np.flatnonzero(buf[:end] == 10)
-        first, second = buf[at + 1], buf[at + 2]
-        count += at.size - np.count_nonzero((first == 35) | (first == 10)
-                                            | ((first == 13) & (second == 10)))
-        if not block:
-            return count
-        carry = buf[end:].tobytes()
-
-
-def read_trajectory_csv(path) -> Trajectory:
-    """Load a trajectory CSV written by :func:`write_trajectory_csv`.
-
-    Only the step grid is recoverable from the file, so the returned
-    trajectory has an empty prehistory and no scenario attached. A file that
-    is not such a CSV raises :class:`ScenarioError` naming it (and the file
-    line of the first malformed data row). The data rows are counted first,
-    from the bytes, so ``times``, ``x`` and ``v`` are allocated once and filled
-    a chunk of rows at a time: the read holds one copy of the trajectory.
-    """
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("latin-1")
-        if not header:
-            raise ScenarioError(f"{path}: empty file, not a trajectory CSV")
-        names = [s.strip() for s in header.split(",")]
-        last = re.fullmatch(r"v(\d+)_(\d+)", names[-1])    # v{N}_{d}
-        n_agents, dim = (int(last[1]), int(last[2])) if last else (0, 0)
-        if (n_agents < 1 or dim < 1 or len(names) != 1 + 2 * n_agents * dim
-                or trajectory_columns(n_agents, dim) != names):
-            raise ScenarioError(f"{path}: not a trajectory CSV (header starts {names[:2]})")
-        start = fh.tell()
-        n_rows = _count_data_lines(fh)
-        if n_rows == 0:
-            raise ScenarioError(f"{path}: trajectory CSV has no data rows")
-        fh.seek(start)
-        times = np.empty(n_rows)
-        x = np.empty((n_rows, n_agents, dim))
-        v = np.empty_like(x)
-        lines = filter(_is_data_line, fh)
-        step = _chunk_rows(len(names))
-        for r in range(0, n_rows, step):
-            rows = min(step, n_rows - r)
-            try:
-                block = np.loadtxt(itertools.islice(lines, rows), delimiter=",", ndmin=2)
-                if block.shape != (rows, len(names)):
-                    raise ValueError(f"expected rows of {len(names)} values, "
-                                     f"read {block.shape[0]} rows of {block.shape[1]}")
-            except ValueError as err:
-                raise ScenarioError(f"{path}: malformed trajectory data: "
-                                    f"{_first_bad_row(path, len(names)) or err}") from None
-            times[r:r + rows] = block[:, 0]
-            # x then v for each agent and coordinate, the order of trajectory_columns
-            pairs = block[:, 1:].reshape(rows, n_agents, dim, 2)
-            x[r:r + rows] = pairs[..., 0]
-            v[r:r + rows] = pairs[..., 1]
-    empty = np.empty((0, n_agents, dim))
-    return Trajectory(times=times, x=x, v=v,
-                      hist_times=np.empty(0), hist_x=empty, hist_v=empty, scenario=None)
-
-
-def _first_bad_row(path, n_values: int) -> str | None:
-    """Describe the first data row that is not ``n_values`` numbers, by its
-    1-based line in the file (the header is line 1). Empty and '#' comment
-    lines are skipped, as np.loadtxt skips them."""
-    with open(path, "rb") as fh:
-        next(fh)
-        for lineno, line in enumerate(fh, start=2):
-            if not _is_data_line(line):
-                continue
-            cells = line.decode("latin-1").split("#", 1)[0].split(",")
-            if len(cells) != n_values:
-                return f"row at line {lineno} has {len(cells)} values, expected {n_values}"
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    return f"row at line {lineno}, column {col}: {cell.strip()!r} is not a number"
-    return None

@@ -25,7 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .integrator import Trajectory, _state_arrays, write_trajectory_csv
+from .csvio import write_trajectory_csv
+from .integrator import Trajectory, _state_arrays
 from .model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                     LeadershipDag, Potential, Scenario, ScenarioError,
                     _fields_of, _integer, _real, _reals)

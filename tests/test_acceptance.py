@@ -13,7 +13,8 @@ from hlflock.diagnostics import (ConsensusSeries, ball_invariance_probe,
                                  consensus_series, fit_decay_rate,
                                  free_will_consensus_probe, history_speed_bound,
                                  lyapunov_probe, positivity_probe)
-from hlflock.integrator import simulate, simulate_oracle
+from hlflock.integrator import simulate
+from hlflock.oracle import simulate_oracle
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario,
                            check_forcing_conditions)

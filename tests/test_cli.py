@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 import hlflock.cli
 import hlflock.diagnostics
+import hlflock.integrator
 import hlflock.model
 import hlflock.scenarios
 from hlflock.cli import main
-from hlflock.integrator import (BlowUpError, Trajectory, simulate, simulate_many,
-                                write_trajectory_csv)
+from hlflock.csvio import write_trajectory_csv
+from hlflock.integrator import BlowUpError, Trajectory, simulate, simulate_many
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario)
 from hlflock.scenarios import GeneratorSpec, generate, load_scenario, save_scenario
@@ -266,17 +267,25 @@ class TestCheckCommand:
         assert simulate_calls == [5, 6]
 
     def test_loads_each_seed_once(self, tmp_path, monkeypatch):
-        seeds = []
+        # the generator file is read once, and each seed drawn from it once
+        reads, seeds = [], []
+        read_json, draw = hlflock.scenarios._read_json, hlflock.cli.generate
 
-        def counted(path, seed=None):
-            seeds.append(seed)
-            return load_scenario(path, seed=seed)
-        monkeypatch.setattr(hlflock.cli, "load_scenario", counted)
+        def counted_read(path):
+            reads.append(path)
+            return read_json(path)
+
+        def counted_draw(spec):
+            seeds.append(spec.rng_seed)
+            return draw(spec)
+        monkeypatch.setattr(hlflock.scenarios, "_read_json", counted_read)
+        monkeypatch.setattr(hlflock.cli, "generate", counted_draw)
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"generator": {
             "topology": "chain", "n_agents": 2, "dim": 1, "rng_seed": 0}}))
         assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "chk"),
                      "--count", "3", "--seed", "4", "--probes", "ball"]) == 0
+        assert reads == [path]
         assert seeds == [4, 5, 6]
 
     @pytest.mark.parametrize("flag,message", [("--dt", "dt must be positive"),
@@ -335,9 +344,9 @@ class TestCheckCommand:
     def test_blow_up_after_earlier_reports(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(BlowUpError) as alone:
             simulate(hot_scenario())
-        real = hlflock.cli.load_scenario
-        monkeypatch.setattr(hlflock.cli, "load_scenario", lambda path, seed=None: (
-            hot_scenario(seed) if seed == 6 else real(path, seed=seed)))
+        real = hlflock.cli.generate
+        monkeypatch.setattr(hlflock.cli, "generate", lambda spec: (
+            hot_scenario(6) if spec.rng_seed == 6 else real(spec)))
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"generator": {
             "topology": "chain", "n_agents": 3, "dim": 1, "rng_seed": 0}}))
@@ -482,6 +491,15 @@ class TestFitDecayCommand:
         assert main(["fit-decay", "--traj", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and needle in err
+        assert not out.exists()
+
+    def test_csv_larger_than_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        csv_path = self.planted_csv(tmp_path / "planted.csv", np.linspace(0.0, 3.0, 301))
+        monkeypatch.setattr(hlflock.integrator, "_physical_memory", lambda: 1)
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--traj", str(csv_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: 301 data rows: its trajectory needs {16 * 301 * 2} bytes" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad_row", ["0.1,0,0,1", "0.1,0,a,1,1"],
@@ -761,6 +779,10 @@ def test_benchmark_tracer_patches_names_that_exist(tmp_path, monkeypatch):
     tracer = Tracer()
     tracer.install()
     try:
+        # each of its 22 patches found its attribute and replaced it
+        assert len(tracer._restore) == 22
+        assert all(getattr(owner, attr) is not original
+                   for owner, attr, original in tracer._restore)
         assert main(["simulate", "--scenario", str(REPO / "perfbench/specs/sweep_chain.json"),
                      "--seed", "3", "--out", str(tmp_path)]) == 0
     finally:

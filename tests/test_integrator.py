@@ -1,9 +1,7 @@
 import ast
 import inspect
-import io
 import math
 import pickle
-import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,14 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hlflock.csvio
 import hlflock.integrator
-from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum,
-                                _count_data_lines, _coupling, _decimal17,
-                                _explicit_window_sum, _format_rows, _Group, _heun_step,
-                                _is_data_line, _window_sum_probes,
-                                read_trajectory_csv, simulate, simulate_many,
-                                simulate_oracle, step_groups, trajectory_columns,
-                                write_trajectory_csv)
+import hlflock.oracle
+from hlflock.csvio import (_decimal17, _format_rows, read_trajectory_csv, trajectory_columns,
+                           write_trajectory_csv)
+from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum, _coupling,
+                                _explicit_window_sum, _Group, _heun_step, _window_sum_probes,
+                                simulate, simulate_many, step_groups)
+from hlflock.oracle import simulate_oracle
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
 from hlflock.scenarios import GeneratorSpec, generate, load_scenario
@@ -317,34 +316,22 @@ class TestOracle:
         np.testing.assert_allclose(oracle.v[:, 0, 0], expected, atol=2e-3)
 
     def test_shares_no_code_with_the_heun_path(self):
-        # the cross-check is independent only if no Heun code runs in it: walk
-        # simulate_oracle, its nested functions and every integrator function
-        # it reaches, and collect every name they use
-        heun = {"_NodeRing", "_coupling", "_heun_step", "_Group", "_window_sum",
-                "_checked_window_sum", "_trapezoid_mu_weights", "simulate", "simulate_many",
-                "step_groups"}
-        module = hlflock.integrator
-
-        def own_function(name):
-            # defined in the integrator, looked at through functools wrappers
-            f = inspect.unwrap(getattr(module, name, None))
-            return inspect.isfunction(f) and f.__module__ == module.__name__
-
-        names, seen, todo = set(), set(), {"simulate_oracle"}
-        while todo:
-            name = todo.pop()
-            seen.add(name)
-            tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(module, name))))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.asname or node.name)
-            todo |= {n for n in names - seen if own_function(n)}
-        assert {"_scalar_potential", "_blow_up", "_run_arrays"} <= seen
-        assert not names & heun
+        # the cross-check is independent only if no Heun code runs in it: the
+        # oracle module imports from the stepping module only the trajectory
+        # type and the allocation, freezing and blow-up helpers, and nothing
+        # else of the package but the model
+        tree = ast.parse(inspect.getsource(hlflock.oracle))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.name, None) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["hlflock" * bool(node.level), node.module]))
+                imported |= {(module, alias.name) for alias in node.names}
+        assert {name for module, name in imported if module == "hlflock.integrator"} == {
+            "Trajectory", "_blow_up", "_freeze", "_physical_memory", "_run_arrays"}
+        assert {module for module, _ in imported if module.split(".")[0] == "hlflock"} == {
+            "hlflock.integrator", "hlflock.model"}
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1051,7 @@ class TestTrajectoryCsv:
         path = tmp_path / "bad.csv"
         good = ["0,0,0,1,1", "0.1,0,0,1,1", "0.2,0,0,1,1"]
         path.write_text("\n".join(["t,x1_1,v1_1,x2_1,v2_1", *good, *rows]) + "\n")
-        with mock.patch.object(hlflock.integrator, "_CSV_CHUNK_VALUES", 15), \
+        with mock.patch.object(hlflock.csvio, "_CSV_CHUNK_VALUES", 15), \
                 pytest.raises(ScenarioError) as exc:
             read_trajectory_csv(path)
         assert str(exc.value) == f"{path}: malformed trajectory data: {message}"
@@ -1083,37 +1070,17 @@ class TestTrajectoryCsv:
         "0,0,0,1,1\n0.1,0.5,0,1,1\n0.2,1,2,3,4",
         "\n# comment\n0,0,0,1,1\n\r\n#  # indented\n0.1,0.5,0,1,1 # inline\n"
         "\t0.2,1,2,3,4\r\n 0.3,1,2,3,5\n\n",
-    ], ids=["no-trailing-newline", "blank-and-comment-lines"])
+        "\n# c\n0,0,0,1,1\r\n\r\n0.1,0.5,0,1,1\n\r",
+    ], ids=["no-trailing-newline", "blank-and-comment-lines", "carriage-return-lines"])
     def test_reads_what_loadtxt_reads(self, tmp_path, chunk_values, body):
         path = tmp_path / "traj.csv"
         path.write_text("t,x1_1,v1_1,x2_1,v2_1\n" + body)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        with mock.patch.object(hlflock.integrator, "_CSV_CHUNK_VALUES", chunk_values):
+        with mock.patch.object(hlflock.csvio, "_CSV_CHUNK_VALUES", chunk_values):
             back = read_trajectory_csv(path)
         np.testing.assert_array_equal(back.times, table[:, 0])
         np.testing.assert_array_equal(back.x[..., 0], table[:, 1::2])
         np.testing.assert_array_equal(back.v[..., 0], table[:, 2::2])
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=40).map(lambda b: bytes(b"\n\r# 1,"[c % 6] for c in b)),
-           st.sampled_from([1, 2, 3, 7, hlflock.integrator._SCAN_BYTES]))
-    @example(b"\r", 1)
-    @example(b"1\n\r", 2)
-    @example(b"\n\n\r\n#\r\r\n", 3)
-    def test_row_count_is_the_lines_loadtxt_reads(self, body, scan_bytes):
-        with mock.patch.object(hlflock.integrator, "_SCAN_BYTES", scan_bytes):
-            count = _count_data_lines(io.BytesIO(body))
-        assert count == sum(map(_is_data_line, io.BytesIO(body)))
-
-    def test_rows_split_across_scan_blocks_read_as_one_pass(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        path.write_text("t,x1_1,v1_1,x2_1,v2_1\n\n# c\n0,0,0,1,1\r\n\r\n0.1,0.5,0,1,1\n\r")
-        whole = read_trajectory_csv(path)
-        for scan_bytes in (1, 2, 5):
-            with mock.patch.object(hlflock.integrator, "_SCAN_BYTES", scan_bytes):
-                back = read_trajectory_csv(path)
-            assert back.times.tolist() == whole.times.tolist() == [0.0, 0.1]
-            np.testing.assert_array_equal(back.v, whole.v)
 
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
