@@ -130,10 +130,10 @@ class _NodeRing:
     Each entry is the same single product whenever it is computed, so reusing
     it changes no bit.
 
-    No buffer that holds psi repeats it per coordinate, and no row is stored
-    twice: the ring and its work buffers take (m+1)(E+1)(2d+3) doubles
-    (``psi``, ``weights``, ``wpsi``, then ``vl`` and ``rel``) whatever the
-    horizon, besides arrays of O(E * d) per edge.
+    No buffer that holds psi repeats it per coordinate: the ring and its work
+    buffers take (m+1)(E+1)(2d+3) doubles (``psi``, ``weights``, ``wpsi``,
+    then ``vl`` and ``rel``) whatever the horizon, besides arrays of O(E * d)
+    per edge.
     """
 
     def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,

@@ -9,8 +9,8 @@ and an optional exogenous acceleration applied to the root agent.
 Agents are 1-indexed everywhere in the public API. The hierarchical-leadership
 (HL) ordering is taken as given: every influence edge must point from a lower
 index to a higher one, and every non-root agent needs at least one leader.
-Validation reports violations as data instead of raising, so that malformed
-inputs can be inspected.
+Wrong types and unknown members raise at construction; hierarchy, grid and
+dimension violations are data, so that malformed inputs can be inspected.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -73,6 +73,15 @@ def _integer(value, path: str, least: int | None = None) -> int:
     raise ScenarioError(f"{path} must be an integer{bound}, got {reprlib.repr(value)}")
 
 
+def _samples(times, t_name: str, values, v_name: str, row: tuple = ()):
+    """A sampled table: 2 or more strictly increasing ``times``, a ``row``-shaped value each."""
+    t = _reals(times, t_name, (None,))
+    v = _reals(values, v_name, (t.size, *row))
+    if t.size < 2 or np.any(np.diff(t) <= 0):
+        raise ScenarioError(f"{t_name} must be strictly increasing, with at least 2 samples")
+    return t, v
+
+
 @contextmanager
 def _fields_of(d, where: str):
     """Read the JSON object ``d``, named ``where``: a missing key, or a
@@ -94,27 +103,45 @@ class _JsonFamily:
 
     The form of a member is ``{_TAG: name}`` and then, in order, the fields
     ``_FIELDS[name]`` of its family, each a number or an array. The
-    constructor takes the family's name and its fields, and reads them."""
+    constructor takes a member's name and its fields, and reads them. A
+    member whose fields are None (a custom potential's callable) has no JSON
+    form: it is neither saved nor loaded, and equals only itself."""
 
     _TAG = "family"
-    _FIELDS: dict[str, tuple[str, ...]] = {}
+    _DEFAULT: str | None = None     # the member of a form without a _TAG
+    _FIELDS: dict[str, tuple[str, ...] | None] = {}
+
+    @classmethod
+    def _member(cls, name, where: str | None = None) -> str:
+        """``name``, if it names a member: an unknown name, or in the file
+        object ``where`` a member without a JSON form, is a ScenarioError."""
+        if isinstance(name, str) and name in cls._FIELDS and not (
+                where and cls._FIELDS[name] is None):
+            return name
+        raise ScenarioError(f"{where or cls.__name__}: unknown {cls._TAG} {name!r}")
+
+    @property
+    def _form(self) -> tuple[str, ...] | None:
+        return self._FIELDS[getattr(self, self._TAG)]
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.to_dict() == other.to_dict()
+        return self is other or (type(other) is type(self) and None not in (self._form, other._form)
+                                 and self.to_dict() == other.to_dict())
 
     def to_dict(self) -> dict:
         name = getattr(self, self._TAG)
-        return {self._TAG: name, **{k: np.asarray(getattr(self, k)).tolist()
-                                    for k in self._FIELDS[name]}}
+        if self._form is None:
+            raise ScenarioError(f"a {name} {type(self).__name__} has no JSON form and cannot be saved")
+        return {self._TAG: name, **{k: np.asarray(getattr(self, k)).tolist() for k in self._form}}
 
     @classmethod
     def from_dict(cls, d: dict, where: str):
         """Inverse of :meth:`to_dict`; ``where`` names ``d`` in errors."""
+        with _fields_of(d, where):      # d must be an object before its name is read
+            name = d.get(cls._TAG, cls._DEFAULT)
+        name = cls._member(name, where)
         with _fields_of(d, where):
-            name = d.get(cls._TAG)
-            if name in tuple(cls._FIELDS):      # a tuple: name need not be hashable
-                return cls(name, **{k: d[k] for k in cls._FIELDS[name]})
-        raise ScenarioError(f"{where}: unknown {cls._TAG} {name!r}")
+            return cls(name, **{k: d[k] for k in cls._FIELDS[name]})
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +263,33 @@ class Potential(_JsonFamily):
     family wraps an arbitrary callable.
     """
 
-    _FIELDS = {"cucker_smale": ("beta",), "table": ("distances", "values")}
+    _FIELDS = {"cucker_smale": ("beta",), "table": ("distances", "values"), "custom": None}
 
     def __init__(self, family: str, *, beta: float | None = None,
                  distances: np.ndarray | None = None, values: np.ndarray | None = None,
                  func: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.family = family
+        self.family = self._member(family)
         self.func = func
         self.beta = _real(beta, "beta", least=0.0) if family == "cucker_smale" else None
         self.distances = self.values = None
         if family == "table":
-            self.distances = s = _reals(distances, "distances", (None,))
-            self.values = v = _reals(values, "values", s.shape)
-            if s.size < 2 or s[0] < 0 or np.any(np.diff(s) <= 0):
-                raise ScenarioError("distances must be >= 0 and strictly increasing, "
-                                    "with at least 2 samples")
+            self.distances, self.values = s, v = _samples(distances, "distances", values, "values")
+            if s[0] < 0:
+                raise ScenarioError("distances must be >= 0")
             if np.any(v < 0) or np.any(np.diff(v) > 0):
                 raise ScenarioError("values must be >= 0 and non-increasing")
+        if family == "custom":
+            if not callable(func):
+                raise ScenarioError(f"func must be a callable, got {reprlib.repr(func)}")
+            # spot-check positivity and monotonicity on a coarse grid
+            probe = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 40)])
+            vals = np.asarray(func(probe), dtype=float)
+            if vals.shape != probe.shape or not np.all(np.isfinite(vals)):
+                raise ScenarioError("custom potential must return finite values elementwise")
+            if np.any(vals <= 0):
+                raise ScenarioError("custom potential must be strictly positive")
+            if np.any(np.diff(vals) > 1e-12):
+                raise ScenarioError("custom potential must be non-increasing")
 
     @classmethod
     def cucker_smale(cls, beta: float) -> "Potential":
@@ -264,17 +301,7 @@ class Potential(_JsonFamily):
 
     @classmethod
     def custom(cls, func: Callable[[np.ndarray], np.ndarray]) -> "Potential":
-        p = cls("custom", func=func)
-        # spot-check positivity and monotonicity on a coarse grid
-        probe = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 40)])
-        vals = np.asarray(func(probe), dtype=float)
-        if vals.shape != probe.shape or not np.all(np.isfinite(vals)):
-            raise ScenarioError("custom potential must return finite values elementwise")
-        if np.any(vals <= 0):
-            raise ScenarioError("custom potential must be strictly positive")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ScenarioError("custom potential must be non-increasing")
-        return p
+        return cls("custom", func=func)
 
     def _eval(self, s: np.ndarray) -> np.ndarray:
         if self.family == "cucker_smale":
@@ -290,18 +317,6 @@ class Potential(_JsonFamily):
         out = self._eval(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def __eq__(self, other) -> bool:
-        # a custom callable has no JSON form and equals only itself
-        if self.family == "custom" or getattr(other, "family", None) == "custom":
-            return self is other
-        return super().__eq__(other)
-
-    def to_dict(self) -> dict:
-        """JSON form of a built-in family; a custom callable has none."""
-        if self.family == "custom":
-            raise ScenarioError("custom potentials hold arbitrary callables and cannot be saved")
-        return super().to_dict()
-
     def __repr__(self) -> str:
         if self.family == "cucker_smale":
             return f"Potential.cucker_smale({self.beta})"
@@ -314,6 +329,11 @@ def eval_potential(p: Potential, s):
     if np.any(arr < 0):
         raise ScenarioError("potential is defined for nonnegative distances only")
     return p(s)
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of the samples ``y`` from ``x[0]`` to each ``x``."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
 @dataclass(frozen=True)
@@ -335,9 +355,7 @@ def check_divergent_tail(p: Potential, horizon: float = 1e6) -> TailReport:
         return TailReport(verdict="yes" if p.beta <= 0.5 else "no")
     decades = int(math.ceil(math.log10(horizon)))
     grid = np.concatenate([[0.0], np.geomspace(1e-3, horizon, decades * 64)])
-    vals = p(grid)
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-    cumulative = np.concatenate([[0.0], np.cumsum(increments)])
+    cumulative = _cumulative_trapezoid(p(grid), grid)
     marks = []
     for s_mark in np.geomspace(1.0, horizon, decades + 1):
         k = int(np.searchsorted(grid, s_mark))
@@ -360,39 +378,45 @@ _KERNEL_GRID_POINTS = 1025  # dense internal grid; trapezoid mass is exact for
 class DelayKernel(_JsonFamily):
     """Nonnegative bounded weight over the memory window [0, tau].
 
-    ``mu0`` is the total mass, computed by composite trapezoid on the stored
-    sample grid. Built-in shapes carry an analytic mass that the numeric one
-    must reproduce to 1e-10 relative; tables are trapezoid-only.
+    ``mu0`` is the total mass, computed by composite trapezoid on the sample
+    grid ``times``/``values``: a table's own samples, the last at tau, or a
+    dense grid of a built-in shape, whose ``height`` (``peak`` for the
+    triangle) defaults to unit mass. Built-in shapes carry an analytic mass
+    that the numeric one must reproduce to 1e-10 relative; tables are
+    trapezoid-only.
     """
 
+    _TAG = "shape"
+    _FIELDS = {"uniform": ("tau", "height"), "triangular": ("tau", "peak"),
+               "truncated_bump": ("tau", "height"), "table": ("times", "values")}
     BUILTIN_SHAPES = ("uniform", "triangular", "truncated_bump")
 
-    def __init__(self, shape: str, tau: float, *, height: float | None = None,
-                 times: np.ndarray | None = None, values: np.ndarray | None = None):
-        self.shape = shape
+    def __init__(self, shape: str, tau: float | None = None, *, height: float | None = None,
+                 peak: float | None = None, times: np.ndarray | None = None,
+                 values: np.ndarray | None = None):
+        self.shape = self._member(shape)
+        self.height = self.peak = None
+        if shape == "table":
+            self.times, self.values = t, v = _samples(times, "times", values, "values")
+            tau = t[-1] if tau is None else tau
         self.tau = _real(tau, "tau")
         if not self.tau > 0:
             raise ScenarioError(f"tau must be > 0, got {tau}")
-        self.height = None
         if shape == "table":
-            t = _reals(times, "times", (None,))
-            v = _reals(values, "values", t.shape)
-            if (t.size < 2 or abs(t[0]) > 1e-12 * self.tau or abs(t[-1] - self.tau) > 1e-12 * self.tau
-                    or np.any(np.diff(t) <= 0)):
-                raise ScenarioError("times must increase from 0 to tau, with at least 2 samples")
+            if abs(t[0]) > 1e-12 * self.tau or abs(t[-1] - self.tau) > 1e-12 * self.tau:
+                raise ScenarioError("times must run from 0 to tau")
             if np.any(v < 0):
                 raise ScenarioError("values must be >= 0")
-            self._grid_t, self._grid_v = t, v
             self.tau = float(t[-1])     # a table is its samples, all that to_dict keeps
         else:
-            if shape not in self.BUILTIN_SHAPES:
-                raise ScenarioError(f"unknown kernel shape {shape!r}")
             self.height = 1.0       # for the mass of unit height, when none is given
+            height = peak if shape == "triangular" else height
             self.height = _real(1.0 / self.analytic_mass if height is None else height,
-                                "peak" if shape == "triangular" else "height")
-            self._grid_t = np.linspace(0.0, self.tau, _KERNEL_GRID_POINTS)
-            self._grid_v = self._eval_builtin(self._grid_t)
-        self.mu0 = float(np.trapezoid(self._grid_v, self._grid_t))
+                                self._FIELDS[shape][1])
+            self.peak = self.height if shape == "triangular" else None
+            self.times = np.linspace(0.0, self.tau, _KERNEL_GRID_POINTS)
+            self.values = self._eval_builtin(self.times)
+        self.mu0 = float(np.trapezoid(self.values, self.times))
         if not self.mu0 > 0:
             raise ScenarioError(f"mass must be positive, got {self.mu0}")
 
@@ -403,7 +427,7 @@ class DelayKernel(_JsonFamily):
     @classmethod
     def triangular(cls, tau: float, peak: float | None = None) -> "DelayKernel":
         """Symmetric triangle on [0, tau] peaking at tau/2; mass = peak * tau / 2."""
-        return cls("triangular", tau, height=peak)
+        return cls("triangular", tau, peak=peak)
 
     @classmethod
     def truncated_bump(cls, tau: float, height: float | None = None) -> "DelayKernel":
@@ -413,10 +437,7 @@ class DelayKernel(_JsonFamily):
     @classmethod
     def table(cls, times: Sequence[float], values: Sequence[float]) -> "DelayKernel":
         """Samples from delay 0 to tau, which is the last sample time."""
-        t = _reals(times, "times", (None,))
-        if not t.size:
-            raise ScenarioError("times must not be empty")
-        return cls("table", t[-1], times=t, values=values)
+        return cls("table", times=times, values=values)
 
     def _eval_builtin(self, s: np.ndarray) -> np.ndarray:
         if self.shape == "uniform":
@@ -450,38 +471,26 @@ class DelayKernel(_JsonFamily):
         if self.shape == "triangular":
             return (0.0, 0.5 * self.tau, self.tau)
         if self.shape == "table":
-            return tuple(self._grid_t.tolist())
+            return tuple(self.times.tolist())
         return None
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
         if self.shape == "table":
-            out = np.interp(arr, self._grid_t, self._grid_v)
+            out = np.interp(arr, self.times, self.values)
         else:
             out = self._eval_builtin(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def to_dict(self) -> dict:
-        """JSON form: the samples of a table, else tau and the height parameter."""
-        if self.shape == "table":
-            return {"shape": "table", "times": self._grid_t.tolist(),
-                    "values": self._grid_v.tolist()}
-        param = "peak" if self.shape == "triangular" else "height"
-        return {"shape": self.shape, "tau": self.tau, param: self.height}
-
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "DelayKernel":
-        """Inverse of :meth:`to_dict`; a missing height parameter gives unit mass."""
-        with _fields_of(d, where):
-            shape = d.get("shape")
-            if shape == "table":
-                return cls.table(d["times"], d["values"])
-            if shape in cls.BUILTIN_SHAPES:
-                param = "peak" if shape == "triangular" else "height"
-                # read here, since the constructor takes None for unit mass
-                height = _real(d[param], param) if param in d else None
-                return cls(shape, d["tau"], height=height)
-        raise ScenarioError(f"{where}: unknown shape {shape!r}")
+        """Inverse of :meth:`to_dict`; a missing (not a null) height gives unit mass."""
+        if isinstance(d, dict) and d.get("shape") in cls.BUILTIN_SHAPES:
+            param = cls._FIELDS[d["shape"]][1]
+            if d.get(param, 0.0) is None:
+                raise ScenarioError(f"{where}.{param} must be a finite number, got None")
+            d = {param: None, **d}
+        return super().from_dict(d, where)
 
     def __repr__(self) -> str:
         return f"DelayKernel({self.shape!r}, tau={self.tau}, mu0={self.mu0:.6g})"
@@ -505,19 +514,14 @@ class HistoryFn(_JsonFamily):
     def __init__(self, kind: str, *, value: np.ndarray | None = None,
                  slope: np.ndarray | None = None,
                  times: np.ndarray | None = None, values: np.ndarray | None = None):
-        self.kind = kind
+        self.kind = self._member(kind)
         self.value = self.slope = self.times = self.values = None
-        if kind in ("constant", "affine"):
+        if kind == "table":
+            self.times, self.values = _samples(times, "times", values, "values", (None,))
+        else:
             self.value = _reals(value, "value", (None,))
             if kind == "affine":
                 self.slope = _reals(slope, "slope", self.value.shape)
-        elif kind == "table":
-            self.times = _reals(times, "times", (None,))
-            self.values = _reals(values, "values", (self.times.size, None))
-            if np.any(np.diff(self.times) <= 0):
-                raise ScenarioError("times must be strictly increasing")
-        else:
-            raise ScenarioError(f"unknown history kind {kind!r}")
 
     @property
     def dim(self) -> int:
@@ -603,6 +607,7 @@ class LeaderForcing(_JsonFamily):
     is zero beyond the last one.
     """
 
+    _DEFAULT = "zero"
     _FIELDS = {"zero": (), "power_law": ("amplitude", "exponent", "direction"),
                "log_damped": ("amplitude", "decay_power", "direction"),
                "table": ("times", "magnitudes", "direction")}
@@ -610,17 +615,15 @@ class LeaderForcing(_JsonFamily):
     def __init__(self, family: str, *, amplitude: float = 0.0, exponent: float | None = None,
                  decay_power: float | None = None, times: np.ndarray | None = None,
                  magnitudes: np.ndarray | None = None, direction: np.ndarray | None = None):
-        self.family = family
+        self.family = self._member(family)
         self.amplitude = _real(amplitude, "amplitude")
         self.exponent = _real(exponent, "exponent") if family == "power_law" else None
         self.decay_power = _real(decay_power, "decay_power") if family == "log_damped" else None
         self.times = self.magnitudes = self.direction = None
         if family == "table":
-            self.times = _reals(times, "times", (None,))
-            self.magnitudes = _reals(magnitudes, "magnitudes", self.times.shape)
-            if self.times.size < 2 or self.times[0] < 0 or np.any(np.diff(self.times) <= 0):
-                raise ScenarioError("times must increase strictly from t >= 0, "
-                                    "with at least 2 samples")
+            self.times, self.magnitudes = _samples(times, "times", magnitudes, "magnitudes")
+            if self.times[0] < 0:
+                raise ScenarioError("times must start at t >= 0")
         if family != "zero":
             self.direction = _reals(direction, "direction", (None,))
             norm = float(np.linalg.norm(self.direction))
@@ -708,11 +711,6 @@ class LeaderForcing(_JsonFamily):
             return float(abs(self.amplitude) * val)
         return float(np.trapezoid(np.abs(self.magnitudes), self.times))
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "LeaderForcing":
-        """Inverse of :meth:`to_dict`; a missing family means zero forcing."""
-        return super().from_dict({"family": "zero", **d} if isinstance(d, dict) else d, where)
-
     def __repr__(self) -> str:
         if self.family == "zero":
             return "LeaderForcing.zero()"
@@ -769,11 +767,8 @@ def check_forcing_conditions(f: LeaderForcing, n_agents: int,
     # table: numeric heuristics on a log-spaced grid with a declared horizon
     grid = np.concatenate([[0.0], np.geomspace(1e-3, horizon, 400)])
     mag = np.abs(f.magnitude(grid))
-    inc = 0.5 * (mag[1:] + mag[:-1]) * np.diff(grid)
-    total = np.concatenate([[0.0], np.cumsum(inc)])
-    w_inc = 0.5 * ((grid[1:] ** max(0, n_agents - 2)) * mag[1:]
-                   + (grid[:-1] ** max(0, n_agents - 2)) * mag[:-1]) * np.diff(grid)
-    w_total = np.concatenate([[0.0], np.cumsum(w_inc)])
+    total = _cumulative_trapezoid(mag, grid)
+    w_total = _cumulative_trapezoid(grid ** max(0, n_agents - 2) * mag, grid)
     ratio = mag * (1.0 + grid) ** (n_agents - 1)
 
     def settled(series) -> bool:
@@ -821,6 +816,12 @@ class Scenario:
     t_end: float = 1.0
     dt: float = 0.01
     rng_seed: int = 0
+
+    def __post_init__(self):
+        self.dim = _integer(self.dim, "dim")
+        self.t_end = _real(self.t_end, "t_end")
+        self.dt = _real(self.dt, "dt")
+        self.rng_seed = _integer(self.rng_seed, "rng_seed", least=0)
 
     @property
     def n_agents(self) -> int:

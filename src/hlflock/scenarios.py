@@ -283,13 +283,12 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             with _fields_of(entry, f"history[{k}]"):
                 positions.append(HistoryFn.from_dict(entry["position"], "position"))
                 velocities.append(HistoryFn.from_dict(entry["velocity"], "velocity"))
-        scenario = Scenario(dag=dag, dim=_integer(data["dim"], "dim"),
+        scenario = Scenario(dag=dag, dim=data["dim"],
                             potential=Potential.from_dict(data["potential"], "potential"),
                             kernel=DelayKernel.from_dict(data["kernel"], "kernel"),
                             history=HistorySpec(positions, velocities),
                             forcing=LeaderForcing.from_dict(data.get("forcing", {}), "forcing"),
-                            t_end=_real(data["t_end"], "t_end"), dt=_real(data["dt"], "dt"),
-                            rng_seed=_integer(data.get("rng_seed", 0), "rng_seed", least=0))
+                            t_end=data["t_end"], dt=data["dt"], rng_seed=data.get("rng_seed", 0))
     problems = scenario.problems()
     if problems:
         raise ScenarioError(f"{where}: " + "; ".join(problems))
@@ -337,7 +336,7 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
         return generate(spec)
     scenario = scenario_from_dict(data, where=str(path))
     if seed is not None:
-        scenario = replace(scenario, rng_seed=_integer(seed, "rng_seed", least=0))
+        scenario = replace(scenario, rng_seed=seed)
     return scenario
 
 

@@ -365,9 +365,24 @@ class TestScenario:
     (lambda: LeaderForcing.table([0.0, 1.0], [1.0, 0.0], direction=[True]), "direction"),
     (lambda: LeadershipDag(2.0), "n_agents"),
     (lambda: LeadershipDag(3, {2: [1.5]}), "leaders"),
+    (lambda: _tiny_scenario(dim=1.0), "dim"),
+    (lambda: _tiny_scenario(dim=True), "dim"),
+    (lambda: _tiny_scenario(dt="0.01"), "dt"),
+    (lambda: _tiny_scenario(t_end=None), "t_end"),
+    (lambda: _tiny_scenario(rng_seed=-1), "rng_seed"),
+    (lambda: _tiny_scenario(rng_seed=1.5), "rng_seed"),
+    (lambda: Potential("custom"), "func"),
+    (lambda: HistoryFn("table", times=np.empty(0), values=np.empty((0, 2))), "times"),
+    (lambda: Potential("foo"), "Potential: unknown family 'foo'"),
+    (lambda: DelayKernel("foo", 0.1), "DelayKernel: unknown shape 'foo'"),
+    (lambda: HistoryFn("foo", value=[1.0]), "HistoryFn: unknown kind 'foo'"),
+    (lambda: LeaderForcing("foo", direction=[1.0]), "LeaderForcing: unknown family 'foo'"),
 ], ids=["string", "bool", "negative-beta", "nan-sample", "string-height", "none-tau",
         "bool-sample", "string-entry", "slope-shape", "table-shape", "none-exponent",
-        "bool-direction", "float-count", "float-leader"])
+        "bool-direction", "float-count", "float-leader", "float-dim", "bool-dim",
+        "string-dt", "none-t_end", "negative-seed", "float-seed", "custom-without-func",
+        "empty-history-table", "unknown-potential", "unknown-kernel", "unknown-history",
+        "unknown-forcing"])
 def test_constructors_read_numbers_strictly(build, field):
     with pytest.raises(ScenarioError, match=field):
         build()
