@@ -520,7 +520,8 @@ def lyapunov_probe(traj: Trajectory, gain: float | None = None, offset: float | 
 def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3) -> ProbeReport:
     """Consensus under an admissibly forced root.
 
-    Requires the forcing hypotheses to hold (integrability plus the decay
+    Requires a flock of at least 2 agents, where the forcing hypotheses are
+    defined, and those hypotheses to hold (integrability plus the decay
     conditions); if they do not, the probe reports "hypotheses unmet" and
     asserts nothing. Otherwise it checks that the final velocity diameter is
     at most ``target``, that the diameter is non-increasing (within
@@ -528,6 +529,8 @@ def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3) -> ProbeRe
     root speed never exceeds its initial speed plus the forcing's L1 mass.
     """
     scenario = _require_scenario(traj)
+    if scenario.n_agents < 2:
+        raise PreconditionError("the forcing conditions need a flock of >= 2 agents")
     conditions = check_forcing_conditions(scenario.forcing, scenario.n_agents)
     flags = {"integrable": conditions.integrable,
              "little_o_condition": conditions.little_o_condition,

@@ -32,7 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only where it is used (log_damped forcing's l1_norm)
+    # no module imports scipy; tests/test_imports.py checks every import
     src = str(Path(hlflock.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -339,6 +339,39 @@ class TestCheckCommand:
         path = tmp_path / "one.json"
         save_scenario(scen, path)
         assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("name", ["table-table-table", "truncated_bump-log_damped"])
+    def test_single_forced_agent_skips_free_will(self, tmp_path, name):
+        # the forcing conditions are defined for >= 2 agents; the other probes still run
+        out = tmp_path / "chk"
+        assert main(["check", "--scenario", str(GOLDEN / f"{name}.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        probes = {p["name"]: p for p in report["runs"][0]["probes"]}
+        assert list(probes) == ["positivity", "ball_invariance", "two_flock_bound",
+                                "lyapunov_dissipation", "free_will_consensus"]
+        assert probes["free_will_consensus"]["passed"] is None
+        assert probes["free_will_consensus"]["details"]["status"].startswith("skipped: ")
+
+    @pytest.mark.parametrize("decay_power", [1074.0, 1100.0])
+    def test_steep_log_damped_forcing_gets_its_l1_mass(self, tmp_path, decay_power):
+        # (1 - e^-u)^q underflows at these q in a naive integrand
+        forcing = LeaderForcing("log_damped", amplitude=1.0, decay_power=decay_power,
+                                direction=[1.0, 0.0])
+        scen = Scenario(dag=LeadershipDag.chain(2), dim=2,
+                        potential=Potential.cucker_smale(0.5),
+                        kernel=DelayKernel.uniform(0.1),
+                        history=HistorySpec.constant([[0.0, 0.0], [1.0, 0.0]],
+                                                     [[1.0, 0.5], [0.0, 0.0]]),
+                        forcing=forcing, t_end=1.0, dt=0.01)
+        path = tmp_path / "steep.json"
+        save_scenario(scen, path)
+        out = tmp_path / "chk"
+        assert main(["check", "--scenario", str(path), "--out", str(out),
+                     "--probes", "free-will"]) in (0, 1)
+        report = json.loads((out / "check_report.json").read_text())
+        details = report["runs"][0]["probes"][0]["details"]
+        assert details["root_speed_cap"] == float(np.linalg.norm([1.0, 0.5])) + forcing.l1_norm()
+        assert forcing.l1_norm() > 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_after_earlier_reports(self, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports
+nothing beyond the standard library, numpy and the package itself.
 
 The check parses the source with ``ast``, so it needs no linter: a name
 counts as used when it appears in the code or in a quoted annotation, and
@@ -6,11 +7,16 @@ an import line marked ``# noqa: F401`` is kept on purpose (``diagnostics``
 re-exports ``simulate`` for the benchmark's tracer)."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hlflock"
+RUNTIME = {"numpy", "hlflock"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -48,3 +54,31 @@ def test_unused_import_is_found():
               "from re import (compile,  # noqa: F401\n    escape)\n"
               "def f(x: 'loads') -> None:\n    return math.pi\n")
     assert _unused_imports(source) == ["os (line 3)", "dumps (line 4)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_only_the_standard_library_and_numpy(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    top = {name.split(".")[0] for name in names}
+    assert top - set(sys.stdlib_module_names) - RUNTIME == set()
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_log_damped_l1_norm_runs_without_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from hlflock.model import LeaderForcing; "
+            "print(repr(LeaderForcing.log_damped(1.0, 3, dim=1).l1_norm()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert abs(float(out.stdout) - 0.9082808308357639) <= 1e-13     # q = 2, see test_model

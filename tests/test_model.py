@@ -11,6 +11,7 @@ from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            check_divergent_tail, check_forcing_conditions,
                            eval_potential, leader_levels,
                            validate_hierarchy)
+from hlflock.scenarios import GeneratorSpec
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,28 @@ class TestForcingConditions:
         log_mass = LeaderForcing.log_damped(1.0, 2, dim=1).l1_norm()
         assert 0 < log_mass < math.inf
 
+    # the integral of 1 / ((1+t)^q ln^2(2+t)) over t >= 0, to 25 digits, by
+    # mpmath's tanh-sinh quadrature at 60 digits on u = ln(2+t)
+    LOG_DAMPED_MASS = {
+        1.0: "1.993559680665363847864607",
+        1.001: "1.985987879810453907319846",
+        2.0: "0.9082808308357639102671767",
+        5.0: "0.3867762541210850560098923",
+        100.0: "0.02072261191132470423249031",
+        999.0: "0.002082530250966222126043649",
+        1000.0: "0.002080448640903788197711669",
+        1074.0: "0.001937161997061068195880056",
+        2000.0: "0.00104045427158290841882043",
+        1e4: "0.0002081276850557678255322617",
+        1e6: "0.000002081368059594954208098514",
+    }
+
+    @pytest.mark.parametrize("q", sorted(LOG_DAMPED_MASS))
+    def test_log_damped_l1_norm_matches_reference(self, q):
+        forcing = LeaderForcing("log_damped", amplitude=-2.0, decay_power=q, direction=[1.0])
+        reference = 2.0 * float(self.LOG_DAMPED_MASS[q])
+        assert abs(forcing.l1_norm() - reference) <= 1e-13 * reference
+
     def test_direction_must_be_nonzero(self):
         with pytest.raises(ScenarioError):
             LeaderForcing.power_law(1.0, 2.0, direction=[0.0, 0.0])
@@ -393,6 +416,70 @@ def test_constructors_accept_numpy_numbers():
     assert (kernel.tau, kernel.height) == (0.5, 2.0)
     assert LeadershipDag(np.int64(2), {np.int64(2): [np.int64(1)]}) == LeadershipDag.chain(2)
     assert HistoryFn("constant", value=np.array([1, 2])).to_dict()["value"] == [1.0, 2.0]
+
+
+def _valid_arguments():
+    """Each public constructor with keyword arguments it accepts, built afresh."""
+    return [
+        (Potential, {"family": "cucker_smale", "beta": 0.5}),
+        (Potential, {"family": "table", "distances": [0.0, 1.0], "values": [1.0, 0.5]}),
+        (Potential, {"family": "custom", "func": lambda s: 1.0 / (1.0 + s)}),
+        (DelayKernel, {"shape": "uniform", "tau": 0.1, "height": 2.0}),
+        (DelayKernel, {"shape": "triangular", "tau": 0.1, "peak": 20.0}),
+        (DelayKernel, {"shape": "truncated_bump", "tau": 0.1}),
+        (DelayKernel, {"shape": "table", "times": [0.0, 0.1], "values": [1.0, 2.0]}),
+        (HistoryFn, {"kind": "constant", "value": [0.0, 1.0]}),
+        (HistoryFn, {"kind": "affine", "value": [0.0, 1.0], "slope": [1.0, -1.0]}),
+        (HistoryFn, {"kind": "table", "times": [-0.1, 0.0],
+                     "values": [[0.0, 1.0], [0.5, 1.0]]}),
+        (HistorySpec.constant, {"x0": [[0.0, 1.0], [1.0, 0.0]], "v0": [[0.0, 0.5], [1.0, 0.0]]}),
+        (LeaderForcing, {"family": "zero"}),
+        (LeaderForcing, {"family": "power_law", "amplitude": 1.0, "exponent": 3.0,
+                         "direction": [1.0, 0.0]}),
+        (LeaderForcing, {"family": "log_damped", "amplitude": 1.0, "decay_power": 2.0,
+                         "direction": [0.0, 1.0]}),
+        (LeaderForcing, {"family": "table", "times": [0.0, 1.0], "magnitudes": [1.0, 0.0],
+                         "direction": [1.0, 1.0]}),
+        (LeadershipDag, {"n_agents": 3, "leaders": {2: [1], 3: [1, 2]}}),
+        (Scenario, {"dag": LeadershipDag.chain(2), "dim": 1,
+                    "potential": Potential.cucker_smale(0.5), "kernel": DelayKernel.uniform(0.1),
+                    "history": HistorySpec.constant([[0.0], [1.0]], [[0.0], [1.0]]),
+                    "forcing": LeaderForcing.zero(), "t_end": 1.0, "dt": 0.01, "rng_seed": 0}),
+        (GeneratorSpec, {"topology": "random_hl", "n_agents": 3, "dim": 2,
+                         "position_range": [-1.0, 1.0], "velocity_range": [-1.0, 1.0],
+                         "rng_seed": 0, "edge_prob": 0.5, "tau_range": [0.05, 0.5],
+                         "delay_steps": 8, "sim_span": 1.0, "beta_choices": [0.0, 0.5],
+                         "kernel_shapes": ["uniform", "triangular"]}),
+    ]
+
+
+def _places(node):
+    """The container and key of every dict value and list item below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from _places(child)
+
+
+# a junk leaf, or a nested list of leaves, numbers and lists, as ragged as it comes
+_JUNK = st.recursive(st.sampled_from(["a", "", None, True, False, math.nan, math.inf, -math.inf])
+                     | st.floats(-2.0, 2.0),
+                     lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.integers(0, len(_valid_arguments()) - 1), data=st.data())
+def test_junk_from_python_raises_only_scenario_error(case, data):
+    build, kwargs = _valid_arguments()[case]
+    node, key = data.draw(st.sampled_from(list(_places(kwargs))))
+    node[key] = data.draw(_JUNK)
+    try:
+        built = build(**kwargs)
+    except ScenarioError:
+        return
+    if isinstance(built, Scenario):
+        built.problems()        # a scenario that constructs can be checked
 
 
 # ---------------------------------------------------------------------------
