@@ -21,10 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .integrator import Trajectory
 # No probe simulates; ``simulate`` stays importable here because the
 # benchmark tracer (perfbench/tracing.py) wraps it in this module's namespace.
-from .integrator import Trajectory, simulate  # noqa: F401
-from .model import LeadershipDag, Scenario, check_forcing_conditions
+from .integrator import simulate  # noqa: F401
+from .model import LeadershipDag, Scenario, _cumulative_trapezoid, check_forcing_conditions
 from .oracle import simulate_oracle
 
 DIAMETER_FLOOR = 1e-12      # dV values at or below this are rounding noise
@@ -438,33 +439,11 @@ def hat_leader_series(traj: Trajectory, dag: LeadershipDag, agent: int) -> HatLe
 # Dissipation functionals
 # ---------------------------------------------------------------------------
 
-_PRIMITIVE_CHUNK = 4096     # grid intervals summed per pass; bounds the temporaries
-
-
 def _potential_primitive(scenario: Scenario, s_max: float):
-    """Numeric primitive of the potential (cumulative trapezoid from 0),
-    returned as an interpolation grid. Non-decreasing with value 0 at 0.
-
-    The sum is scipy's ``cumulative_trapezoid(psi, s_grid, initial=0.0)``
-    operation for operation, so it is bitwise equal to it without importing
-    scipy. It runs a chunk of intervals at a time, each chunk's running sum
-    started from the previous chunk's last value: the same sequential adds."""
+    """Numeric primitive of the potential (``_cumulative_trapezoid`` from 0),
+    returned as an interpolation grid. Non-decreasing with value 0 at 0."""
     s_grid = np.linspace(0.0, max(s_max, 1e-6), 65537)
-    phi = np.empty_like(s_grid)
-    phi[0] = 0.0
-    psi_lo = scenario.potential(s_grid[:1])
-    for lo in range(0, s_grid.size - 1, _PRIMITIVE_CHUNK):
-        hi = min(lo + _PRIMITIVE_CHUNK, s_grid.size - 1)
-        psi = scenario.potential(s_grid[lo + 1:hi + 1])
-        area = np.concatenate((psi_lo, psi[:-1]))
-        area += psi
-        area *= np.diff(s_grid[lo:hi + 1])
-        area /= 2.0
-        if lo:
-            area[0] += phi[lo]
-        np.cumsum(area, out=phi[lo + 1:hi + 1])
-        psi_lo = psi[-1:]
-    return s_grid, phi
+    return s_grid, _cumulative_trapezoid(scenario.potential, s_grid)
 
 
 def lyapunov_probe(traj: Trajectory, gain: float | None = None, offset: float | None = None,
@@ -526,7 +505,11 @@ def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3) -> ProbeRe
     asserts nothing. Otherwise it checks that the final velocity diameter is
     at most ``target``, that the diameter is non-increasing (within
     ``SPEED_TOL`` per step) on the final quarter of the run, and that the
-    root speed never exceeds its initial speed plus the forcing's L1 mass.
+    root speed never exceeds its initial speed plus the larger of the
+    forcing's L1 mass (``root_speed_cap`` is the speed plus the mass) and
+    ``forcing_step_l1``, the trapezoid sum of |f| on the step grid: Heun
+    integrates the forcing by that rule, which over-counts a spike
+    narrower than a step.
     """
     scenario = _require_scenario(traj)
     if scenario.n_agents < 2:
@@ -545,13 +528,17 @@ def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3) -> ProbeRe
     increments = np.diff(dv[quarter])
     monotone_ok = bool(increments.size == 0 or increments.max() <= SPEED_TOL)
     root_speed = np.linalg.norm(traj.v[:, 0, :], axis=1)
-    speed_cap = float(np.linalg.norm(traj.v[0, 0, :]) + scenario.forcing.l1_norm())
-    root_ok = bool(root_speed.max() <= speed_cap + SPEED_TOL)
+    forcing = scenario.forcing
+    step_l1 = float(_cumulative_trapezoid(lambda t: np.abs(forcing.magnitude(t)), traj.times)[-1])
+    v0, mass = float(np.linalg.norm(traj.v[0, 0, :])), forcing.l1_norm()
+    speed_cap = v0 + mass
+    root_ok = bool(root_speed.max() <= v0 + max(mass, step_l1) + SPEED_TOL)
     return ProbeReport(
         name="free_will_consensus", passed=final_ok and monotone_ok and root_ok,
         details={"final_diameter": float(dv[-1]), "target": target,
                  "tail_max_increment": float(increments.max()) if increments.size else 0.0,
                  "max_root_speed": float(root_speed.max()), "root_speed_cap": speed_cap,
+                 "forcing_step_l1": step_l1,
                  **flags})
 
 

@@ -828,6 +828,38 @@ def test_benchmark_tracer_patches_names_that_exist(tmp_path, monkeypatch):
         assert all(after[name] is value for name, value in attrs.items()), owner
 
 
+def test_each_command_calls_what_the_benchmark_tracer_wraps(tmp_path, monkeypatch):
+    # a command routed around a wrapped name would read 0 in the per-layer metrics
+    monkeypatch.syspath_prepend(str(REPO))
+    from perfbench.tracing import Tracer
+
+    spec = str(REPO / "perfbench/specs/sweep_chain.json")
+    commands = [
+        (["simulate", "--scenario", spec, "--seed", "3", "--out", str(tmp_path / "sim")],
+         ("integrator.heun_steps", "integrator.write_csv.bytes", "model.history_sample.calls")),
+        (["fit-decay", "--traj", str(tmp_path / "sim" / "trajectory.csv"),
+          "--out", str(tmp_path / "fit")],
+         ("integrator.read_csv.bytes", "diagnostics.consensus_series.calls")),
+        (["check", "--scenario", spec, "--seed", "3", "--out", str(tmp_path / "chk")],
+         ("integrator.simulate_oracle.calls", "diagnostics.probes_run",
+          "model.history_sample.calls")),
+        (["sweep", "--scenario", spec, "--count", "2", "--workers", "1",
+          "--out", str(tmp_path / "sweep")],
+         ("scenarios.bundle_bytes", "integrator.write_csv.bytes",
+          "integrator.simulate_oracle.calls", "diagnostics.probes_run",
+          "model.history_sample.calls")),
+    ]
+    for argv, counters in commands:
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        metrics = tracer.layer_metrics()
+        assert all(metrics[name] > 0 for name in counters), (argv[0], metrics)
+
+
 def test_negative_seed_on_a_scenario_file_is_usage_error(two_flock_file, tmp_path, capsys):
     # the seed is saved with the scenario, which must load again
     assert main(["simulate", "--scenario", str(two_flock_file), "--out", str(tmp_path / "o"),

@@ -686,6 +686,23 @@ class TestFreeWillProbe:
         assert report.details["root_speed_cap"] == pytest.approx(cap, abs=1e-12)
         assert report.details["max_root_speed"] <= cap + 1e-8
 
+    def test_root_speed_may_reach_the_steps_own_forcing_sum(self):
+        # At q = 1074 the forcing is a spike narrower than dt. Heun's first step
+        # adds dt/2 (f(0) + f(dt)), about 1.0e-2, against an L1 mass of 1.9e-3,
+        # so the root exceeds |v0| + mass while the run converges.
+        forcing = LeaderForcing("log_damped", amplitude=1.0, decay_power=1074.0,
+                                direction=[1.0, 0.0])
+        scen = make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[1.0, 0.5], [0, 0]],
+                             forcing=forcing, t_end=20.0)
+        report = free_will_consensus_probe(simulate(scen))
+        details = report.details
+        assert details["final_diameter"] <= details["target"]
+        assert details["tail_max_increment"] <= 1e-8
+        assert details["max_root_speed"] > details["root_speed_cap"] + 1e-3
+        assert report.passed, details
+        assert details["forcing_step_l1"] == pytest.approx(0.0104073, rel=1e-5)
+        assert details["max_root_speed"] <= math.hypot(1.0, 0.5) + details["forcing_step_l1"]
+
 
 # ---------------------------------------------------------------------------
 # Slack calibration

@@ -3,8 +3,9 @@ nothing beyond the standard library, numpy and the package itself.
 
 The check parses the source with ``ast``, so it needs no linter: a name
 counts as used when it appears in the code or in a quoted annotation, and
-an import line marked ``# noqa: F401`` is kept on purpose (``diagnostics``
-re-exports ``simulate`` for the benchmark's tracer)."""
+an import line marked ``# noqa: F401`` is kept on purpose, and may only
+import a name the benchmark's tracer wraps in that module (``diagnostics``
+re-exports ``simulate`` for it)."""
 
 import ast
 import os
@@ -15,8 +16,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hlflock"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "hlflock"
 RUNTIME = {"numpy", "hlflock"}
+
+
+def _kept_on_purpose(node: ast.AST, lines: list[str]) -> bool:
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -26,8 +32,7 @@ def _unused_imports(source: str) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if (getattr(node, "module", None) == "__future__"
-                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+        if getattr(node, "module", None) == "__future__" or _kept_on_purpose(node, lines):
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -54,6 +59,27 @@ def test_unused_import_is_found():
               "from re import (compile,  # noqa: F401\n    escape)\n"
               "def f(x: 'loads') -> None:\n    return math.pi\n")
     assert _unused_imports(source) == ["os (line 3)", "dumps (line 4)"]
+
+
+def test_imports_kept_on_purpose_are_the_ones_the_benchmark_tracer_wraps(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO))
+    from perfbench.tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        wrapped = {(owner.__name__, attr) for owner, attr, _ in tracer._restore}
+    finally:
+        tracer.uninstall()
+    kept = set()
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text()
+        lines = source.splitlines()
+        kept |= {(f"hlflock.{path.stem}", alias.asname or alias.name)
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and _kept_on_purpose(node, lines)
+                 for alias in node.names}
+    assert kept and kept <= wrapped, kept - wrapped
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

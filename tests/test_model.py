@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
+import hlflock.model
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError,
                            check_divergent_tail, check_forcing_conditions,
@@ -139,6 +141,53 @@ class TestDivergentTail:
         totals = [total for _, total in report.partial_integrals]
         assert len(totals) >= 3
         assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.fixture(params=[1, 7, None], ids=["chunk1", "chunk7", "default-chunk"])
+def trapezoid_chunk(request, monkeypatch):
+    """The shared trapezoid rule, run with chunks of 1 and 7 intervals and its own."""
+    if request.param is not None:
+        monkeypatch.setattr(hlflock.model, "_TRAPEZOID_CHUNK", request.param)
+
+
+class TestEvidenceIsScipysTrapezoid:
+    # the evidence grids as check_divergent_tail and check_forcing_conditions build them
+    @staticmethod
+    def tail_grid(horizon):
+        decades = math.ceil(math.log10(horizon))
+        return np.concatenate([[0.0], np.geomspace(1e-3, horizon, decades * 64)])
+
+    FORCING_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
+
+    @pytest.mark.parametrize("potential", [
+        Potential.table([0.0, 1.0, 5.0], [1.0, 0.8, 0.5]),
+        Potential.table([0.0, 2.0, 3.0], [1e-309, 3e-310, 0.0]),
+        Potential.custom(lambda s: np.exp(-s) / (1.0 + s)),
+    ], ids=["table", "subnormal-table", "custom"])
+    @pytest.mark.parametrize("horizon", [1e4, 1e6])
+    def test_divergent_tail_partial_integrals(self, trapezoid_chunk, potential, horizon):
+        grid = self.tail_grid(horizon)
+        ref = cumulative_trapezoid(potential(grid), grid, initial=0.0)
+        marks = check_divergent_tail(potential, horizon).partial_integrals
+        at = np.searchsorted(grid, [s for s, _ in marks])
+        assert _bits([s for s, _ in marks]) == _bits(grid[at])
+        assert _bits([total for _, total in marks]) == _bits(ref[at])
+
+    @pytest.mark.parametrize("magnitudes", [[2.0, -0.7, 0.3, 0.0], [1e-310, -3e-310, 2e-310, 0.0]],
+                             ids=["table", "subnormal-table"])
+    @pytest.mark.parametrize("n_agents", [2, 3, 6])
+    def test_forcing_evidence(self, trapezoid_chunk, magnitudes, n_agents):
+        f = LeaderForcing.table([0.0, 0.5, 3.0, 40.0], magnitudes, dim=1)
+        grid = self.FORCING_GRID
+        mag = np.abs(f.magnitude(grid))
+        ref = [cumulative_trapezoid(mag, grid, initial=0.0)[-1],
+               cumulative_trapezoid(grid ** max(0, n_agents - 2) * mag, grid, initial=0.0)[-1]]
+        evidence = check_forcing_conditions(f, n_agents).evidence
+        assert _bits([evidence["partial_l1"], evidence["partial_weighted_l1"]]) == _bits(ref)
 
 
 # ---------------------------------------------------------------------------
