@@ -32,8 +32,11 @@ def main():
         verdict = check_divergent_tail(Potential.cucker_smale(beta)).verdict
         print(f"  (1+s^2)^-{beta}: divergent integral? {verdict}")
     table = Potential.table([0.0, 1.0, 10.0], [1.0, 0.6, 0.3])
-    evidence = check_divergent_tail(table, horizon=1e6)
-    print(f"  tabulated potential: {evidence.verdict}; partial integrals "
+    print(f"  tabulated, flat at 0.3 beyond s=10: divergent integral? "
+          f"{check_divergent_tail(table).verdict}")
+    custom = Potential.custom(lambda s: 1.0 / (1.0 + s))
+    evidence = check_divergent_tail(custom, horizon=1e6)
+    print(f"  custom 1/(1+s): {evidence.verdict}; partial integrals "
           + ", ".join(f"[0,{s:.0e}]={v:.1f}" for s, v in evidence.partial_integrals[-3:]))
 
     # --- delay kernels -----------------------------------------------------

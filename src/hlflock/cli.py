@@ -189,8 +189,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # imported here, its only use: it pulls in logging, traceback and string
         import concurrent.futures
 
-        # one block of consecutive seeds per process, stepped in groups there
-        n_jobs = min(args.workers, args.count)
+        # one block of consecutive seeds per process, stepped in groups there;
+        # the pool forks all its processes at once, so no more than there are CPUs
+        n_jobs = min(args.workers, args.count, os.cpu_count() or 1)
         jobs = [(spec, seeds[j * len(seeds) // n_jobs:(j + 1) * len(seeds) // n_jobs],
                  str(out), args.probes) for j in range(n_jobs)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:

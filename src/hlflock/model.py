@@ -371,16 +371,22 @@ class TailReport:
 def check_divergent_tail(p: Potential, horizon: float = 1e6) -> TailReport:
     """Decide whether the potential's integral over [0, inf) diverges.
 
-    For the cucker_smale family the answer is analytic (divergent iff the
-    exponent is <= 1/2, by comparison with s**(-2*beta)). For anything else
-    the verdict is "unknown" and partial integrals over [0, S] are reported
-    for log-spaced horizons S as numeric evidence of the trend; no analytic
-    certainty is claimed for table or custom inputs. Each is the cumulative
-    trapezoid (``_cumulative_trapezoid``) of the potential on a log-spaced
-    grid, read at the first grid point at or beyond S.
+    cucker_smale diverges iff its exponent is <= 1/2, by comparison with
+    s**(-2*beta). A table is flat beyond its last sample, so it diverges iff
+    its last value is > 0. A custom potential is an arbitrary callable with no
+    exact rule: its verdict is "unknown", and partial integrals over [0, S]
+    for log-spaced S from 1 to ``horizon`` (a number > 1) are numeric
+    evidence of the trend. Each is the cumulative trapezoid
+    (``_cumulative_trapezoid``) of the potential on a log-spaced grid, read
+    at the first grid point at or beyond S.
     """
+    horizon = _real(horizon, "horizon")
+    if not horizon > 1.0:
+        raise ScenarioError(f"horizon must be > 1, got {horizon}")
     if p.family == "cucker_smale":
         return TailReport(verdict="yes" if p.beta <= 0.5 else "no")
+    if p.family == "table":
+        return TailReport(verdict="yes" if p.values[-1] > 0 else "no")
     decades = int(math.ceil(math.log10(horizon)))
     grid = np.concatenate([[0.0], np.geomspace(1e-3, horizon, decades * 64)])
     cumulative = _cumulative_trapezoid(p, grid)
@@ -764,42 +770,35 @@ class LeaderForcing(_JsonFamily):
 
 @dataclass(frozen=True)
 class ForcingConditions:
-    """Flags for the hypotheses on the root agent's acceleration.
+    """Flags for the hypotheses on the root agent's acceleration, each decided
+    exactly from the forcing's family.
 
     integrable: |f| has finite integral over [0, inf).
     little_o_condition: |f(t)| = o((1+t)**(1-N)).
     weighted_L1: t**(N-2) |f(t)| is integrable over [0, inf).
-    basis is "analytic" for built-in families and "numeric-evidence" for
-    tables, where the flags are grid heuristics, not proofs.
     """
     integrable: bool
     little_o_condition: bool
     weighted_L1: bool
-    basis: str = "analytic"
-    evidence: dict | None = None
 
     @property
     def all_satisfied(self) -> bool:
         return self.integrable and self.little_o_condition and self.weighted_L1
 
 
-def check_forcing_conditions(f: LeaderForcing, n_agents: int,
-                             horizon: float = 1e6) -> ForcingConditions:
-    """Evaluate the admissibility of a root forcing for a flock of N agents.
+def check_forcing_conditions(f: LeaderForcing, n_agents: int) -> ForcingConditions:
+    """Decide the admissibility of a root forcing for a flock of N agents.
 
-    Built-in families are decided analytically. power_law(p): integrable iff
-    p > 1; the little-o and weighted conditions hold iff p > N-1 (strict: the
-    boundary p = N-1 fails both). log_damped built for decay power q: the
-    squared-log factor rescues the boundary, so all three hold iff q >= N-1
-    (and q >= 1 for integrability). Table forcings get grid heuristics on
-    [0, horizon], reported as evidence rather than proof: the masses of |f|
-    and t**(N-2) |f| are cumulative trapezoids (``_cumulative_trapezoid``)
-    on a log-spaced grid.
+    power_law(p): integrable iff p > 1; the little-o and weighted conditions
+    hold iff p > N-1 (strict: the boundary p = N-1 fails both). log_damped
+    built for decay power q: the squared-log factor rescues the boundary, so
+    all three hold iff q >= N-1 (and q >= 1 for integrability). zero and
+    table forcings satisfy all three: a table is bounded and 0 outside
+    [times[0], times[-1]].
     """
+    n_agents = _integer(n_agents, "n_agents")
     if n_agents < 2:
         raise ScenarioError("forcing conditions are defined for flocks of >= 2 agents")
-    if f.family == "zero":
-        return ForcingConditions(True, True, True)
     if f.family == "power_law":
         p = f.exponent
         return ForcingConditions(integrable=p > 1.0,
@@ -810,31 +809,7 @@ def check_forcing_conditions(f: LeaderForcing, n_agents: int,
         return ForcingConditions(integrable=q >= 1.0,
                                  little_o_condition=q >= n_agents - 1,
                                  weighted_L1=q >= n_agents - 1)
-
-    # table: numeric heuristics on a log-spaced grid with a declared horizon
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, horizon, 400)])
-    total = _cumulative_trapezoid(lambda t: np.abs(f.magnitude(t)), grid)
-    w_total = _cumulative_trapezoid(lambda t: t ** max(0, n_agents - 2) * np.abs(f.magnitude(t)),
-                                    grid)
-    ratio = np.abs(f.magnitude(grid)) * (1.0 + grid) ** (n_agents - 1)
-
-    def settled(series) -> bool:
-        # mass accumulated over the last decade is a negligible fraction
-        last = series[-1]
-        k = int(np.searchsorted(grid, horizon / 10.0))
-        return last == 0.0 or (last - series[k]) <= 1e-6 * max(last, 1e-300)
-
-    tail = ratio[grid > horizon / 100.0]
-    little_o = bool(tail.size == 0 or np.max(tail) <= 1e-6 * max(np.max(ratio), 1e-300))
-    evidence = {
-        "horizon": horizon,
-        "partial_l1": float(total[-1]),
-        "partial_weighted_l1": float(w_total[-1]),
-        "max_tail_ratio": float(np.max(tail)) if tail.size else 0.0,
-    }
-    return ForcingConditions(integrable=settled(total), little_o_condition=little_o,
-                             weighted_L1=settled(w_total),
-                             basis="numeric-evidence", evidence=evidence)
+    return ForcingConditions(True, True, True)      # compact support
 
 
 # ---------------------------------------------------------------------------

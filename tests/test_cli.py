@@ -612,6 +612,36 @@ class TestSweepCommand:
             b = (outs[2] / f"run_{seed:05d}" / "trajectory.csv").read_bytes()
             assert a == b
 
+    def test_worker_processes_are_bounded_by_the_cpu_count(self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:       # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 2, "dim": 1, "rng_seed": 0}}))
+        printed = {}
+        for workers in ("1", "64"):
+            assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "sweep"),
+                         "--count", "4", "--workers", workers]) == 0
+            printed[workers] = capsys.readouterr().out
+        assert sizes == [2]
+        assert printed["64"] == printed["1"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_keeps_earlier_bundles(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(BlowUpError) as alone:

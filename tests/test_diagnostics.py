@@ -675,6 +675,14 @@ class TestFreeWillProbe:
         assert report.details["status"] == "hypotheses unmet"
         assert report.details["integrable"] is False
 
+    def test_long_table_forcing_is_checked(self):
+        # a table forcing is 0 beyond its last sample, however late that is
+        forcing = LeaderForcing.table([0.0, 2e5, 3e5], [1.0, 1.0, 0.0], dim=1)
+        scen = make_scenario(n_agents=3, forcing=forcing, v0=[[0.0], [0.1], [0.2]], t_end=2.0)
+        report = free_will_consensus_probe(simulate(scen))
+        assert not report.skipped
+        assert "status" not in report.details
+
     def test_root_speed_bound_reported(self):
         scen = make_scenario(n_agents=3, dim=2,
                              x0=[[0, 0], [1, 0], [2, 0]],

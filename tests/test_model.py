@@ -134,13 +134,37 @@ class TestDivergentTail:
     def test_boundary_half_diverges(self):
         assert check_divergent_tail(Potential.cucker_smale(0.5)).verdict == "yes"
 
-    def test_table_reports_unknown_with_evidence(self):
-        p = Potential.table([0.0, 1.0, 5.0], [1.0, 0.8, 0.5])
-        report = check_divergent_tail(p, horizon=1e4)
-        assert report.verdict == "unknown"
-        totals = [total for _, total in report.partial_integrals]
-        assert len(totals) >= 3
-        assert all(b >= a for a, b in zip(totals, totals[1:]))
+    @pytest.mark.parametrize("values,verdict", [
+        ([1.0, 0.6, 0.3], "yes"),       # flat at 0.3 beyond the last sample
+        ([1.0, 0.6, 0.0], "no"),        # 0 beyond the last sample
+    ])
+    def test_table_is_decided_by_its_last_value(self, values, verdict):
+        report = check_divergent_tail(Potential.table([0.0, 1.0, 10.0], values))
+        assert report == hlflock.model.TailReport(verdict=verdict)
+
+    @given(values=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=6),
+           gaps=st.lists(st.floats(1e-3, 50.0), min_size=6, max_size=6),
+           beyond=st.floats(1.0, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_table_verdict_is_whether_its_last_value_is_positive(self, values, gaps, beyond):
+        values = sorted(values, reverse=True)
+        distances = np.cumsum([0.0, *gaps[:len(values) - 1]])
+        p = Potential.table(distances, values)
+        assert check_divergent_tail(p).verdict == ("yes" if values[-1] > 0 else "no")
+        if values[-1] > 0:
+            # the same table as an arbitrary callable: its partial integral at
+            # S is at least the flat tail's share, values[-1] * (S - distances[-1])
+            s_end = distances[-1] + beyond
+            report = check_divergent_tail(Potential.custom(p), horizon=s_end)
+            s_mark, total = report.partial_integrals[-1]
+            assert s_mark == s_end
+            assert total >= values[-1] * (s_end - distances[-1])
+
+    @pytest.mark.parametrize("horizon", [0, math.nan, 0.5, 1.0, True],
+                             ids=["zero", "nan", "half", "one", "bool"])
+    def test_bad_horizon_is_named(self, horizon):
+        with pytest.raises(ScenarioError, match="horizon"):
+            check_divergent_tail(Potential.custom(lambda s: 1.0 / (1.0 + s)), horizon)
 
 
 def _bits(values) -> bytes:
@@ -154,22 +178,21 @@ def trapezoid_chunk(request, monkeypatch):
         monkeypatch.setattr(hlflock.model, "_TRAPEZOID_CHUNK", request.param)
 
 
+_SUBNORMAL_POTENTIAL = Potential.table([0.0, 2.0, 3.0], [1e-309, 3e-310, 0.0])
+_SUBNORMAL_FORCING = LeaderForcing.table([0.0, 0.5, 3.0, 40.0], [1e-310, -3e-310, 2e-310, 0.0],
+                                         dim=1)
+
+
 class TestEvidenceIsScipysTrapezoid:
-    # the evidence grids as check_divergent_tail and check_forcing_conditions build them
+    # the evidence grid as check_divergent_tail builds it
     @staticmethod
     def tail_grid(horizon):
         decades = math.ceil(math.log10(horizon))
         return np.concatenate([[0.0], np.geomspace(1e-3, horizon, decades * 64)])
 
-    FORCING_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
-
-    @pytest.mark.parametrize("potential", [
-        Potential.table([0.0, 1.0, 5.0], [1.0, 0.8, 0.5]),
-        Potential.table([0.0, 2.0, 3.0], [1e-309, 3e-310, 0.0]),
-        Potential.custom(lambda s: np.exp(-s) / (1.0 + s)),
-    ], ids=["table", "subnormal-table", "custom"])
     @pytest.mark.parametrize("horizon", [1e4, 1e6])
-    def test_divergent_tail_partial_integrals(self, trapezoid_chunk, potential, horizon):
+    def test_divergent_tail_partial_integrals(self, trapezoid_chunk, horizon):
+        potential = Potential.custom(lambda s: np.exp(-s) / (1.0 + s))
         grid = self.tail_grid(horizon)
         ref = cumulative_trapezoid(potential(grid), grid, initial=0.0)
         marks = check_divergent_tail(potential, horizon).partial_integrals
@@ -177,17 +200,19 @@ class TestEvidenceIsScipysTrapezoid:
         assert _bits([s for s, _ in marks]) == _bits(grid[at])
         assert _bits([total for _, total in marks]) == _bits(ref[at])
 
-    @pytest.mark.parametrize("magnitudes", [[2.0, -0.7, 0.3, 0.0], [1e-310, -3e-310, 2e-310, 0.0]],
-                             ids=["table", "subnormal-table"])
-    @pytest.mark.parametrize("n_agents", [2, 3, 6])
-    def test_forcing_evidence(self, trapezoid_chunk, magnitudes, n_agents):
-        f = LeaderForcing.table([0.0, 0.5, 3.0, 40.0], magnitudes, dim=1)
-        grid = self.FORCING_GRID
-        mag = np.abs(f.magnitude(grid))
-        ref = [cumulative_trapezoid(mag, grid, initial=0.0)[-1],
-               cumulative_trapezoid(grid ** max(0, n_agents - 2) * mag, grid, initial=0.0)[-1]]
-        evidence = check_forcing_conditions(f, n_agents).evidence
-        assert _bits([evidence["partial_l1"], evidence["partial_weighted_l1"]]) == _bits(ref)
+    # subnormal integrands, where scipy's order dx * (y_lo + y_hi) / 2 rounds
+    # differently from 0.5 * (y_lo + y_hi) * dx
+    FORCING_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 400)])
+
+    @pytest.mark.parametrize("integrand,grid", [
+        (_SUBNORMAL_POTENTIAL, tail_grid(1e4)),
+        (_SUBNORMAL_POTENTIAL, tail_grid(1e6)),
+        (lambda t: np.abs(_SUBNORMAL_FORCING.magnitude(t)), FORCING_GRID),
+        (lambda t: t ** 4 * np.abs(_SUBNORMAL_FORCING.magnitude(t)), FORCING_GRID),
+    ], ids=["potential-1e4", "potential-1e6", "forcing", "weighted-forcing"])
+    def test_subnormal_integrands(self, trapezoid_chunk, integrand, grid):
+        ref = cumulative_trapezoid(integrand(grid), grid, initial=0.0)
+        assert _bits(hlflock.model._cumulative_trapezoid(integrand, grid)) == _bits(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +359,27 @@ class TestForcingConditions:
     def test_zero_forcing_trivially_admissible(self):
         assert check_forcing_conditions(LeaderForcing.zero(), 3).all_satisfied
 
-    def test_table_forcing_numeric_evidence(self):
-        f = LeaderForcing.table([0.0, 1.0, 2.0], [1.0, 0.5, 0.0], dim=1)
-        cond = check_forcing_conditions(f, 3)
-        assert cond.basis == "numeric-evidence"
-        assert cond.all_satisfied          # compactly supported
-        # evidence grid is heuristic, not an exact quadrature
-        assert cond.evidence["partial_l1"] == pytest.approx(1.0, rel=1e-2)
+    @pytest.mark.parametrize("times,magnitudes", [
+        ([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),
+        ([0.0, 2e4, 3e4], [1.0, 1.0, 0.0]),
+        ([0.0, 2e5, 3e5], [1.0, 1.0, 0.0]),
+        ([5.0, 6.0], [-2.0, 3.0]),
+    ])
+    @pytest.mark.parametrize("n_agents", [2, 3, 6])
+    def test_table_forcing_has_compact_support(self, times, magnitudes, n_agents):
+        f = LeaderForcing.table(times, magnitudes, dim=1)
+        assert check_forcing_conditions(f, n_agents) == hlflock.model.ForcingConditions(
+            True, True, True)
+
+    @pytest.mark.parametrize("f", [
+        LeaderForcing.zero(), LeaderForcing.power_law(1.0, 2.5, dim=1),
+        LeaderForcing.log_damped(1.0, 3, dim=1), LeaderForcing.table([0.0, 1.0], [1.0, 0.0], dim=1),
+    ], ids=["zero", "power_law", "log_damped", "table"])
+    @pytest.mark.parametrize("n_agents", [3, np.int64(3)], ids=["int", "numpy-int"])
+    def test_every_flag_is_a_bool(self, f, n_agents):
+        cond = check_forcing_conditions(f, n_agents)
+        for flag in (cond.integrable, cond.little_o_condition, cond.weighted_L1):
+            assert type(flag) is bool
 
     def test_l1_norms(self):
         assert LeaderForcing.zero().l1_norm() == 0.0
