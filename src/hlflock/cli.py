@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .csvio import read_trajectory_csv, write_csv, write_trajectory_csv
-from .diagnostics import PROBE_NAMES, run_probes
+from .diagnostics import PROBE_NAMES, check_probe_names, run_probes
 from .integrator import BlowUpError, Trajectory, simulate, simulate_many, step_groups
 from .model import Scenario, ScenarioError
 from .scenarios import (generate, load_generator, load_scenario,
@@ -250,10 +250,7 @@ def main(argv=None) -> int:
     try:
         if "probes" in args:
             args.probes = tuple(s.strip() for s in args.probes.split(",") if s.strip())
-            unknown = set(args.probes) - set(PROBE_NAMES)
-            if unknown:
-                raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; "
-                                    f"choose from {PROBE_NAMES}")
+            check_probe_names(args.probes)
         for name in ("count", "workers"):
             if getattr(args, name, 1) < 1:
                 raise ScenarioError(f"--{name} must be >= 1, got {getattr(args, name)}")

@@ -21,11 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .integrator import Trajectory
+from .integrator import Trajectory, _trapezoid_mu_weights
 # No probe simulates; ``simulate`` stays importable here because the
 # benchmark tracer (perfbench/tracing.py) wraps it in this module's namespace.
 from .integrator import simulate  # noqa: F401
-from .model import LeadershipDag, Scenario, _cumulative_trapezoid, check_forcing_conditions
+from .model import (LeadershipDag, Scenario, ScenarioError, _cumulative_trapezoid,
+                    check_forcing_conditions)
 from .oracle import simulate_oracle
 
 DIAMETER_FLOOR = 1e-12      # dV values at or below this are rounding noise
@@ -360,6 +361,23 @@ def check_two_flock_bound(traj: Trajectory, tol: float = DEFAULT_BOUND_TOL,
 # Positivity and invariance
 # ---------------------------------------------------------------------------
 
+def _require_fine_step(scenario: Scenario) -> None:
+    """The discrete form of the invariance theorems: with S the weight sum
+    of a follower's window in one Heun stage, that stage makes its new
+    velocity a convex combination of stored velocities when h*S <= 1, so no
+    speed, coordinate hull or sign leaves its prehistory range. S is at most
+    mu_h * psi(0) * |L(i)|, mu_h the stepper's quadrature mass of the kernel
+    and psi(0) the largest value of the non-increasing potential; a coarser
+    step is a precondition error naming h * mu_h * psi(0) * max_i |L(i)|."""
+    fol, _ = scenario.dag.edge_arrays()
+    leaders = int(np.bincount(fol).max()) if fol.size else 0
+    value = (scenario.dt * float(_trapezoid_mu_weights(scenario).sum())
+             * float(scenario.potential(0.0)) * leaders)
+    if value > 1.0:
+        raise PreconditionError(f"h*mu_h*psi(0)*max|L(i)| = {value:.6g} > 1: the step is too "
+                                f"coarse for the discrete invariance theorem")
+
+
 def positivity_probe(traj: Trajectory) -> ProbeReport:
     """Check the scalar companion system's values never go negative.
 
@@ -376,6 +394,7 @@ def positivity_probe(traj: Trajectory) -> ProbeReport:
     hist_min = traj.hist_v.min()
     if hist_min < 0:
         raise PreconditionError(f"negative history value {hist_min} violates the hypothesis")
+    _require_fine_step(scenario)
     values = traj.v[:, :, 0]
     k, agent = np.unravel_index(np.argmin(values), values.shape)
     min_value = float(values[k, agent])
@@ -392,6 +411,7 @@ def ball_invariance_probe(traj: Trajectory) -> ProbeReport:
     scenario = _require_scenario(traj)
     if not scenario.forcing.is_zero:
         raise PreconditionError("ball invariance assumes the unforced system")
+    _require_fine_step(scenario)
     d0 = history_speed_bound(traj)
     run_speed = max_speed(traj.v)
     hull_hi = traj.hist_v.max(axis=(0, 1))    # per coordinate
@@ -549,13 +569,28 @@ def free_will_consensus_probe(traj: Trajectory, target: float = 1e-3) -> ProbeRe
 PROBE_NAMES = ("positivity", "ball", "two-flock", "lyapunov", "free-will")
 
 
+def check_probe_names(probes) -> None:
+    """A selection of probes is a collection of names from ``PROBE_NAMES``:
+    an unknown name, or a bare string (whose substrings would match), is a
+    :class:`ScenarioError`."""
+    if isinstance(probes, str):
+        raise ScenarioError(f"probes must be a collection of names from {PROBE_NAMES}, "
+                            f"not the string {probes!r}")
+    unknown = set(probes) - set(PROBE_NAMES)
+    if unknown:
+        raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; "
+                            f"choose from {PROBE_NAMES}")
+
+
 def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[ProbeReport]:
     """Run the selected probes on one trajectory, in ``PROBE_NAMES`` order.
 
-    A probe whose hypotheses do not hold for the input is reported as
-    skipped. The oracle slack is calibrated by the first bound probe that
-    needs it and handed on to the next, so it is computed at most once.
+    The selection is checked first (:func:`check_probe_names`). A probe
+    whose hypotheses do not hold for the input is reported as skipped. The
+    oracle slack is calibrated by the first bound probe that needs it and
+    handed on to the next, so it is computed at most once.
     """
+    check_probe_names(probes)
     reports = []
 
     def attempt(name, probe, **kwargs):

@@ -32,9 +32,11 @@ into the scenarios' trajectory arrays each time it fills.
 Any non-finite state aborts the run with a :class:`BlowUpError` naming the
 time, the first non-finite agent and the last finite time. In a batch the
 error names the scenario's own agent and times and takes that scenario's
-place in the results; the other scenarios run on. The :class:`Trajectory`
-type and the allocation and blow-up helpers are shared with the oracle
-(:mod:`hlflock.oracle`) and the CSV files (:mod:`hlflock.csvio`).
+place in the results; the other scenarios run on. Every run returns through
+:meth:`Trajectory.of_run`. The :class:`Trajectory` type, read-only whoever
+builds it, and the allocation, memory-size and blow-up helpers are the four
+names the oracle (:mod:`hlflock.oracle`) imports; the CSV files
+(:mod:`hlflock.csvio`) share the type and the allocation helper.
 """
 from __future__ import annotations
 
@@ -361,7 +363,10 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: n
 @dataclass
 class Trajectory:
     """States on the uniform step grid from t=0 to t_end, plus the sampled
-    prehistory on [-tau, 0] (whose final sample repeats the t=0 state)."""
+    prehistory on [-tau, 0] (whose final sample repeats the t=0 state).
+
+    A trajectory takes its arrays: whoever builds it, the six arrays handed
+    in become read-only, so no caller can change a run another reads."""
     times: np.ndarray        # (T,)
     x: np.ndarray            # (T, N, d)
     v: np.ndarray            # (T, N, d)
@@ -370,6 +375,20 @@ class Trajectory:
     hist_v: np.ndarray
     scenario: Scenario | None = None
 
+    def __post_init__(self):
+        for a in (self.times, self.x, self.v, self.hist_times, self.hist_x, self.hist_v):
+            a.flags.writeable = False
+
+    @classmethod
+    def of_run(cls, scenario: Scenario, x: np.ndarray, v: np.ndarray) -> Trajectory:
+        """The trajectory of a run of ``scenario`` from its (m+n+1, N, d)
+        states x, v: rows 0..m hold the sampled prehistory, row m+k the state
+        after k steps. Its arrays are views of x and v."""
+        m, h = scenario.delay_steps, scenario.dt
+        return cls(times=np.arange(x.shape[0] - m) * h, x=x[m:], v=v[m:],
+                   hist_times=(np.arange(m + 1) - m) * h, hist_x=x[: m + 1],
+                   hist_v=v[: m + 1], scenario=scenario)
+
     @property
     def n_agents(self) -> int:
         return self.x.shape[1]
@@ -377,11 +396,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.x.shape[2]
-
-
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 # A group of scenarios stepped together holds at most this many agent-rows:
@@ -529,11 +543,10 @@ class _Group:
         read-only copies of the union's new state, at the first scenario's
         time."""
         m = self.m
-        hist_s, xs, vs = [], [], []
+        xs, vs = [], []
         for s, n in zip(self.scenarios, self.steps):
-            hist_s.append((np.arange(m + 1) - m) * s.dt)
             x, v = _run_arrays(s, m + n + 1)
-            x[: m + 1], v[: m + 1] = s.history.sample(hist_s[-1])
+            x[: m + 1], v[: m + 1] = s.history.sample((np.arange(m + 1) - m) * s.dt)
             xs.append(x)
             vs.append(v)
         # the ring evaluates psi on the prehistory, which may overflow too
@@ -554,7 +567,7 @@ class _Group:
                 if on_step is not None:
                     # copies: a later step overwrites the buffer row
                     x_new, v_new = X[j + 1].copy(), V[j + 1].copy()
-                    _freeze(x_new, v_new)
+                    x_new.flags.writeable = v_new.flags.writeable = False
                     on_step(FlockState((k + 1) * self.dts[0], x_new, v_new))
                 if j + 2 == _BUFFER_ROWS:
                     self._flush(X, V, base, k + 1, xs, vs)
@@ -564,15 +577,7 @@ class _Group:
 
         out: list = [None] * len(self.order)
         for i, s in enumerate(self.scenarios):
-            result = self.results[i]
-            if result is None:
-                x, v = xs[i], vs[i]
-                result = Trajectory(times=np.arange(self.steps[i] + 1) * s.dt,
-                                    x=x[m:], v=v[m:], hist_times=hist_s[i],
-                                    hist_x=x[: m + 1], hist_v=v[: m + 1], scenario=s)
-                _freeze(result.times, result.x, result.v, result.hist_times,
-                        result.hist_x, result.hist_v)
-            out[self.order[i]] = result
+            out[self.order[i]] = self.results[i] or Trajectory.of_run(s, xs[i], vs[i])
         return out
 
     def _flush(self, X: np.ndarray, V: np.ndarray, base: int, last: int,

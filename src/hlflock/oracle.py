@@ -4,8 +4,12 @@ different discretization that cross-validates the Heun stepper of
 :mod:`hlflock.integrator`.
 
 The cross-check is independent only if no Heun code runs in it, so this
-module takes from the stepping module only the :class:`Trajectory` it
-returns and the allocation, freezing and blow-up helpers.
+module takes four names from the stepping module: the :class:`Trajectory`
+it returns (through :meth:`Trajectory.of_run`, read-only like every
+trajectory) and the allocation, memory-size and blow-up helpers. Its memory
+is the refined prehistory sample and a ring of node rows, psi*v_L and psi
+per edge, for the window's nodes and the current state: no past position or
+velocity is kept.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from .integrator import Trajectory, _blow_up, _freeze, _physical_memory, _run_arrays
+from .integrator import Trajectory, _blow_up, _physical_memory, _run_arrays
 from .model import Potential, Scenario, ScenarioError, _integer
 
 
@@ -39,8 +43,10 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     grid so the result is directly comparable to :func:`simulate`.
 
     Implemented as plain-float loops over a ring buffer, deliberately sharing
-    no array machinery with the Heun path. Each window node holds one row: the
-    potential-weighted leader velocities psi*v_L on every edge, then psi.
+    no array machinery with the Heun path. The ring holds one row per node of
+    the window and of the current state: the potential-weighted leader
+    velocities psi*v_L on every edge, then psi. Every window sum reads these
+    rows only, so besides them the oracle keeps just the current state.
 
     For a piecewise-linear kernel (uniform, triangular, table) the window's
     m2 nodes fall into runs, one per linear piece of the kernel that holds a
@@ -72,20 +78,16 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     nd = n_agents * dim
     pbase = n_edges * dim                     # offset of psi in a node row
     nq = pbase + n_edges
-    # the ring's m2+1 rows of x, v and node values as Python floats, each an
-    # 8-byte list slot and a 24-byte float; checked before anything is sampled
-    need = 32 * (m2 + 1) * (2 * nd + nq)
+    # the refined prehistory sample, two arrays of m2+1 states, and the ring's
+    # m2+1 node rows as Python floats, each an 8-byte list slot and a 24-byte
+    # float; checked before anything is sampled
+    need = (m2 + 1) * (16 * nd + 32 * nq)
     if need > _physical_memory():
         raise ScenarioError(f"refinement = {refinement!r}: the oracle's window ring of {m2 + 1} "
                             f"rows needs {need} bytes, more than can be allocated")
 
-    hist_s = (np.arange(m2 + 1) - m2) * h2
-    xs0, vs0 = scenario.history.sample(hist_s)
-
-    # ring of the m2+1 live rows (window nodes plus current state)
     ring = m2 + 1
-    x_ring = [list(map(float, xs0[r].ravel())) for r in range(m2 + 1)]
-    v_ring = [list(map(float, vs0[r].ravel())) for r in range(m2 + 1)]
+    xs0, vs0 = scenario.history.sample((np.arange(ring) - m2) * h2)
 
     rect_w = [h2 * float(scenario.kernel((m2 - j) * h2)) for j in range(m2)]
 
@@ -104,10 +106,8 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
                 row[e * dim + c] = p * vr[li + c]
         return row
 
-    q_ring: list = [None] * ring
-    if n_edges:
-        for r in range(m2 + 1):
-            q_ring[r] = node_row(x_ring[r], v_ring[r])
+    # the node rows of the window and the current state, node r in slot r % ring
+    q_ring = [node_row(xs0[r].ravel().tolist(), vs0[r].ravel().tolist()) for r in range(ring)]
 
     def run_sums(first: int, lo: int, cnt: int, sloped: bool) -> tuple[list, list | None]:
         # sum(row) and, if sloped, sum((j - lo) * row) over the window nodes
@@ -141,16 +141,13 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
             moments.append((lo, cnt, a, b, *run_sums(0, lo, cnt, bool(b))))
             lo += cnt
 
-    x_out, v_out = _run_arrays(scenario, n + 1)
-    x_out[0] = xs0[m2]
-    v_out[0] = vs0[m2]
+    x_out, v_out = _run_arrays(scenario, m + n + 1)
+    x_out[: m + 1], v_out[: m + 1] = xs0[::k_ref], vs0[::k_ref]
+    # one flat row per state, which takes the state's list of floats whole
+    x_rows, v_rows = x_out.reshape(m + n + 1, nd), v_out.reshape(m + n + 1, nd)
+    x, v = xs0[m2].ravel().tolist(), vs0[m2].ravel().tolist()
 
     for sub in range(n2):
-        slot_old = sub % ring
-        slot_cur = (sub + m2) % ring
-        xv = x_ring[slot_cur]
-        vv = v_ring[slot_cur]
-
         acc = [0.0] * nd
         if moments is not None:
             # sum over a run's nodes of (a + b*(j - lo)) * row = a*s0 + b*s1
@@ -161,59 +158,46 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
                     for c in range(dim):
                         k = e * dim + c
                         wu = a * s0[k] + b * s1[k] if b else a * s0[k]
-                        acc[fi + c] += wu - wp * vv[fi + c]
+                        acc[fi + c] += wu - wp * v[fi + c]
         elif n_edges:
+            # node j's share a*row - (a*psi)*v_F, the moment sums' form with a one-node run
             for e in range(n_edges):
-                fi, li, pe = fol[e], led[e], pbase + e
+                fi, pe = fol[e], pbase + e
                 for j in range(m2):
-                    slot = (sub + j) % ring
-                    wp = rect_w[j] * q_ring[slot][pe]
-                    row_v = v_ring[slot]
+                    a = rect_w[j]
+                    row = q_ring[(sub + j) % ring]
+                    wp = a * row[pe]
                     for c in range(dim):
-                        acc[fi + c] += wp * (row_v[li + c] - vv[fi + c])
+                        acc[fi + c] += a * row[e * dim + c] - wp * v[fi + c]
         if forced:
             fvec = forcing.eval(sub * h2, dim)
             for c in range(dim):
                 acc[c] = float(fvec[c])
 
-        v_new = [v + h2 * a for v, a in zip(vv, acc)]
-        x_new = [x + h2 * v for x, v in zip(xv, vv)]
+        x, v = [xc + h2 * vc for xc, vc in zip(x, v)], [vc + h2 * ac for vc, ac in zip(v, acc)]
 
-        if n_edges:
-            if moments is not None:
-                # node lo leaves each run and node lo+cnt enters it. The first
-                # moment integrates the zeroth's rounding drift, so sloped runs
-                # are summed afresh once per window length.
-                for lo, cnt, a, b, s0, s1 in moments:
-                    if b and (sub + 1) % ring == 0:
-                        s0[:], s1[:] = run_sums(sub + 1, lo, cnt, True)
-                        continue
-                    q_out = q_ring[(sub + lo) % ring]
-                    q_in = q_ring[(sub + lo + cnt) % ring]
-                    if b:
-                        for k in range(nq):
-                            s1[k] += (cnt - 1) * q_in[k] + q_out[k] - s0[k]
+        if moments is not None:
+            # node lo leaves each run and node lo+cnt enters it. The first
+            # moment integrates the zeroth's rounding drift, so sloped runs
+            # are summed afresh once per window length.
+            for lo, cnt, a, b, s0, s1 in moments:
+                if b and (sub + 1) % ring == 0:
+                    s0[:], s1[:] = run_sums(sub + 1, lo, cnt, True)
+                    continue
+                q_out = q_ring[(sub + lo) % ring]
+                q_in = q_ring[(sub + lo + cnt) % ring]
+                if b:
                     for k in range(nq):
-                        s0[k] += q_in[k] - q_out[k]
-            q_ring[slot_old] = node_row(x_new, v_new)
-        x_ring[slot_old] = x_new
-        v_ring[slot_old] = v_new
+                        s1[k] += (cnt - 1) * q_in[k] + q_out[k] - s0[k]
+                for k in range(nq):
+                    s0[k] += q_in[k] - q_out[k]
+        # node sub+m2+1 takes the slot of node sub, which has left the window
+        q_ring[sub % ring] = node_row(x, v)
 
         if (sub + 1) % k_ref == 0:
             i = (sub + 1) // k_ref
-            if not (all(map(math.isfinite, v_new)) and all(map(math.isfinite, x_new))):
-                raise _blow_up((sub + 1) * h2, (i - 1) * h,
-                               np.reshape(x_new, (n_agents, dim)),
-                               np.reshape(v_new, (n_agents, dim)))
-            for a in range(n_agents):
-                for c in range(dim):
-                    x_out[i, a, c] = x_new[a * dim + c]
-                    v_out[i, a, c] = v_new[a * dim + c]
+            x_rows[m + i], v_rows[m + i] = x, v
+            if not (all(map(math.isfinite, v)) and all(map(math.isfinite, x))):
+                raise _blow_up((sub + 1) * h2, (i - 1) * h, x_out[m + i], v_out[m + i])
 
-    times = np.arange(n + 1) * h
-    traj = Trajectory(times=times, x=x_out, v=v_out,
-                      hist_times=(np.arange(m + 1) - m) * h,
-                      hist_x=xs0[::k_ref].copy(), hist_v=vs0[::k_ref].copy(),
-                      scenario=scenario)
-    _freeze(traj.times, traj.x, traj.v, traj.hist_times, traj.hist_x, traj.hist_v)
-    return traj
+    return Trajectory.of_run(scenario, x_out, v_out)

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -895,3 +898,37 @@ def test_negative_seed_on_a_scenario_file_is_usage_error(two_flock_file, tmp_pat
     assert main(["simulate", "--scenario", str(two_flock_file), "--out", str(tmp_path / "o"),
                  "--seed", "-5"]) == 2
     assert "rng_seed" in capsys.readouterr().err
+
+
+class TestReadmeCommandLines:
+    """README's command lines and flag table describe the parser that runs."""
+
+    README = (REPO / "README.md").read_text()
+
+    @staticmethod
+    def subcommands() -> dict:
+        subparsers, = (a for a in hlflock.cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        return subparsers.choices
+
+    def test_every_command_line_parses(self):
+        # spelt out in full: argparse would also take an abbreviation
+        blocks = re.findall(r"^```bash\n(.*?)^```", self.README, flags=re.S | re.M)
+        lines = [shlex.split(line.split("#")[0]) for block in blocks
+                 for line in block.splitlines() if line.startswith("hlflock ")]
+        assert len(lines) >= 5
+        parser, commands = hlflock.cli.build_parser(), self.subcommands()
+        for argv in lines:
+            assert parser.parse_args(argv[1:]).command == argv[1]
+            options = commands[argv[1]]._option_string_actions
+            assert all(a in options for a in argv[2:] if a.startswith("-")), argv
+
+    def test_every_tabled_flag_exists_on_its_command(self):
+        commands = self.subcommands()
+        table = self.README.split("| command | flags |\n")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", table, flags=re.M)
+        assert {command for command, _ in rows} == set(commands)
+        for command, flags in rows:
+            options = commands[command]._option_string_actions
+            for flag in re.findall(r"`(-[-\w]+)", flags):
+                assert flag in options, (command, flag)

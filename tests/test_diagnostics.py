@@ -19,9 +19,9 @@ from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
                                  hat_leader_series, history_speed_bound,
                                  lyapunov_probe, max_speed, positivity_probe,
                                  run_probes)
-from hlflock.integrator import Trajectory, simulate
+from hlflock.integrator import BlowUpError, Trajectory, simulate, simulate_many
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
-                           LeadershipDag, Potential, Scenario)
+                           LeadershipDag, Potential, Scenario, ScenarioError)
 from hlflock.scenarios import GeneratorSpec, generate
 
 
@@ -39,6 +39,15 @@ def make_scenario(n_agents=2, dim=1, x0=None, v0=None, beta=0.5, tau=0.1,
                                                  np.asarray(v0, dtype=float)),
                     forcing=forcing or LeaderForcing.zero(),
                     t_end=t_end, dt=dt)
+
+
+# dt 0.95 with agent 8 led by all 7 others: h*mu_h*psi(0)*max|L(i)| is 6.65, and
+# Heun overshoots the ball (speed excess 63.6) and, from nonnegative velocities,
+# zero (minimum -59.9); the probes report the step too coarse for the theorem
+COARSE_STEP = GeneratorSpec(topology="random_hl", n_agents=8, dim=1, delay_steps=2,
+                            tau_range=(1.9, 1.9), edge_prob=1.0, sim_span=5.0, rng_seed=0)
+COARSE_STATUS = ("skipped: h*mu_h*psi(0)*max|L(i)| = 6.65 > 1: the step is too coarse "
+                 "for the discrete invariance theorem")
 
 
 def synthetic_traj(times, x, v, scenario=None, hist_x=None, hist_v=None):
@@ -442,6 +451,11 @@ class TestPositivityProbe:
         with pytest.raises(PreconditionError):
             positivity_probe(replace(traj, scenario=None))
 
+    def test_too_coarse_a_step_is_skipped(self):
+        spec = replace(COARSE_STEP, velocity_range=(0.0, 1.0))
+        report, = run_probes(simulate(generate(spec)), probes=("positivity",))
+        assert report.details == {"status": COARSE_STATUS}
+
     @pytest.mark.parametrize("seed", range(15))
     def test_randomized_nonnegative_histories(self, seed):
         spec = GeneratorSpec(topology="random_hl", n_agents=6, dim=1,
@@ -465,6 +479,10 @@ class TestBallInvarianceProbe:
             traj = simulate(generate(spec))
             report = ball_invariance_probe(traj)
             assert report.passed, report.to_text()
+
+    def test_too_coarse_a_step_is_skipped(self):
+        report, = run_probes(simulate(generate(COARSE_STEP)), probes=("ball",))
+        assert report.details == {"status": COARSE_STATUS}
 
     def test_injected_spike_flagged(self):
         scen = make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[0, 0], [0, 1]], t_end=2.0)
@@ -767,6 +785,18 @@ class TestRunProbes:
             "name": "free_will_consensus", "passed": None,
             "details": {"status": "skipped: no forcing present"}}]
 
+    def test_unknown_probe_name_is_refused(self):
+        traj = simulate(make_scenario(t_end=0.1))
+        with pytest.raises(ScenarioError, match=r"^unknown probe name\(s\) \['bogus'\]; "
+                                                r"choose from \('positivity', "):
+            run_probes(traj, ("ball", "bogus"))
+
+    def test_a_bare_string_is_refused(self):
+        # matched by substring, "ball,lyapunov" would run two probes
+        traj = simulate(make_scenario(t_end=0.1))
+        with pytest.raises(ScenarioError, match="not the string 'ball,lyapunov'"):
+            run_probes(traj, "ball,lyapunov")
+
     def test_probes_are_looked_up_per_call(self, monkeypatch):
         # a wrapper set on the module attribute sees the call
         seen = []
@@ -776,3 +806,49 @@ class TestRunProbes:
         traj = simulate(make_scenario(t_end=1.0))
         assert [r.name for r in run_probes(traj, probes=("ball",))] == ["ball_invariance"]
         assert seen == [traj]
+
+
+# ---------------------------------------------------------------------------
+# Invariance properties over the generator space
+# ---------------------------------------------------------------------------
+
+@st.composite
+def generator_batches(draw):
+    """One to four generator specs of one (delay_steps, dim), which
+    ``simulate_many`` steps as one group: any topology, N <= 8, d <= 3, each
+    built-in kernel shape, beta <= 1/2, tau and the velocity range per spec."""
+    dim, delay_steps = draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        tau = draw(st.floats(0.05, 1.5))
+        specs.append(GeneratorSpec(
+            topology=draw(st.sampled_from(["chain", "binary_tree", "random_hl"])),
+            n_agents=draw(st.integers(1, 8)), dim=dim, delay_steps=delay_steps,
+            velocity_range=draw(st.sampled_from([(-1.0, 1.0), (0.0, 1.0)])),
+            edge_prob=draw(st.floats(0.1, 1.0)), tau_range=(tau, tau),
+            sim_span=draw(st.floats(0.2, 2.0)),
+            beta_choices=(draw(st.floats(0.0, 0.5)),),
+            kernel_shapes=(draw(st.sampled_from(DelayKernel.BUILTIN_SHAPES)),),
+            rng_seed=draw(st.integers(0, 2**32 - 1))))
+    return specs
+
+
+class TestInvarianceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(generator_batches())
+    def test_ball_hull_and_positivity_hold_whenever_the_step_is_fine(self, specs):
+        # where h*mu_h*psi(0)*max|L(i)| <= 1 the discrete theorem applies, and
+        # a probe that runs must pass; otherwise it is skipped, never failed
+        for spec, traj in zip(specs, simulate_many([generate(s) for s in specs])):
+            if isinstance(traj, BlowUpError):
+                with pytest.raises(PreconditionError, match="too coarse"):
+                    hlflock.diagnostics._require_fine_step(generate(spec))
+                continue
+            for report in run_probes(traj, ("positivity", "ball")):
+                if report.skipped:
+                    status = report.details["status"]
+                    assert "too coarse" in status or (
+                        report.name == "positivity"
+                        and (spec.dim > 1 or spec.velocity_range[0] < 0)), status
+                else:
+                    assert report.passed, report.to_text()

@@ -221,6 +221,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             traj.v[0, 0, 0] = 7.0
 
+    def test_a_trajectory_takes_its_arrays(self):
+        # built by a Python caller, a trajectory marks the arrays handed in
+        # read-only, without copying them
+        x, v = np.zeros((3, 2, 1)), np.ones((3, 2, 1))
+        traj = Trajectory(times=np.arange(3.0), x=x, v=v, hist_times=np.zeros(1),
+                          hist_x=x[:1], hist_v=v[:1])
+        assert traj.x is x and traj.v is v
+        assert not (x.flags.writeable or v.flags.writeable or traj.hist_v.flags.writeable)
+
 
 # ---------------------------------------------------------------------------
 # Oracle scheme
@@ -318,7 +327,7 @@ class TestOracle:
     def test_shares_no_code_with_the_heun_path(self):
         # the cross-check is independent only if no Heun code runs in it: the
         # oracle module imports from the stepping module only the trajectory
-        # type and the allocation, freezing and blow-up helpers, and nothing
+        # type and the allocation, memory-size and blow-up helpers, and nothing
         # else of the package but the model
         tree = ast.parse(inspect.getsource(hlflock.oracle))
         imported = set()
@@ -329,7 +338,7 @@ class TestOracle:
                 module = ".".join(filter(None, ["hlflock" * bool(node.level), node.module]))
                 imported |= {(module, alias.name) for alias in node.names}
         assert {name for module, name in imported if module == "hlflock.integrator"} == {
-            "Trajectory", "_blow_up", "_freeze", "_physical_memory", "_run_arrays"}
+            "Trajectory", "_blow_up", "_physical_memory", "_run_arrays"}
         assert {module for module, _ in imported if module.split(".")[0] == "hlflock"} == {
             "hlflock.integrator", "hlflock.model"}
 
@@ -1038,6 +1047,16 @@ class TestTrajectoryCsv:
         arrays = (back.times, back.x, back.v)
         assert all(a.flags.owndata for a in arrays)
         assert retained <= 1.05 * sum(a.nbytes for a in arrays)
+
+    def test_read_trajectory_is_read_only(self, tmp_path):
+        # a trajectory read back follows the rule of every trajectory
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(simulate(two_agent(t_end=0.2)), path)
+        back = read_trajectory_csv(path)
+        for a in (back.times, back.x, back.v, back.hist_times, back.hist_x, back.hist_v):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            back.v[0, 0, 0] = 7.0
 
     @pytest.mark.parametrize("rows,message", [
         (["0.3,0,0,1,1", "0.4,0,0,1", "0.5,0,0,1,1"], "row at line 6 has 4 values, expected 5"),
