@@ -205,8 +205,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every flag is spelt out in full: an abbreviation is a usage error
     parser = argparse.ArgumentParser(
-        prog="hlflock",
+        prog="hlflock", allow_abbrev=False,
         description="Simulate delayed hierarchical flocking and check its guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = []
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("check", cmd_check, "run verification probes"),
             ("fit-decay", cmd_fit_decay, "fit an exponential decay rate"),
             ("sweep", cmd_sweep, "run many seeded scenarios, optionally in parallel")):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(run=run)
         p.add_argument("--out", type=Path, default=_default_out(),
                        help="output directory (default: $HLFLOCK_OUT or .)")

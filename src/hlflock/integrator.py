@@ -26,8 +26,9 @@ them, each with its own step size, quadrature weights, potential and
 forcing, so a step of many small scenarios costs about as much as a step of
 one. Every operation acts per agent or per edge column, so each trajectory
 is bit-identical to :func:`simulate`'s. :func:`simulate` is a batch of one
-on the same path: every batch steps in a state buffer of 64 rows, copied
-into the scenarios' trajectory arrays each time it fills.
+on the same path: every group steps in place in one run array of all its
+agents, and each trajectory is a read-only view of its scenario's rows and
+columns there, so a lone run returns the arrays it stepped in.
 
 Any non-finite state aborts the run with a :class:`BlowUpError` naming the
 time, the first non-finite agent and the last finite time. In a batch the
@@ -399,12 +400,9 @@ class Trajectory:
 
 
 # A group of scenarios stepped together holds at most this many agent-rows:
-# agents times stored rows m+n+1, summed over its scenarios. Their trajectories
-# are 16*d bytes per agent-row, so a group's arrays stay under 4 MB per dimension.
+# its agents times the m + n_max + 1 rows of its longest run. Its arrays are
+# 16*d bytes per agent-row, so they stay under 4 MB per dimension.
 _GROUP_AGENT_ROWS = 1 << 18
-# Rows of the state buffer a group steps in; every _BUFFER_ROWS - 1 steps
-# they are copied into the scenarios' own arrays.
-_BUFFER_ROWS = 64
 
 
 @functools.cache
@@ -431,10 +429,11 @@ def _state_arrays(shape: tuple[int, int, int], cause: str) -> tuple[np.ndarray, 
     raise ScenarioError(f"{cause}: its trajectory needs {need} bytes, more than can be allocated")
 
 
-def _run_arrays(scenario: Scenario, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_state_arrays` for ``rows`` states of the scenario's flock,
-    named by its step count."""
-    return _state_arrays((rows, scenario.n_agents, scenario.dim),
+def _run_arrays(scenario: Scenario, n_agents: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_state_arrays` for the m+n+1 states of a run of ``scenario``,
+    of its own flock or of ``n_agents`` agents, named by its step count."""
+    rows = scenario.delay_steps + scenario.n_steps + 1
+    return _state_arrays((rows, n_agents or scenario.n_agents, scenario.dim),
                          f"t_end / dt = {scenario.t_end!r} / {scenario.dt!r} is "
                          f"{scenario.n_steps} steps")
 
@@ -442,18 +441,21 @@ def _run_arrays(scenario: Scenario, rows: int) -> tuple[np.ndarray, np.ndarray]:
 def step_groups(scenarios: Iterable[Scenario]) -> Iterator[list[Scenario]]:
     """Split ``scenarios``, in order, into the groups :func:`simulate_many`
     steps as one system: runs of consecutive scenarios with the same
-    (delay_steps, dim) and at most ``_GROUP_AGENT_ROWS`` agent-rows together.
-    A scenario larger than that is a group of its own."""
-    group, key, size = [], None, 0
+    (delay_steps, dim) whose agents times the rows m + n_max + 1 of the
+    longest run are at most ``_GROUP_AGENT_ROWS``. A scenario larger than that
+    is a group of its own."""
+    group, key, agents, rows = [], None, 0, 0
     for scenario in scenarios:
         m = scenario.delay_steps
-        rows = scenario.n_agents * (m + scenario.n_steps + 1)
-        if group and ((m, scenario.dim) != key or size + rows > _GROUP_AGENT_ROWS):
+        own = m + scenario.n_steps + 1
+        if group and ((m, scenario.dim) != key
+                      or (agents + scenario.n_agents) * max(rows, own) > _GROUP_AGENT_ROWS):
             yield group
-            group, size = [], 0
+            group, agents, rows = [], 0, 0
         group.append(scenario)
         key = (m, scenario.dim)
-        size += rows
+        agents += scenario.n_agents
+        rows = max(rows, own)
     if group:
         yield group
 
@@ -537,68 +539,44 @@ class _Group:
         """Step every scenario to its horizon; returns each one's
         :class:`Trajectory` or :class:`BlowUpError`, in the input order.
 
-        The union steps in a buffer of ``_BUFFER_ROWS`` states; each time it
-        fills, and at the end, :meth:`_flush` copies the new states into the
-        scenarios' own arrays. ``on_step`` is called after every step with
-        read-only copies of the union's new state, at the first scenario's
-        time."""
+        The union steps in place in one pair of (m + n_max + 1, agents, d)
+        arrays, n_max the longest horizon: rows 0..m hold each scenario's
+        prehistory in its agent columns, row m+k the state after k steps.
+        Each trajectory is a read-only view of its rows and columns, so the
+        arrays live as long as any of the group's trajectories. ``on_step`` is
+        called after every step with read-only views of the union's new state,
+        at the first scenario's time."""
         m = self.m
-        xs, vs = [], []
-        for s, n in zip(self.scenarios, self.steps):
-            x, v = _run_arrays(s, m + n + 1)
-            x[: m + 1], v[: m + 1] = s.history.sample((np.arange(m + 1) - m) * s.dt)
-            xs.append(x)
-            vs.append(v)
+        longest = self.scenarios[self.steps.index(max(self.steps))]
+        X, V = _run_arrays(longest, self.bounds[-1][1])
+        for s, (lo, hi) in zip(self.scenarios, self.bounds):
+            X[: m + 1, lo:hi], V[: m + 1, lo:hi] = s.history.sample((np.arange(m + 1) - m) * s.dt)
         # the ring evaluates psi on the prehistory, which may overflow too
         with np.errstate(over="ignore", invalid="ignore"):
-            xw = np.concatenate([x[: m + 1] for x in xs], axis=1)
-            vw = np.concatenate([v[: m + 1] for v in vs], axis=1)
-            ring = self.ring(xw, vw)
-            X = np.empty((_BUFFER_ROWS,) + xw.shape[1:])
-            V = np.empty_like(X)
-            X[0], V[0] = xw[m], vw[m]
-            del xw, vw
-            base = 0
+            ring = self.ring(X[: m + 1], V[: m + 1])
             for k in range(self.n_live):
-                j = k - base        # buffer row of the state after k steps
-                _heun_step(X[j], V[j], X[j + 1], V[j + 1], k, ring, self)
+                _heun_step(X[m + k], V[m + k], X[m + k + 1], V[m + k + 1], k, ring, self)
                 if self.n_live <= k:
                     break
                 if on_step is not None:
-                    # copies: a later step overwrites the buffer row
-                    x_new, v_new = X[j + 1].copy(), V[j + 1].copy()
+                    # a row is final once stepped: no later step writes it again
+                    x_new, v_new = X[m + k + 1], V[m + k + 1]
                     x_new.flags.writeable = v_new.flags.writeable = False
                     on_step(FlockState((k + 1) * self.dts[0], x_new, v_new))
-                if j + 2 == _BUFFER_ROWS:
-                    self._flush(X, V, base, k + 1, xs, vs)
-                    X[0], V[0] = X[j + 1], V[j + 1]
-                    base = k + 1
-            self._flush(X, V, base, k + 1, xs, vs)
 
         out: list = [None] * len(self.order)
-        for i, s in enumerate(self.scenarios):
-            out[self.order[i]] = self.results[i] or Trajectory.of_run(s, xs[i], vs[i])
+        for i, (s, n, (lo, hi)) in enumerate(zip(self.scenarios, self.steps, self.bounds)):
+            out[self.order[i]] = self.results[i] or Trajectory.of_run(
+                s, X[: m + n + 1, lo:hi], V[: m + n + 1, lo:hi])
         return out
-
-    def _flush(self, X: np.ndarray, V: np.ndarray, base: int, last: int,
-               xs: list, vs: list) -> None:
-        """Copy the buffered states after steps base+1..last (buffer rows
-        1..last-base) into the arrays of the scenarios still running, up to
-        each one's horizon."""
-        m = self.m
-        for i, (lo, hi) in enumerate(self.bounds):
-            stop = min(last, self.steps[i])
-            if self.results[i] is None and stop > base:
-                xs[i][m + base + 1: m + stop + 1] = X[1: stop - base + 1, lo:hi]
-                vs[i][m + base + 1: m + stop + 1] = V[1: stop - base + 1, lo:hi]
 
 
 def simulate(scenario: Scenario,
              on_step: Callable[[FlockState], None] | None = None) -> Trajectory:
     """Integrate the scenario from t=0 to t_end with the Heun stepper.
 
-    ``on_step``, if given, is called after every step with read-only copies
-    of the new state, which it may keep; without it no state is copied. A
+    ``on_step``, if given, is called after every step with read-only views
+    of the new state in the trajectory's arrays, which it may keep. A
     state that stops being finite raises :class:`BlowUpError`; overflow on
     the way there raises no numpy warning, in ``on_step`` either.
     """
@@ -623,6 +601,10 @@ def simulate_many(scenarios: Sequence[Scenario]) -> list[Trajectory | BlowUpErro
     edge column, and different scenarios share neither, so each scenario's
     numbers are the ones it gets alone. A scenario past its horizon steps on
     until the group's longest one ends, but can no longer fail.
+
+    Each trajectory is a read-only view of its group's run array, which
+    lives as long as any of that group's trajectories: a caller that keeps
+    one scenario's run keeps its whole group's.
     """
     for scenario in scenarios:
         scenario.validate()

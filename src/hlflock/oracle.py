@@ -141,7 +141,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
             moments.append((lo, cnt, a, b, *run_sums(0, lo, cnt, bool(b))))
             lo += cnt
 
-    x_out, v_out = _run_arrays(scenario, m + n + 1)
+    x_out, v_out = _run_arrays(scenario)
     x_out[: m + 1], v_out[: m + 1] = xs0[::k_ref], vs0[::k_ref]
     # one flat row per state, which takes the state's list of floats whole
     x_rows, v_rows = x_out.reshape(m + n + 1, nd), v_out.reshape(m + n + 1, nd)

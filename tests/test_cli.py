@@ -716,6 +716,21 @@ def test_huge_generator_size_fails_fast(tmp_path, capsys, command, field, span):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-decay", "--traj", "t.csv", "--windo", "5", "10"],
+    ["simulate", "--scen", "x.json"],
+    ["simulate", "--scenario", "x.json", "--t-en", "2"],
+    ["check", "--scenario", "x.json", "--prob", "ball"],
+    ["sweep", "--scenario", "x.json", "--work", "2"],
+])
+def test_an_abbreviated_flag_is_usage_error(tmp_path, argv):
+    # argparse would otherwise take a unique prefix for the full flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("t_end", [1e14, 1e20])
 @pytest.mark.parametrize("command", ["simulate", "check"])
 def test_trajectory_too_large_to_allocate_is_usage_error(tmp_path, capsys, command, t_end):

@@ -19,7 +19,8 @@ from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
                                  hat_leader_series, history_speed_bound,
                                  lyapunov_probe, max_speed, positivity_probe,
                                  run_probes)
-from hlflock.integrator import BlowUpError, Trajectory, simulate, simulate_many
+from hlflock.integrator import (BlowUpError, Trajectory, _trapezoid_mu_weights, simulate,
+                                simulate_many)
 from hlflock.model import (DelayKernel, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
 from hlflock.scenarios import GeneratorSpec, generate
@@ -813,17 +814,18 @@ class TestRunProbes:
 # ---------------------------------------------------------------------------
 
 @st.composite
-def generator_batches(draw):
+def generator_batches(draw, max_agents=8, max_delay_steps=10):
     """One to four generator specs of one (delay_steps, dim), which
-    ``simulate_many`` steps as one group: any topology, N <= 8, d <= 3, each
-    built-in kernel shape, beta <= 1/2, tau and the velocity range per spec."""
-    dim, delay_steps = draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    ``simulate_many`` steps as one group: any topology, N <= ``max_agents``,
+    d <= 3, each built-in kernel shape, beta <= 1/2, tau and the velocity
+    range per spec."""
+    dim, delay_steps = draw(st.integers(1, 3)), draw(st.integers(1, max_delay_steps))
     specs = []
     for _ in range(draw(st.integers(1, 4))):
         tau = draw(st.floats(0.05, 1.5))
         specs.append(GeneratorSpec(
             topology=draw(st.sampled_from(["chain", "binary_tree", "random_hl"])),
-            n_agents=draw(st.integers(1, 8)), dim=dim, delay_steps=delay_steps,
+            n_agents=draw(st.integers(1, max_agents)), dim=dim, delay_steps=delay_steps,
             velocity_range=draw(st.sampled_from([(-1.0, 1.0), (0.0, 1.0)])),
             edge_prob=draw(st.floats(0.1, 1.0)), tau_range=(tau, tau),
             sim_span=draw(st.floats(0.2, 2.0)),
@@ -852,3 +854,43 @@ class TestInvarianceProperties:
                         and (spec.dim > 1 or spec.velocity_range[0] < 0)), status
                 else:
                     assert report.passed, report.to_text()
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_batches())
+    def test_dissipation_holds_whenever_the_step_is_fine_and_resolves_the_kernel(self, specs):
+        # The functionals use the kernel's mass mu0 as their gain, but the
+        # stepper couples with its quadrature mass mu_h. Where mu_h < mu0 (a
+        # triangular kernel on an odd delay grid, a truncated bump on a
+        # coarse one) the probe can fail on a correct run, so those draws
+        # assert nothing.
+        scenarios = [generate(s) for s in specs]
+        for scen, traj in zip(scenarios, simulate_many(scenarios)):
+            mu_h = _trapezoid_mu_weights(scen).sum()
+            if not _is_fine_step(scen) or mu_h < (1 - 1e-12) * scen.kernel.mu0:
+                continue
+            report = run_probes(traj, ("lyapunov",))[0]
+            assert report.passed or report.skipped, report.to_text()
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_batches(max_agents=5, max_delay_steps=4))
+    def test_oracle_gap_shrinks_when_the_delay_grid_doubles(self, specs):
+        # The same flock at twice the delay steps, so half the step at the
+        # same tau: the Heun-versus-oracle velocity gap, the probes' slack,
+        # must shrink. On a grid this coarse the truncated bump's quadrature
+        # mass swings about mu0 (0.83, 1.008, 1.006 at 2, 4, 8 steps), and the
+        # two errors can cancel at the coarser grid, so it asserts nothing.
+        coarse = [generate(s) for s in specs]
+        fine = [generate(replace(s, delay_steps=2 * s.delay_steps)) for s in specs]
+        trajs = simulate_many(coarse + fine)
+        for c, f, c_traj, f_traj in zip(coarse, fine, trajs, trajs[len(specs):]):
+            if (c.n_agents > 1 and c.kernel.shape != "truncated_bump"
+                    and _is_fine_step(c) and _is_fine_step(f)):
+                assert calibrate_step_slack(f_traj) < calibrate_step_slack(c_traj)
+
+
+def _is_fine_step(scenario) -> bool:
+    try:
+        hlflock.diagnostics._require_fine_step(scenario)
+    except PreconditionError:
+        return False
+    return True

@@ -25,7 +25,7 @@ from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum, _c
 from hlflock.oracle import simulate_oracle
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
-from hlflock.scenarios import GeneratorSpec, generate, load_scenario
+from hlflock.scenarios import GeneratorSpec, generate, load_generator, load_scenario
 
 
 def two_agent(dim=1, x0=((0.0,), (1.0,)), v0=((1.0,), (0.0,)), beta=0.0,
@@ -200,15 +200,12 @@ class TestSimulate:
             assert err.value.last_finite_t == pytest.approx(err.value.t - scen.dt)
             assert "agent 2" in str(err.value)
 
-    @pytest.mark.parametrize("buffer_rows", [2, 64])
-    def test_per_step_callback(self, buffer_rows):
-        # 150 steps outrun the state buffer: a hook handed views of its rows
-        # would find the kept states overwritten by later steps
+    def test_per_step_callback(self):
+        # the kept states must still hold their step's state once the run ends
         scen = two_agent(t_end=1.5)
         seen = []
-        with mock.patch.object(hlflock.integrator, "_BUFFER_ROWS", buffer_rows):
-            traj = simulate(scen, on_step=seen.append)
-        assert len(seen) == scen.n_steps > buffer_rows
+        traj = simulate(scen, on_step=seen.append)
+        assert len(seen) == scen.n_steps
         assert seen[0].t == pytest.approx(0.01)
         assert seen[-1].t == pytest.approx(1.5)
         for k, state in enumerate(seen, start=1):
@@ -250,17 +247,25 @@ class TestOracle:
         np.testing.assert_allclose(oracle.v, traj.v, atol=1e-12)
         np.testing.assert_allclose(oracle.x, traj.x, atol=1e-12)
 
-    def test_cross_validates_heun(self):
-        scen = two_agent(dim=2, x0=((0, 0), (1, 0)), v0=((0, 0), (0, 1)),
-                         beta=0.5, t_end=5.0)
+    # every potential family: Cucker-Smale takes the oracle's closed forms,
+    # the others its call through Potential
+    _POTENTIALS = pytest.mark.parametrize("potential", [
+        Potential.cucker_smale(0.5), Potential.table([0.0, 0.5, 2.0], [1.0, 0.6, 0.2]),
+        Potential.custom(lambda s: np.exp(-s))], ids=["cucker_smale", "table", "custom"])
+
+    @_POTENTIALS
+    def test_cross_validates_heun(self, potential):
+        scen = replace(two_agent(dim=2, x0=((0, 0), (1, 0)), v0=((0, 0), (0, 1)), t_end=5.0),
+                       potential=potential)
         disc = np.abs(simulate(scen).v - simulate_oracle(scen, 50).v).max()
         assert disc <= 5e-3
 
-    def test_halving_step_shrinks_discrepancy(self):
-        kwargs = dict(dim=2, x0=((0, 0), (1, 0)), v0=((0, 0), (0, 1)), beta=0.5, t_end=5.0)
+    @_POTENTIALS
+    def test_halving_step_shrinks_discrepancy(self, potential):
+        kwargs = dict(dim=2, x0=((0, 0), (1, 0)), v0=((0, 0), (0, 1)), t_end=5.0)
         d = {}
         for h in (0.02, 0.01):
-            scen = two_agent(dt=h, **kwargs)
+            scen = replace(two_agent(dt=h, **kwargs), potential=potential)
             d[h] = np.abs(simulate(scen).v - simulate_oracle(scen, 10).v).max()
         assert d[0.02] / d[0.01] >= 1.5
 
@@ -498,14 +503,10 @@ class TestNodeCacheMatchesWindowRecompute:
         (10, 2, 3, "uniform", Potential.cucker_smale(0.5), False, 1),
         (11, 1, 10, "table", Potential.cucker_smale(1.0), True, 1),
     ])
-    @pytest.mark.parametrize("buffer_rows", [2, 64])
     def test_simulate_is_bitwise_equal(self, seed, dim, m, kernel_shape, potential, forced,
-                                       n_agents, buffer_rows):
+                                       n_agents):
         scen = _random_scenario(seed, dim, m, kernel_shape, potential, forced, n_agents)
-        # a lone scenario steps in the state buffer too, flushed every
-        # buffer_rows - 1 steps
-        with mock.patch.object(hlflock.integrator, "_BUFFER_ROWS", buffer_rows):
-            traj = simulate(scen)
+        traj = simulate(scen)
         x_ref, v_ref = _reference_simulate(scen)
         np.testing.assert_array_equal(traj.x, x_ref)
         np.testing.assert_array_equal(traj.v, v_ref)
@@ -750,17 +751,60 @@ def scenario_batches(draw):
 
 class TestSimulateMany:
     @settings(max_examples=40, deadline=None)
-    @given(batch=scenario_batches(), buffer_rows=st.sampled_from([2, 3, 7, 64]),
-           group_rows=st.sampled_from([1, 200, 1 << 18]))
-    def test_each_trajectory_is_bitwise_equal_to_simulate(self, batch, buffer_rows,
-                                                          group_rows):
-        # small buffers and group caps make the batch flush often and split
-        with mock.patch.object(hlflock.integrator, "_BUFFER_ROWS", buffer_rows), \
-                mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", group_rows):
+    @given(batch=scenario_batches(), group_rows=st.sampled_from([1, 200, 1 << 18]))
+    def test_each_trajectory_is_bitwise_equal_to_simulate(self, batch, group_rows):
+        # small group caps split the batch
+        with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", group_rows):
             got = simulate_many(batch)
         assert len(got) == len(batch)
         for traj, scen in zip(got, batch):
             assert_same_trajectory(traj, simulate(scen))
+
+    def test_a_batch_is_read_only_views_of_one_group_array(self):
+        # one group (m = 10, d = 1) of three horizons: the group's array has
+        # the longest run's rows and every agent's columns
+        batch = [_batch_scenario(seed, 1, 10, 0.01, n_steps, "uniform",
+                                 Potential.cucker_smale(0.5), False, 3)
+                 for seed, n_steps in ((1, 120), (2, 300), (3, 40))]
+        assert len(list(step_groups(batch))) == 1
+        got = simulate_many(batch)
+        x_all, v_all = got[0].x.base, got[0].v.base
+        assert x_all.shape == v_all.shape == (10 + 300 + 1, 9, 1)
+        for traj, scen in zip(got, batch):
+            assert traj.x.shape == (scen.n_steps + 1, 3, 1)
+            for a, base in ((traj.x, x_all), (traj.hist_x, x_all),
+                            (traj.v, v_all), (traj.hist_v, v_all)):
+                assert a.base is base and not a.flags.writeable
+            # the prehistory's last row is the t=0 state itself
+            assert np.shares_memory(traj.hist_x[-1], traj.x[0])
+        # a lone run returns the arrays it stepped in
+        alone = simulate(batch[1])
+        assert alone.x.base.shape == (10 + 300 + 1, 3, 1)
+        assert alone.x.base is alone.hist_x.base and alone.v.base is alone.hist_v.base
+
+    def test_a_batch_holds_one_group_array_and_the_ring(self):
+        # 16 sweep_chain draws in one group: the batch allocates the group's
+        # run array, its ring, the time grids and small per-edge arrays; a
+        # copy per scenario would add about three quarters of the group array
+        spec = load_generator(Path(__file__).resolve().parents[1]
+                              / "perfbench" / "specs" / "sweep_chain.json")
+        batch = [generate(replace(spec, rng_seed=1000 + k)) for k in range(16)]
+        assert len(list(step_groups(batch))) == 1
+        m, dim = batch[0].delay_steps, batch[0].dim
+        rows = m + max(s.n_steps for s in batch) + 1
+        group = 16 * rows * sum(s.n_agents for s in batch) * dim
+        n_edges = sum(s.dag.edge_arrays()[0].size for s in batch)
+        ring = (m + 1) * (n_edges + 1) * (2 * dim + 3) * 8
+        times = sum(8 * (m + s.n_steps + 2) for s in batch)
+        copies = sum(16 * (m + s.n_steps + 1) * s.n_agents * dim for s in batch)
+        assert copies > group / 2
+        tracemalloc.start()
+        try:
+            simulate_many(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= group + ring + times + (1 << 16)
 
     def test_a_blow_up_is_returned_in_its_place(self):
         hot = two_agent(beta=0.0, kernel=DelayKernel.uniform(0.1, height=1e5), t_end=2.0)
@@ -834,7 +878,8 @@ class TestSimulateMany:
         b = two_agent(dim=2, x0=((0.0, 0.0), (1.0, 0.0)), v0=((1.0, 0.0), (0.0, 0.0)))
         c = two_agent(dim=1, tau=0.2, dt=0.02)      # m = 10 again, 2 agents x 36 rows
         assert list(step_groups([a, c, b, a])) == [[a, c], [b], [a]]
-        with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 2 * 61 + 2 * 36):
+        # a group holds its agents times its longest run's rows: 4 x 61 for a and c
+        with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 4 * 61):
             assert list(step_groups([a, c, a])) == [[a, c], [a]]
         with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 1):
             assert list(step_groups([a, c])) == [[a], [c]]
