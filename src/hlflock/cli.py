@@ -251,6 +251,8 @@ def main(argv=None) -> int:
     try:
         if "probes" in args:
             args.probes = tuple(s.strip() for s in args.probes.split(",") if s.strip())
+            if not args.probes:
+                raise ScenarioError(f"--probes names no probe; choose from {','.join(PROBE_NAMES)}")
             check_probe_names(args.probes)
         for name in ("count", "workers"):
             if getattr(args, name, 1) < 1:

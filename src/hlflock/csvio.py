@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -219,7 +220,9 @@ def read_trajectory_csv(path) -> Trajectory:
     Only the step grid is recoverable from the file, so the returned
     trajectory has an empty prehistory and no scenario attached. A file that
     is not such a CSV raises :class:`ScenarioError` naming it (and the file
-    line of the first malformed data row). The data rows are counted first,
+    line of the first malformed data row). A Heun run writes only finite
+    values at increasing times, so a ``nan`` or ``inf`` cell, or a time that
+    does not exceed the row before, is malformed. The data rows are counted first,
     so ``times``, ``x`` and ``v`` are allocated once and filled a chunk of
     rows at a time: the read holds one copy of the trajectory. A trajectory
     larger than can be allocated is a :class:`ScenarioError` naming the file.
@@ -250,6 +253,10 @@ def read_trajectory_csv(path) -> Trajectory:
                 if block.shape != (rows, len(names)):
                     raise ValueError(f"expected rows of {len(names)} values, "
                                      f"read {block.shape[0]} rows of {block.shape[1]}")
+                t = block[:, 0]
+                if not (np.isfinite(block).all() and (t[1:] > t[:-1]).all()
+                        and (r == 0 or t[0] > times[r - 1])):
+                    raise ValueError("a value is not finite, or a time does not increase")
             except ValueError as err:
                 raise ScenarioError(f"{path}: malformed trajectory data: "
                                     f"{_first_bad_row(path, len(names)) or err}") from None
@@ -264,9 +271,11 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 def _first_bad_row(path, n_values: int) -> str | None:
-    """Describe the first data row that is not ``n_values`` numbers, by its
-    1-based line in the file (the header is line 1). Empty and '#' comment
-    lines are skipped, as np.loadtxt skips them."""
+    """Describe the first data row that is not ``n_values`` finite numbers,
+    or whose time does not exceed the previous row's, by its 1-based line in
+    the file (the header is line 1). Empty and '#' comment lines are skipped,
+    as np.loadtxt skips them."""
+    last_t = -math.inf
     with open(path, "rb") as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
@@ -277,7 +286,13 @@ def _first_bad_row(path, n_values: int) -> str | None:
                 return f"row at line {lineno} has {len(cells)} values, expected {n_values}"
             for col, cell in enumerate(cells, start=1):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     return f"row at line {lineno}, column {col}: {cell.strip()!r} is not a number"
+                if not math.isfinite(value):
+                    return f"row at line {lineno}, column {col}: {cell.strip()!r} is not finite"
+            t = float(cells[0])
+            if t <= last_t:
+                return f"row at line {lineno}, column 1: time {t!r} does not exceed {last_t!r}"
+            last_t = t
     return None

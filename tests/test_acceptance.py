@@ -44,11 +44,11 @@ def test_criterion_1_two_flock_exponential_envelope():
     start = time.perf_counter()
     scen = two_flock_scenario()
     traj = simulate(scen)
-    slack = calibrate_step_slack(traj)           # empirical stand-in for C*h
-    result = check_two_flock_bound(traj, tol=1e-6, slack=slack)
+    result = check_two_flock_bound(traj, tol=1e-6)
     elapsed = time.perf_counter() - start
     detail = (f"max excess over envelope {result.details['max_excess']:.3e}, "
-              f"rate {result.details['rate']:.4f}, slack {slack:.2e}")
+              f"rate {result.details['rate']:.4f}, "
+              f"discrete rate {result.details['discrete_rate']:.4f}")
     report(1, "two-flock exponential envelope", result.passed, detail, elapsed, 1.0)
 
 

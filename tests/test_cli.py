@@ -398,6 +398,17 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(two_flock_file),
                      "--out", str(tmp_path), "--probes", "ball,telepathy"]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    @pytest.mark.parametrize("probes", [",", " , ", ""])
+    def test_probes_naming_no_probe_is_usage_error(self, tmp_path, capsys, command, probes):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {"topology": "chain", "n_agents": 2}}))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path), "--out", str(out),
+                     "--count", "2", "--probes", probes]) == 2
+        assert "--probes names no probe" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_needs_a_generator_file(self, two_flock_file, tmp_path, capsys,
                                           simulate_calls):
         out = tmp_path / "chk"
@@ -538,14 +549,29 @@ class TestFitDecayCommand:
         assert f"{csv_path}: 301 data rows: its trajectory needs {16 * 301 * 2} bytes" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad_row", ["0.1,0,0,1", "0.1,0,a,1,1"],
-                             ids=["ragged-row", "non-numeric-cell"])
-    def test_malformed_csv_names_the_file_line(self, tmp_path, capsys, bad_row):
+    @pytest.mark.parametrize("bad_row, where", [
+        ("0.1,0,0,1", "row at line 3 has 4 values"),
+        ("0.1,0,a,1,1", "row at line 3, column 3: 'a' is not a number"),
+        ("0.1,0,nan,1,1", "row at line 3, column 3: 'nan' is not finite"),
+        ("0.1,0,0,1,-inf", "row at line 3, column 5: '-inf' is not finite"),
+        ("0,0,0,1,1", "row at line 3, column 1: time 0.0 does not exceed 0.0"),
+    ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "repeated-time"])
+    def test_malformed_csv_names_the_file_line(self, tmp_path, capsys, bad_row, where):
         # the header is line 1, so the second data row is line 3
         path = tmp_path / "bad.csv"
         path.write_text(f"t,x1_1,v1_1,x2_1,v2_1\n0,0,0,1,1\n{bad_row}\n0.2,0,0,1,1\n")
         assert main(["fit-decay", "--traj", str(path), "--out", str(tmp_path / "fit")]) == 2
-        assert "row at line 3" in capsys.readouterr().err
+        assert f"{path}: malformed trajectory data: {where}" in capsys.readouterr().err
+
+    def test_reversed_times_are_usage_error(self, tmp_path, capsys):
+        # a reversed file would otherwise fit a reversed default window
+        path = self.planted_csv(tmp_path / "planted.csv", np.linspace(0.0, 3.0, 301))
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--traj", str(path), "--out", str(out)]) == 2
+        assert "row at line 3, column 1: time 2.99 does not exceed 3.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_censored_input_fails(self, tmp_path):
         times = np.linspace(0.0, 1.0, 50)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 import hlflock.diagnostics
-from hlflock.diagnostics import (ConsensusSeries, InsufficientDataError,
+import hlflock.integrator
+from hlflock.diagnostics import (_ENVELOPE_ROUNDING, ConsensusSeries, InsufficientDataError,
                                  PreconditionError, _pairwise_diameter,
                                  _potential_primitive,
                                  ball_invariance_probe, calibrate_step_slack,
@@ -49,6 +50,14 @@ COARSE_STEP = GeneratorSpec(topology="random_hl", n_agents=8, dim=1, delay_steps
                             tau_range=(1.9, 1.9), edge_prob=1.0, sim_span=5.0, rng_seed=0)
 COARSE_STATUS = ("skipped: h*mu_h*psi(0)*max|L(i)| = 6.65 > 1: the step is too coarse "
                  "for the discrete invariance theorem")
+
+# Two-agent draws: seeds 0-99 give 44 at beta = 0, where the gap follows the
+# discrete envelope exactly. Seed 10 draws beta = 0, a uniform kernel,
+# tau = 0.965 and h = 0.0965; the continuous envelope with an oracle slack
+# failed it by 6.43e-6 against a slack of 0.0051.
+TWO_AGENT = GeneratorSpec(topology="chain", n_agents=2, dim=2, rng_seed=10,
+                          tau_range=(0.2, 1.0), delay_steps=10, sim_span=10.0,
+                          beta_choices=(0.0, 0.5), kernel_shapes=("uniform", "triangular"))
 
 
 def synthetic_traj(times, x, v, scenario=None, hist_x=None, hist_v=None):
@@ -375,10 +384,13 @@ class TestTwoFlockBound:
                         t_end=20.0, dt=0.01)
         traj = simulate(scen)
         slack = calibrate_step_slack(traj)
-        report = check_two_flock_bound(traj, slack=slack)
+        report = check_two_flock_bound(traj)
         fit = fit_decay_rate(consensus_series(traj), window=(scen.tau, scen.t_end))
         assert fit.n_censored == 0
         assert fit.rate >= report.details["rate"] - slack
+        # least squares on an even grid weights the per-step log decrements
+        # positively, and each is at least the discrete rate times h
+        assert fit.rate >= report.details["discrete_rate"]
 
     def test_holds_on_simulated_run(self):
         traj = simulate(make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[0, 0], [0, 1]], t_end=20.0))
@@ -389,7 +401,7 @@ class TestTwoFlockBound:
     def test_consensus_data_trivially_holds(self):
         v_star = [[0.5], [0.5]]
         traj = simulate(make_scenario(v0=v_star, t_end=2.0))
-        report = check_two_flock_bound(traj, slack=0.0)
+        report = check_two_flock_bound(traj)
         assert report.passed
         assert report.details["gap_at_tau"] == 0.0
 
@@ -400,19 +412,56 @@ class TestTwoFlockBound:
         v[-100:, 1, :] += 0.5    # pump the follower's late velocity back up
         fake = synthetic_traj(traj.times, traj.x.copy(), v, scenario=scen,
                               hist_x=traj.hist_x.copy(), hist_v=traj.hist_v.copy())
-        report = check_two_flock_bound(fake, slack=1e-3)
+        report = check_two_flock_bound(fake)
         assert not report.passed
         assert report.details["max_excess"] > 0
+
+    def test_coarse_delay_grid_at_beta_zero_passes(self):
+        scen = generate(TWO_AGENT)
+        assert (scen.potential.beta, scen.kernel.shape) == (0.0, "uniform")
+        assert scen.dt == pytest.approx(0.0965, abs=5e-5)
+        report = check_two_flock_bound(simulate(scen), tol=0.0)
+        assert report.passed, report.to_text()
+        # one step contracts the gap by 1 - x + x^2/2, x = h*mu_h, which
+        # exceeds e^-x: the discrete rate is below mu0 * psi = 1
+        x = scen.dt * _trapezoid_mu_weights(scen).sum()
+        assert report.details["discrete_rate"] == pytest.approx(
+            -np.log(1 - x + x * x / 2) / scen.dt, rel=1e-14)
+        assert report.details["discrete_rate"] < report.details["rate"] == 1.0
+
+    def test_no_two_agent_draw_fails(self):
+        scenarios = [generate(replace(TWO_AGENT, rng_seed=seed)) for seed in range(100)]
+        reports = [check_two_flock_bound(traj, tol=0.0) for traj in simulate_many(scenarios)]
+        assert [r.to_text() for r in reports if not r.passed] == []
+
+    @pytest.mark.parametrize("tol, delta", [(0.0, 1e-10), (1e-6, 1e-6)])
+    def test_planted_weight_deficit_is_caught(self, monkeypatch, tol, delta):
+        # the follower's quadrature weights scaled by 1 - delta: the gap
+        # decays more slowly than the envelope of the true weights
+        scen = generate(TWO_AGENT)
+        real = hlflock.integrator._trapezoid_mu_weights
+        monkeypatch.setattr(hlflock.integrator, "_trapezoid_mu_weights",
+                            lambda s: real(s) * (1 - delta))
+        report = check_two_flock_bound(simulate(scen), tol=tol)
+        assert not report.passed
+        assert report.details["max_excess"] > 0
+
+    def test_coarse_step_is_skipped_naming_the_value(self):
+        # h * mu_h * psi(0) = 2: a stage overshoots, and the discrete
+        # envelope does not apply
+        traj = simulate(make_scenario(tau=2.0, dt=2.0, t_end=10.0))
+        with pytest.raises(PreconditionError, match=r"h\*mu_h\*psi\(0\)\*max\|L\(i\)\| = 2 > 1"):
+            check_two_flock_bound(traj)
 
     def test_requires_two_agents(self):
         traj = simulate(make_scenario(n_agents=3, t_end=1.0))
         with pytest.raises(PreconditionError):
-            check_two_flock_bound(traj, slack=0.0)
+            check_two_flock_bound(traj)
 
     def test_requires_constant_velocity_root(self):
         scen = make_scenario(t_end=1.0, forcing=LeaderForcing.power_law(1.0, 3.0, dim=1))
         with pytest.raises(PreconditionError):
-            check_two_flock_bound(simulate(scen), slack=0.0)
+            check_two_flock_bound(simulate(scen))
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +804,19 @@ class TestSlack:
 # ---------------------------------------------------------------------------
 
 class TestRunProbes:
-    def test_slack_is_calibrated_once(self, monkeypatch):
+    @pytest.mark.parametrize("probes, oracle_runs", [(("two-flock",), 0),
+                                                     (hlflock.diagnostics.PROBE_NAMES, 1)])
+    def test_oracle_runs(self, monkeypatch, probes, oracle_runs):
+        # the two-flock probe runs no oracle; Lyapunov calibrates its own slack
         calls = []
-        real = hlflock.diagnostics.calibrate_step_slack
-        monkeypatch.setattr(hlflock.diagnostics, "calibrate_step_slack",
-                            lambda traj: calls.append(traj) or real(traj))
+        real = hlflock.diagnostics.simulate_oracle
+        monkeypatch.setattr(hlflock.diagnostics, "simulate_oracle",
+                            lambda *args: calls.append(args) or real(*args))
         scen = make_scenario(dim=2, x0=[[0, 0], [1, 0]], v0=[[0, 0], [0, 1]], t_end=5.0)
-        reports = {r.name: r for r in run_probes(simulate(scen))}
-        assert len(calls) == 1
-        assert reports["two_flock_bound"].passed
-        assert reports["lyapunov_dissipation"].passed
-        assert (reports["lyapunov_dissipation"].details["slack"]
-                == reports["two_flock_bound"].details["slack"])
+        reports = run_probes(simulate(scen), probes)
+        assert len(calls) == oracle_runs
+        assert all(r.passed for r in reports if r.name in ("two_flock_bound",
+                                                           "lyapunov_dissipation"))
 
     def test_skipped_probes_do_not_calibrate(self, monkeypatch):
         calls = []
@@ -886,6 +936,43 @@ class TestInvarianceProperties:
             if (c.n_agents > 1 and c.kernel.shape != "truncated_bump"
                     and _is_fine_step(c) and _is_fine_step(f)):
                 assert calibrate_step_slack(f_traj) < calibrate_step_slack(c_traj)
+
+
+@st.composite
+def two_agent_batches(draw):
+    """One to four two-agent chains of one (delay_steps, dim), stepped by
+    ``simulate_many`` as one group: d <= 3, up to 29 delay steps, each
+    built-in kernel shape, beta in {0, 1/4, 1/2, 1}, tau and a run of 1 to
+    20 delay spans per spec."""
+    dim, delay_steps = draw(st.integers(1, 3)), draw(st.integers(1, 29))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        tau = draw(st.floats(0.05, 3.0))
+        specs.append(GeneratorSpec(
+            topology="chain", n_agents=2, dim=dim, delay_steps=delay_steps,
+            tau_range=(tau, tau), sim_span=tau * draw(st.floats(1.0, 20.0)),
+            beta_choices=(draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),),
+            kernel_shapes=(draw(st.sampled_from(DelayKernel.BUILTIN_SHAPES)),),
+            rng_seed=draw(st.integers(0, 2**32 - 1))))
+    return specs
+
+
+class TestTwoAgentEnvelopeProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(two_agent_batches())
+    def test_bound_holds_and_is_exact_at_beta_zero(self, specs):
+        scenarios = [generate(s) for s in specs]
+        for scen, traj in zip(scenarios, simulate_many(scenarios)):
+            if not _is_fine_step(scen):
+                continue
+            report = check_two_flock_bound(traj, tol=0.0)
+            assert report.passed, report.to_text()
+            if scen.potential.beta == 0.0:
+                gap, envelope = report.series["gap"], report.series["envelope"]
+                decay = np.exp(-report.details["discrete_rate"] * scen.dt * np.arange(gap.size))
+                allowance = (_ENVELOPE_ROUNDING * np.finfo(float).eps * max_speed(traj.v)
+                             * np.cumsum(decay))
+                assert np.all(np.abs(gap - envelope) <= allowance)
 
 
 def _is_fine_step(scenario) -> bool:

@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, and imports
-nothing beyond the standard library, numpy and the package itself.
+nothing beyond the standard library, numpy and the package itself. Every
+source file parses as the oldest Python that pyproject.toml declares, and the
+CI workflow that runs this suite on it parses.
 
 The check parses the source with ``ast``, so it needs no linter: a name
 counts as used when it appears in the code or in a quoted annotation, and
@@ -108,3 +110,22 @@ def test_log_damped_l1_norm_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert abs(float(out.stdout) - 0.9082808308357639) <= 1e-13     # q = 2, see test_model
+
+
+SOURCES = sorted(path for top in ("src", "tests", "demos") for path in (REPO / top).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(REPO)))
+def test_source_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_ci_workflow_runs_tier1_on_3_10_and_3_11():
+    yaml = pytest.importorskip("yaml")
+    job = yaml.safe_load((REPO / ".github/workflows/tier1.yml").read_text())["jobs"]["tier1"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs == ['pip install -e ".[test]"',
+                    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+                    "--continue-on-collection-errors"]

@@ -1109,7 +1109,13 @@ class TestTrajectoryCsv:
         (["0.3,0,0,1,1,1", "0.4,0,0,1,1,1"], "row at line 5 has 6 values, expected 5"),
         (["0.3,0,0,1,1", "0.4,0,a,1,1", "0.5,0,0,1,1"],
          "row at line 6, column 3: 'a' is not a number"),
-    ], ids=["ragged-row", "block-all-short", "last-block-all-long", "non-numeric-cell"])
+        (["0.3,0,0,1,1", "0.4,nan,0,1,1", "0.5,0,0,1,1"],
+         "row at line 6, column 2: 'nan' is not finite"),
+        (["0.3,0,0,1,1", "0.4,0,0,1,inf"], "row at line 6, column 5: 'inf' is not finite"),
+        (["0.3,0,0,1,1", "0.25,0,0,1,1"], "row at line 6, column 1: time 0.25 does not exceed 0.3"),
+        (["0.2,0,0,1,1"], "row at line 5, column 1: time 0.2 does not exceed 0.2"),
+    ], ids=["ragged-row", "block-all-short", "last-block-all-long", "non-numeric-cell",
+            "nan-cell", "inf-cell", "decreasing-time", "time-repeated-across-blocks"])
     def test_bad_row_after_the_first_block_names_its_line(self, tmp_path, rows, message):
         # three rows per block: the first block (lines 2-4) is good
         path = tmp_path / "bad.csv"
