@@ -7,7 +7,8 @@ relative to the depth of the hierarchy. This script tabulates the
 admissibility flags for several profiles in a 3-agent chain, then runs one
 admissible case and confirms that the flock still collapses onto the (now
 curved) trajectory of the leader, with the root speed capped by its initial
-speed plus the total impulse.
+speed plus the total impulse, and with the velocity hull never widening by
+more than twice the impulse since any earlier time.
 """
 
 import numpy as np
@@ -62,6 +63,8 @@ def main():
     print(probe.to_text())
     print(f"  root speed stayed <= {probe.details['root_speed_cap']:.4f} "
           f"(max seen {probe.details['max_root_speed']:.4f})")
+    print(f"  velocity hull stayed {-probe.details['hull_excess']:.3e} inside its "
+          f"bound at its closest")
 
     try:
         import matplotlib

@@ -760,7 +760,15 @@ class LeaderForcing(_JsonFamily):
             ds = 0.5 * np.pi * np.cosh(t) * s / 64.0
             return abs(self.amplitude) * math.fsum(
                 (np.exp(u - self.decay_power * log_e_u_1) / (u * u) * ds).tolist())
-        return float(np.trapezoid(np.abs(self.magnitudes), self.times))
+        # |f| is linear between samples of one sign; on a segment where f
+        # changes sign it is two triangles, of area h*(f0^2 + f1^2)/(2|f0 - f1|)
+        f0, f1 = self.magnitudes[:-1], self.magnitudes[1:]
+        a, b, h = np.abs(f0), np.abs(f1), np.diff(self.times)
+        area = h * (a + b) / 2.0
+        cross = np.sign(f0) * np.sign(f1) < 0
+        a, b = a[cross], b[cross]
+        area[cross] = h[cross] * (a * a + b * b) / (2.0 * (a + b))
+        return float(area.sum())
 
     def __repr__(self) -> str:
         if self.family == "zero":

@@ -344,16 +344,15 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
-def save_run(traj: Trajectory, reports: Iterable | None, outdir) -> Path:
+def save_run(traj: Trajectory, reports: Iterable, outdir) -> Path:
     """Persist a run bundle: scenario copy, trajectory CSV, and probe report."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if traj.scenario is not None:
         save_scenario(traj.scenario, outdir / "scenario.json")
     write_trajectory_csv(traj, outdir / "trajectory.csv")
-    if reports is not None:
-        reports = list(reports)
-        payload = [r.to_dict() for r in reports]
-        (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-        (outdir / "report.txt").write_text("\n".join(r.to_text() for r in reports) + "\n")
+    reports = list(reports)
+    payload = [r.to_dict() for r in reports]
+    (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (outdir / "report.txt").write_text("\n".join(r.to_text() for r in reports) + "\n")
     return outdir

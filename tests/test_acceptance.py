@@ -136,7 +136,7 @@ def test_criterion_6_free_will_leader():
     final_dv = float(consensus_series(traj).velocity_diameter[-1])
     root_speed = float(np.linalg.norm(traj.v[:, 0, :], axis=1).max())
     cap = float(np.linalg.norm(traj.v[0, 0, :])) + forcing.l1_norm()
-    probe = free_will_consensus_probe(traj, target=1e-3)
+    probe = free_will_consensus_probe(traj)
     admissible = check_forcing_conditions(forcing, 3)
     shallow = check_forcing_conditions(LeaderForcing.power_law(0.5, 0.5, dim=2), 3)
     ok = (final_dv <= 1e-3 and root_speed <= cap + 1e-8 and probe.passed

@@ -343,6 +343,13 @@ class TestCheckCommand:
         save_scenario(scen, path)
         assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+    def test_every_golden_scenario_checks_clean(self, tmp_path, golden, capsys):
+        # rich.json's forced root widened its flock, which the free-will
+        # probe's old tail test failed
+        assert main(["check", "--scenario", str(golden), "--out", str(tmp_path / "chk")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["table-table-table", "truncated_bump-log_damped"])
     def test_single_forced_agent_skips_free_will(self, tmp_path, name):
         # the forcing conditions are defined for >= 2 agents; the other probes still run

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, and imports
 nothing beyond the standard library, numpy and the package itself. Every
-source file parses as the oldest Python that pyproject.toml declares, and the
-CI workflow that runs this suite on it parses.
+private name a module binds at top level is read somewhere in the package.
+Every source file parses as the oldest Python that pyproject.toml declares,
+and the CI workflow that runs this suite on it parses.
 
 The check parses the source with ``ast``, so it needs no linter: a name
 counts as used when it appears in the code or in a quoted annotation, and
@@ -61,6 +62,49 @@ def test_unused_import_is_found():
               "from re import (compile,  # noqa: F401\n    escape)\n"
               "def f(x: 'loads') -> None:\n    return math.pi\n")
     assert _unused_imports(source) == ["os (line 3)", "dumps (line 4)"]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (one leading underscore) that a module of ``sources``
+    (module name -> source) binds at top level and no module reads, as a
+    name, an attribute or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}: {name} (line {node.lineno})" for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in read]
+    return found
+
+
+def test_every_private_top_level_name_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_found():
+    sources = {"a.py": "import math\n_USED = 1\n_SPARE, _X = 2, 3\n"
+                       "def _helper():\n    return _USED + math.pi\n"
+                       "class _Kept:\n    _attr = 0\n",
+               "b.py": "from a import _Kept\ndef f(x):\n    return x._X\n"}
+    assert _unreferenced_private_names(sources) == ["a.py: _SPARE (line 3)",
+                                                    "a.py: _helper (line 4)"]
 
 
 def test_imports_kept_on_purpose_are_the_ones_the_benchmark_tracer_wraps(monkeypatch):

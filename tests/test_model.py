@@ -388,6 +388,16 @@ class TestForcingConditions:
         log_mass = LeaderForcing.log_damped(1.0, 2, dim=1).l1_norm()
         assert 0 < log_mass < math.inf
 
+    @pytest.mark.parametrize("times, magnitudes, mass", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 0.0], 2.5),
+        # |f| is two triangles where f changes sign: 1/4 + 1/4 on [0, 1], 1/2 on [1, 2]
+        ([0.0, 1.0, 2.0], [1.0, -1.0, 0.0], 1.0),
+        ([0.0, 4.0], [-3.0, 1.0], 4.0 * (9.0 + 1.0) / (2.0 * 4.0)),
+    ])
+    def test_table_l1_norm_is_exact_for_the_interpolant(self, times, magnitudes, mass):
+        assert LeaderForcing.table(times, magnitudes, dim=1).l1_norm() == pytest.approx(
+            mass, rel=1e-15)
+
     # the integral of 1 / ((1+t)^q ln^2(2+t)) over t >= 0, to 25 digits, by
     # mpmath's tanh-sinh quadrature at 60 digits on u = ln(2+t)
     LOG_DAMPED_MASS = {
