@@ -18,14 +18,13 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import diagnostics as diag
 from .csvio import read_trajectory_csv, write_csv, write_trajectory_csv
 from .diagnostics import PROBE_NAMES, check_probe_names, run_probes
-from .integrator import BlowUpError, Trajectory, simulate, simulate_many, step_groups
+from .integrator import BlowUpError, simulate, simulate_many
 from .model import Scenario, ScenarioError
 from .scenarios import (generate, load_generator, load_scenario,
                         save_run, save_scenario)
@@ -49,20 +48,6 @@ def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 
 def _load(args: argparse.Namespace) -> Scenario:
     return _with_overrides(load_scenario(args.scenario, seed=args.seed), args)
-
-
-def _trajectories(scenarios: Iterable[Scenario]) -> Iterator[Trajectory]:
-    """Each scenario's trajectory, in order, from one ``simulate_many`` call
-    per step group. A blow-up is raised when its scenario's turn comes, after
-    the trajectories before it. Each trajectory is dropped here once the
-    caller moves on, so a caller that keeps none holds at most one group's."""
-    for group in step_groups(scenarios):
-        trajs = simulate_many(group)
-        for k in range(len(trajs)):
-            traj, trajs[k] = trajs[k], None
-            if isinstance(traj, BlowUpError):
-                raise traj
-            yield traj
 
 
 def _summary(traj) -> dict:
@@ -109,7 +94,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     all_reports = []
     failed = 0
-    for traj in _trajectories(scenarios):
+    for traj in simulate_many(scenarios):
+        if isinstance(traj, BlowUpError):
+            raise traj
         reports = run_probes(traj, args.probes)
         for rep in reports:
             print(rep.to_text() if not args.verbose
@@ -118,6 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 failed += 1
         all_reports.append({"rng_seed": traj.scenario.rng_seed,
                             "probes": [r.to_dict() for r in reports]})
+        del traj    # its group's array goes before the next group steps
     payload = {"passed": failed == 0, "n_scenarios": len(scenarios),
                "n_failed_probes": failed, "runs": all_reports}
     (out / "check_report.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -169,12 +157,15 @@ def _sweep_worker(job: tuple) -> list[tuple[int, bool, str]]:
     """Draw, step, probe and save the scenarios of a range of seeds, in order."""
     spec, seeds, out_str, probes = job
     results = []
-    for traj in _trajectories(generate(replace(spec, rng_seed=seed)) for seed in seeds):
+    for traj in simulate_many(generate(replace(spec, rng_seed=seed)) for seed in seeds):
+        if isinstance(traj, BlowUpError):
+            raise traj
         reports = run_probes(traj, probes)
         seed = traj.scenario.rng_seed
         rundir = Path(out_str) / f"run_{seed:05d}"
         save_run(traj, reports, rundir)
         results.append((seed, all(r.passed is not False for r in reports), str(rundir)))
+        del traj    # its group's array goes before the next group steps
     return results
 
 

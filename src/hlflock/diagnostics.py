@@ -270,11 +270,12 @@ def history_speed_bound(traj: Trajectory) -> float:
     return max_speed(traj.hist_v)
 
 
-def calibrate_step_slack(traj: Trajectory, refinement: int = 2) -> float:
+def calibrate_step_slack(traj: Trajectory) -> float:
     """Empirical discretization slack for bound checks on this run: the max
-    velocity discrepancy against the independent Euler oracle. Plays the role
-    of C*h; both schemes are consistent, so it vanishes with the step."""
-    oracle = simulate_oracle(_require_scenario(traj), refinement)
+    velocity discrepancy against the independent Euler oracle at refinement
+    2. Plays the role of C*h; both schemes are consistent, so it vanishes
+    with the step."""
+    oracle = simulate_oracle(_require_scenario(traj), 2)
     return float(np.abs(traj.v - oracle.v).max())
 
 
@@ -499,13 +500,13 @@ def _potential_primitive(scenario: Scenario, s_max: float):
 
 
 def lyapunov_probe(traj: Trajectory, gain: float | None = None, offset: float | None = None,
-                   agent: int = 2, tol: float = DEFAULT_BOUND_TOL,
+                   tol: float = DEFAULT_BOUND_TOL,
                    slack: float | None = None) -> ProbeReport:
     """Monitor the dissipation functionals |w| +/- gain * phi(|y| + offset).
 
-    (y, w) is the designated fluctuation pair: agent's deviation from its
-    leader average (for a two-agent flock with agent=2 this is simply the
-    state difference). phi is the numeric primitive of the potential. Along
+    (y, w) is the designated fluctuation pair: agent 2's deviation from its
+    leader average (for a two-agent flock this is simply the state
+    difference). phi is the numeric primitive of the potential. Along
     an unforced trajectory both functionals are non-increasing from t = tau
     on, so the maximum forward difference (F(t+h) - F(t))/h must stay below
     tol plus the discretization slack. ``gain`` defaults to the kernel mass
@@ -525,7 +526,7 @@ def lyapunov_probe(traj: Trajectory, gain: float | None = None, offset: float | 
         offset = 2.0 * scenario.tau * history_speed_bound(traj)
     if slack is None:
         slack = calibrate_step_slack(traj)
-    fluct = hat_leader_series(traj, scenario.dag, agent)
+    fluct = hat_leader_series(traj, scenario.dag, 2)
     w = np.linalg.norm(fluct.w, axis=1)
     y = np.linalg.norm(fluct.y, axis=1)
     s_grid, phi_grid = _potential_primitive(scenario, float(y.max() + offset) * 1.05 + 1.0)
@@ -646,17 +647,19 @@ def free_will_consensus_probe(traj: Trajectory) -> ProbeReport:
 PROBE_NAMES = ("positivity", "ball", "two-flock", "lyapunov", "free-will")
 
 
-def check_probe_names(probes) -> None:
+def check_probe_names(probes) -> tuple[str, ...]:
     """A selection of probes is a collection of names from ``PROBE_NAMES``:
     an unknown name, or a bare string (whose substrings would match), is a
-    :class:`ScenarioError`."""
+    :class:`ScenarioError`. Returns the names, read once, as a tuple."""
     if isinstance(probes, str):
         raise ScenarioError(f"probes must be a collection of names from {PROBE_NAMES}, "
                             f"not the string {probes!r}")
+    probes = tuple(probes)
     unknown = set(probes) - set(PROBE_NAMES)
     if unknown:
         raise ScenarioError(f"unknown probe name(s) {sorted(unknown)}; "
                             f"choose from {PROBE_NAMES}")
+    return probes
 
 
 def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[ProbeReport]:
@@ -668,7 +671,7 @@ def run_probes(traj: Trajectory, probes=PROBE_NAMES) -> list[ProbeReport]:
     probe runs on the trajectory alone: the Lyapunov probe, the only one
     that runs the oracle, calibrates its own slack.
     """
-    check_probe_names(probes)
+    probes = check_probe_names(probes)
     reports = []
     # Each probe is looked up in this module's globals per call, so a wrapper
     # set on the module attribute (as the benchmark tracer does) sees it.

@@ -28,7 +28,9 @@ one. Every operation acts per agent or per edge column, so each trajectory
 is bit-identical to :func:`simulate`'s. :func:`simulate` is a batch of one
 on the same path: every group steps in place in one run array of all its
 agents, and each trajectory is a read-only view of its scenario's rows and
-columns there, so a lone run returns the arrays it stepped in.
+columns there, so a lone run returns the arrays it stepped in. The results
+of :func:`simulate_many` stream, one group stepped at a time, and a caller
+that keeps none of them holds one group's array.
 
 Any non-finite state aborts the run with a :class:`BlowUpError` naming the
 time, the first non-finite agent and the last finite time. In a batch the
@@ -46,7 +48,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -438,7 +440,7 @@ def _run_arrays(scenario: Scenario, n_agents: int | None = None) -> tuple[np.nda
                          f"{scenario.n_steps} steps")
 
 
-def step_groups(scenarios: Iterable[Scenario]) -> Iterator[list[Scenario]]:
+def _step_groups(scenarios: Iterable[Scenario]) -> Iterator[list[Scenario]]:
     """Split ``scenarios``, in order, into the groups :func:`simulate_many`
     steps as one system: runs of consecutive scenarios with the same
     (delay_steps, dim) whose agents times the rows m + n_max + 1 of the
@@ -587,25 +589,29 @@ def simulate(scenario: Scenario,
     return result
 
 
-def simulate_many(scenarios: Sequence[Scenario]) -> list[Trajectory | BlowUpError]:
-    """Integrate several scenarios, each exactly as :func:`simulate` would:
-    its trajectory is bit-identical, or its :class:`BlowUpError` is returned
-    in its place, in the input order.
+def simulate_many(scenarios: Iterable[Scenario]) -> Iterator[Trajectory | BlowUpError]:
+    """Integrate several scenarios, each exactly as :func:`simulate` would,
+    and yield their results in the input order: each one's trajectory,
+    bit-identical, or in its place its :class:`BlowUpError`.
 
     Each run of consecutive scenarios with one (delay_steps, dim) is stepped
-    together as one disjoint flock, in input order and in the groups of
-    :func:`step_groups`: one Heun step advances every scenario of a group
-    with the numpy calls of one, which is what makes many small scenarios
-    cheap. A batch that mixes keys is not reordered, so it steps in as many
-    groups as it has runs. Every operation of a step acts per agent or per
-    edge column, and different scenarios share neither, so each scenario's
-    numbers are the ones it gets alone. A scenario past its horizon steps on
-    until the group's longest one ends, but can no longer fail.
+    together as one disjoint flock, in the groups of :func:`_step_groups`:
+    one Heun step advances every scenario of a group with the numpy calls of
+    one, which is what makes many small scenarios cheap. A batch that mixes
+    keys is not reordered, so it steps in as many groups as it has runs.
+    Every operation of a step acts per agent or per edge column, and
+    different scenarios share neither, so each scenario's numbers are the
+    ones it gets alone. A scenario past its horizon steps on until the
+    group's longest one ends, but can no longer fail.
 
-    Each trajectory is a read-only view of its group's run array, which
-    lives as long as any of that group's trajectories: a caller that keeps
-    one scenario's run keeps its whole group's.
+    The results stream: ``scenarios``, any iterable, is read as they are
+    requested, each scenario validated before it joins a group, and a group
+    steps when its first result is requested. Each trajectory is a read-only
+    view of its group's run array, which lives as long as any of its
+    trajectories; the stream keeps no result it has yielded, so a caller
+    that keeps none holds one group's array at a time.
     """
-    for scenario in scenarios:
-        scenario.validate()
-    return [r for group in step_groups(scenarios) for r in _Group(group).run()]
+    for group in _step_groups(scenario.validate() for scenario in scenarios):
+        results = _Group(group).run()[::-1]
+        while results:
+            yield results.pop()     # popped: no reference is left here once yielded

@@ -273,8 +273,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         leaders = data["leaders"]
         with _fields_of(leaders, "leaders"):
             for key, js in leaders.items():
-                if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                    raise ScenarioError(f"{key} must be a decimal agent index")
+                if not (isinstance(key, str) and key.isascii() and key.isdigit()
+                        and key == str(int(key))):
+                    raise ScenarioError(f"{key} must be a decimal agent index "
+                                        f"without leading zeros")
                 if not isinstance(js, list):
                     raise ScenarioError(f"{key} must be a list of agent indices")
         dag = LeadershipDag(n_agents, {int(key): js for key, js in leaders.items()})
@@ -307,9 +309,24 @@ def _generator_from_dict(data: dict, where: str) -> GeneratorSpec:
         raise ScenarioError(f"generator: unknown fields {sorted(unknown)}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a key given twice is a :class:`ScenarioError`."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def _read_json(path: Path) -> dict:
+    """The JSON object in ``path``. Malformed JSON, an object that gives a
+    key twice, or a top level that is not an object is a
+    :class:`ScenarioError` naming the file."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:   # not UTF-8, an over-long integer, deep nesting

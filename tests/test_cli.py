@@ -81,6 +81,7 @@ def simulate_calls(monkeypatch):
         return simulate(scenario, on_step)
 
     def counted_many(scenarios):
+        scenarios = list(scenarios)     # a stream is read once
         calls.extend(scenario.rng_seed for scenario in scenarios)
         return simulate_many(scenarios)
     for module in (hlflock.cli, hlflock.diagnostics):

@@ -881,6 +881,14 @@ class TestRunProbes:
         with pytest.raises(ScenarioError, match="not the string 'ball,lyapunov'"):
             run_probes(traj, "ball,lyapunov")
 
+    def test_a_one_shot_selection_runs_its_probes(self):
+        # the selection is read once: checking its names must not use it up
+        traj = simulate(make_scenario(t_end=1.0))
+        reports = run_probes(traj, iter(["ball", "positivity"]))
+        assert [r.to_dict() for r in reports] == [
+            r.to_dict() for r in run_probes(traj, ["ball", "positivity"])]
+        assert [r.name for r in reports] == ["positivity", "ball_invariance"]
+
     def test_probes_are_looked_up_per_call(self, monkeypatch):
         # a wrapper set on the module attribute sees the call
         seen = []
@@ -964,7 +972,7 @@ class TestInvarianceProperties:
         # two errors can cancel at the coarser grid, so it asserts nothing.
         coarse = [generate(s) for s in specs]
         fine = [generate(replace(s, delay_steps=2 * s.delay_steps)) for s in specs]
-        trajs = simulate_many(coarse + fine)
+        trajs = list(simulate_many(coarse + fine))
         for c, f, c_traj, f_traj in zip(coarse, fine, trajs, trajs[len(specs):]):
             if (c.n_agents > 1 and c.kernel.shape != "truncated_bump"
                     and _is_fine_step(c) and _is_fine_step(f)):

@@ -169,7 +169,8 @@ def test_ci_workflow_runs_tier1_on_3_10_and_3_11():
     yaml = pytest.importorskip("yaml")
     job = yaml.safe_load((REPO / ".github/workflows/tier1.yml").read_text())["jobs"]["tier1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
-    runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs == ['pip install -e ".[test]"',
-                    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
-                    "--continue-on-collection-errors"]
+    runs = [(step.get("if"), step["run"]) for step in job["steps"] if "run" in step]
+    assert runs == [(None, 'pip install -e ".[test]"'),
+                    (None, "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+                           "--continue-on-collection-errors"),
+                    ("matrix.python-version == '3.11'", "python3 perfbench/selftest.py")]

@@ -1,4 +1,5 @@
 import ast
+import collections
 import inspect
 import math
 import pickle
@@ -20,8 +21,8 @@ import hlflock.oracle
 from hlflock.csvio import (_decimal17, _format_rows, read_trajectory_csv, trajectory_columns,
                            write_trajectory_csv)
 from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum, _coupling,
-                                _explicit_window_sum, _Group, _heun_step, _window_sum_probes,
-                                simulate, simulate_many, step_groups)
+                                _explicit_window_sum, _Group, _heun_step, _step_groups,
+                                _window_sum_probes, simulate, simulate_many)
 from hlflock.oracle import simulate_oracle
 from hlflock.model import (DelayKernel, HistoryFn, HistorySpec, LeaderForcing,
                            LeadershipDag, Potential, Scenario, ScenarioError)
@@ -752,10 +753,16 @@ def scenario_batches(draw):
 class TestSimulateMany:
     @settings(max_examples=40, deadline=None)
     @given(batch=scenario_batches(), group_rows=st.sampled_from([1, 200, 1 << 18]))
+    # four runs of mixed (delay_steps, dim) keys
+    @example(batch=[_batch_scenario(seed, dim, m, 0.05, m + 20, "triangular",
+                                    Potential.cucker_smale(0.5), True, 3)
+                    for seed, (m, dim) in enumerate(((2, 1), (2, 1), (5, 2), (2, 1),
+                                                     (5, 3), (5, 3)))],
+             group_rows=1 << 18)
     def test_each_trajectory_is_bitwise_equal_to_simulate(self, batch, group_rows):
-        # small group caps split the batch
+        # small group caps split the batch, which is read once, from a generator
         with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", group_rows):
-            got = simulate_many(batch)
+            got = list(simulate_many(scen for scen in batch))
         assert len(got) == len(batch)
         for traj, scen in zip(got, batch):
             assert_same_trajectory(traj, simulate(scen))
@@ -766,8 +773,8 @@ class TestSimulateMany:
         batch = [_batch_scenario(seed, 1, 10, 0.01, n_steps, "uniform",
                                  Potential.cucker_smale(0.5), False, 3)
                  for seed, n_steps in ((1, 120), (2, 300), (3, 40))]
-        assert len(list(step_groups(batch))) == 1
-        got = simulate_many(batch)
+        assert len(list(_step_groups(batch))) == 1
+        got = list(simulate_many(batch))
         x_all, v_all = got[0].x.base, got[0].v.base
         assert x_all.shape == v_all.shape == (10 + 300 + 1, 9, 1)
         for traj, scen in zip(got, batch):
@@ -789,7 +796,7 @@ class TestSimulateMany:
         spec = load_generator(Path(__file__).resolve().parents[1]
                               / "perfbench" / "specs" / "sweep_chain.json")
         batch = [generate(replace(spec, rng_seed=1000 + k)) for k in range(16)]
-        assert len(list(step_groups(batch))) == 1
+        assert len(list(_step_groups(batch))) == 1
         m, dim = batch[0].delay_steps, batch[0].dim
         rows = m + max(s.n_steps for s in batch) + 1
         group = 16 * rows * sum(s.n_agents for s in batch) * dim
@@ -800,7 +807,7 @@ class TestSimulateMany:
         assert copies > group / 2
         tracemalloc.start()
         try:
-            simulate_many(batch)
+            list(simulate_many(batch))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -818,9 +825,9 @@ class TestSimulateMany:
         other = _batch_scenario(4, 1, 10, 0.02, 150, "uniform", Potential.cucker_smale(0.25),
                                 False, 3)
         batch = [calm, hot, brief, other]
-        assert len(list(step_groups(batch))) == 1
+        assert len(list(_step_groups(batch))) == 1
         with np.errstate(all="raise"):
-            got = simulate_many(batch)
+            got = list(simulate_many(batch))
         err = got[1]
         assert isinstance(err, BlowUpError)
         assert str(err) == str(alone.value)
@@ -842,7 +849,7 @@ class TestSimulateMany:
         other = _batch_scenario(4, 1, 10, 0.02, 150, "uniform", Potential.cucker_smale(0.25),
                                 False, 3)
         batch = [calm, hot, other]
-        assert len(list(step_groups(batch))) == 1
+        assert len(list(_step_groups(batch))) == 1
         # the window's first rows are filled before stepping starts, where
         # inf / inf still warns
         with np.errstate(invalid="ignore"):
@@ -850,7 +857,7 @@ class TestSimulateMany:
                 simulate(hot)
             with mock.patch.object(_Group, "blow_up", autospec=True,
                                    side_effect=_Group.blow_up) as blow_up:
-                got = simulate_many(batch)
+                got = list(simulate_many(batch))
         assert blow_up.call_count == 1
         assert isinstance(got[1], BlowUpError) and str(got[1]) == str(alone.value)
         for k in (0, 2):
@@ -877,12 +884,54 @@ class TestSimulateMany:
         a = two_agent(dim=1, tau=0.1, dt=0.01)      # m = 10, 2 agents x 61 rows
         b = two_agent(dim=2, x0=((0.0, 0.0), (1.0, 0.0)), v0=((1.0, 0.0), (0.0, 0.0)))
         c = two_agent(dim=1, tau=0.2, dt=0.02)      # m = 10 again, 2 agents x 36 rows
-        assert list(step_groups([a, c, b, a])) == [[a, c], [b], [a]]
+        assert list(_step_groups([a, c, b, a])) == [[a, c], [b], [a]]
         # a group holds its agents times its longest run's rows: 4 x 61 for a and c
         with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 4 * 61):
-            assert list(step_groups([a, c, a])) == [[a, c], [a]]
+            assert list(_step_groups([a, c, a])) == [[a, c], [a]]
         with mock.patch.object(hlflock.integrator, "_GROUP_AGENT_ROWS", 1):
-            assert list(step_groups([a, c])) == [[a], [c]]
+            assert list(_step_groups([a, c])) == [[a], [c]]
+
+    def test_the_stream_reads_and_validates_as_results_are_requested(self):
+        a, c = two_agent(dim=1), two_agent(dim=2, x0=((0.0, 0.0), (1.0, 0.0)),
+                                           v0=((1.0, 0.0), (0.0, 0.0)))
+        bad = two_agent(dt=0.03)        # tau = 0.1 is not a whole number of steps
+        drawn = []
+
+        def stream():
+            for scen in (a, c, bad):
+                drawn.append(scen)
+                yield scen
+        results = simulate_many(stream())
+        assert drawn == []
+        # a's group ends where c, a valid scenario of another key, begins
+        assert_same_trajectory(next(results), simulate(a))
+        assert drawn == [a, c]
+        # c's group ends at the invalid scenario, which fails before c steps
+        with mock.patch.object(_Group, "run", autospec=True) as run:
+            with pytest.raises(ScenarioError, match="delay span tau"):
+                next(results)
+        assert run.call_count == 0
+
+    def test_a_stream_whose_results_are_dropped_holds_one_group(self):
+        # four groups of sweep_chain draws at 20 to 50 delay steps: a caller
+        # that keeps no result holds about the largest group's run alone
+        spec = load_generator(Path(__file__).resolve().parents[1]
+                              / "perfbench" / "specs" / "sweep_chain.json")
+        groups = [[generate(replace(spec, delay_steps=m, rng_seed=1000 + k)) for k in range(8)]
+                  for m in (20, 30, 40, 50)]
+        batch = [scen for group in groups for scen in group]
+        assert list(_step_groups(batch)) == groups
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        alone = max(peak(_Group(group).run) for group in groups)
+        streamed = peak(lambda: collections.deque(simulate_many(batch), maxlen=0))
+        assert streamed <= 1.1 * alone
 
 
 def _reference_oracle(scen, refinement):

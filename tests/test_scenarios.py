@@ -256,6 +256,32 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioError, match="colour"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("load", [load_scenario, load_generator])
+    def test_duplicate_generator_key_rejected(self, tmp_path, load):
+        path = tmp_path / "gen.json"
+        path.write_text('{"generator": {"topology": "chain", "n_agents": 4, "n_agents": 6}}')
+        with pytest.raises(ScenarioError, match=r"gen\.json: duplicate key 'n_agents'"):
+            load(path)
+
+    def test_duplicate_scenario_key_rejected(self, tmp_path):
+        text = (Path(__file__).parent / "golden" / "rich.json").read_text()
+        path = tmp_path / "rich.json"
+        path.write_text(text.replace("{", '{\n  "dt": 0.05,', 1))
+        with pytest.raises(ScenarioError, match=r"rich\.json: duplicate key 'dt'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("keys", [("3", "03"), ("03",), ("+3",), (" 3",)])
+    def test_agent_key_must_be_canonical(self, tmp_path, keys):
+        data = scenario_to_dict(rich_scenario())
+        leaders = data["leaders"].pop("3")
+        data["leaders"].update({key: leaders for key in keys})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        bad = keys[-1]
+        with pytest.raises(ScenarioError, match=re.escape(f"bad.json.leaders.{bad} must be a "
+                                                          f"decimal agent index")):
+            load_scenario(path)
+
 
 def _draw(rng, op: int, arg: int):
     """One Generator call chosen by ``op``; ``arg`` picks its range."""
