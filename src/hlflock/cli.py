@@ -58,7 +58,7 @@ def _summary(traj) -> dict:
         "history_speed_bound": diag.history_speed_bound(traj),
         "t_end": float(traj.times[-1]),
         "n_steps": int(traj.times.size - 1),
-        "rng_seed": traj.scenario.rng_seed if traj.scenario else None,
+        "rng_seed": traj.scenario.rng_seed,
     }
 
 
@@ -80,7 +80,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     # one scenario keeps the file's own seed unless --seed is given; several
     # are drawn from a generator file, from consecutive seeds starting at
-    # --seed (default 0), with the file read once
+    # --seed (default 0), with the file read once and each seed drawn when
+    # the stream reaches it
     if args.count == 1:
         scenarios = [_load(args)]
     else:
@@ -88,8 +89,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             spec = load_generator(args.scenario)
         except ScenarioError as e:
             raise ScenarioError(f"--count {args.count} draws seeds from a generator file: {e}") from None
-        scenarios = [_with_overrides(generate(replace(spec, rng_seed=(args.seed or 0) + k)), args)
-                     for k in range(args.count)]
+        scenarios = (_with_overrides(generate(replace(spec, rng_seed=(args.seed or 0) + k)), args)
+                     for k in range(args.count))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     all_reports = []
@@ -106,11 +107,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         all_reports.append({"rng_seed": traj.scenario.rng_seed,
                             "probes": [r.to_dict() for r in reports]})
         del traj    # its group's array goes before the next group steps
-    payload = {"passed": failed == 0, "n_scenarios": len(scenarios),
+    payload = {"passed": failed == 0, "n_scenarios": len(all_reports),
                "n_failed_probes": failed, "runs": all_reports}
     (out / "check_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"{'PASS' if failed == 0 else 'FAIL'}: {failed} failed probe(s) "
-          f"over {len(scenarios)} scenario(s)")
+          f"over {len(all_reports)} scenario(s)")
     return EXIT_OK if failed == 0 else EXIT_PROBE_FAILURE
 
 

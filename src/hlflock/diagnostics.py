@@ -9,8 +9,11 @@ velocity hull widens by at most twice the forcing's mass since any earlier
 time (the paper's consensus is asymptotic, which no finite run can refute).
 
 The positivity, ball, two-agent and free-will probes check the discrete
-statements Heun obeys when its stages are convex combinations, so they allow
-rounding only. The dissipation probe is exact in continuous time only and
+statements Heun obeys when its stages are convex combinations. Positivity
+and ball allow an absolute ``SPEED_TOL`` = 1e-8 in velocity units; the
+two-agent and free-will checks allow rounding in units of the run's largest
+speed, and the two-agent envelope a relative ``DEFAULT_BOUND_TOL`` = 1e-6 as
+well. The dissipation probe is exact in continuous time only and
 adds a slack calibrated from the disagreement between Heun and the oracle on
 the same run (an empirical stand-in for C*h). Decay estimates are evaluated
 from t = tau onward; the window [0, tau) is governed only by the prehistory
@@ -67,26 +70,22 @@ class InsufficientDataError(ValueError):
 class ConsensusSeries:
     """Max over agent pairs of |v_i - v_j| and of |x_i - x_j| at each step.
 
-    Built from the positions (T, N, d) instead of ``position_diameter``, the
-    position series is computed the first time it is read, so a caller that
-    reads only the velocity diameter never pays for it. Built with neither,
-    reading it raises :class:`PreconditionError`.
+    The position series is computed from the positions (T, N, d) the first
+    time it is read, so a caller that reads only the velocity diameter never
+    pays for it. Built without positions, reading it raises
+    :class:`PreconditionError`.
     """
 
-    def __init__(self, times: np.ndarray, velocity_diameter: np.ndarray,
-                 position_diameter: np.ndarray | None = None, *,
+    def __init__(self, times: np.ndarray, velocity_diameter: np.ndarray, *,
                  positions: np.ndarray | None = None):
         self.times = times
         self.velocity_diameter = velocity_diameter
         self._positions = positions
-        if position_diameter is not None:
-            self.position_diameter = position_diameter
 
     @cached_property
     def position_diameter(self) -> np.ndarray:
         if self._positions is None:
-            raise PreconditionError("the consensus series has no positions: it was built "
-                                    "with neither positions nor position_diameter")
+            raise PreconditionError("the consensus series has no positions")
         return _pairwise_diameter(self._positions)
 
 
@@ -297,8 +296,12 @@ def _require_fine_step(scenario: Scenario) -> None:
 
 
 def _require_scenario(traj: Trajectory) -> Scenario:
+    """Every probe's first check: the trajectory carries its scenario and
+    prehistory samples, which every probe's hypotheses are stated over."""
     if traj.scenario is None:
         raise PreconditionError("this probe needs the trajectory's scenario")
+    if traj.hist_v.size == 0:
+        raise PreconditionError("trajectory carries no prehistory samples")
     return traj.scenario
 
 
@@ -326,14 +329,7 @@ class ProbeReport:
         return f"{self.name}: {status}" + (f" ({', '.join(parts)})" if parts else "")
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, np.bool_):
-                return bool(v)
-            return v
-        return {"name": self.name, "passed": self.passed,
-                "details": {k: clean(v) for k, v in self.details.items()}}
+        return {"name": self.name, "passed": self.passed, "details": dict(self.details)}
 
 
 # ---------------------------------------------------------------------------

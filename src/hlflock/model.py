@@ -323,6 +323,18 @@ class Potential(_JsonFamily):
         out = self._eval(arr)
         return float(out) if arr.ndim == 0 else out
 
+    def scalar_of_squared(self) -> Callable[[float], float]:
+        """The potential as a scalar function of the *squared* distance, for
+        plain-float loops such as the Euler oracle's."""
+        if self.family == "cucker_smale":
+            beta = self.beta
+            if beta == 0.0:
+                return lambda d2: 1.0
+            if beta == 0.5:
+                return lambda d2: 1.0 / math.sqrt(1.0 + d2)
+            return lambda d2: (1.0 + d2) ** (-beta)
+        return lambda d2: float(self(math.sqrt(d2)))
+
     def __repr__(self) -> str:
         if self.family == "cucker_smale":
             return f"Potential.cucker_smale({self.beta})"
@@ -412,12 +424,13 @@ _KERNEL_GRID_POINTS = 1025  # dense internal grid; trapezoid mass is exact for
 class DelayKernel(_JsonFamily):
     """Nonnegative bounded weight over the memory window [0, tau].
 
-    ``mu0`` is the total mass, computed by composite trapezoid on the sample
-    grid ``times``/``values``: a table's own samples, the last at tau, or a
-    dense grid of a built-in shape, whose ``height`` (``peak`` for the
-    triangle) defaults to unit mass. Built-in shapes carry an analytic mass
-    that the numeric one must reproduce to 1e-10 relative; tables are
-    trapezoid-only.
+    ``mu0`` is the total mass, computed by composite trapezoid: on a table's
+    own samples ``times``/``values``, the last at tau, or for a built-in
+    shape, whose ``height`` (``peak`` for the triangle) defaults to unit
+    mass, on a dense grid that exists only to take ``mu0`` and is not kept
+    (a built-in shape's ``times`` and ``values`` are None). Built-in shapes
+    carry an analytic mass that the numeric one must reproduce to 1e-10
+    relative; tables are trapezoid-only.
     """
 
     _TAG = "shape"
@@ -429,7 +442,7 @@ class DelayKernel(_JsonFamily):
                  peak: float | None = None, times: np.ndarray | None = None,
                  values: np.ndarray | None = None):
         self.shape = self._member(shape)
-        self.height = self.peak = None
+        self.height = self.peak = self.times = self.values = None
         if shape == "table":
             self.times, self.values = t, v = _samples(times, "times", values, "values")
             tau = t[-1] if tau is None else tau
@@ -448,9 +461,9 @@ class DelayKernel(_JsonFamily):
             self.height = _real(1.0 / self.analytic_mass if height is None else height,
                                 self._FIELDS[shape][1])
             self.peak = self.height if shape == "triangular" else None
-            self.times = np.linspace(0.0, self.tau, _KERNEL_GRID_POINTS)
-            self.values = self._eval_builtin(self.times)
-        self.mu0 = float(np.trapezoid(self.values, self.times))
+            t = np.linspace(0.0, self.tau, _KERNEL_GRID_POINTS)
+            v = self._eval_builtin(t)
+        self.mu0 = float(np.trapezoid(v, t))
         if not self.mu0 > 0:
             raise ScenarioError(f"mass must be positive, got {self.mu0}")
 

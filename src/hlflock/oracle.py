@@ -21,20 +21,7 @@ import math
 import numpy as np
 
 from .integrator import Trajectory, _blow_up, _physical_memory, _run_arrays
-from .model import Potential, Scenario, ScenarioError, _integer
-
-
-def _scalar_potential(potential: Potential):
-    """Potential as a scalar function of the *squared* distance, for the
-    oracle's plain-float inner loop."""
-    if potential.family == "cucker_smale":
-        beta = potential.beta
-        if beta == 0.0:
-            return lambda d2: 1.0
-        if beta == 0.5:
-            return lambda d2: 1.0 / math.sqrt(1.0 + d2)
-        return lambda d2: (1.0 + d2) ** (-beta)
-    return lambda d2: float(potential(math.sqrt(d2)))
+from .model import Scenario, ScenarioError, _integer
 
 
 def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
@@ -70,7 +57,7 @@ def simulate_oracle(scenario: Scenario, refinement: int) -> Trajectory:
     n_agents, dim = scenario.n_agents, scenario.dim
     forcing = scenario.forcing
     forced = not forcing.is_zero
-    psi_sq = _scalar_potential(scenario.potential)
+    psi_sq = scenario.potential.scalar_of_squared()
     fol_arr, led_arr = scenario.dag.edge_arrays()
     fol = [int(e) * dim for e in fol_arr]     # flat base offsets
     led = [int(e) * dim for e in led_arr]

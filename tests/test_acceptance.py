@@ -167,8 +167,7 @@ def test_criterion_8_decay_fit_calibration():
     errors = {}
     for rate, t_end in ((0.1, 20.0), (1.0, 10.0), (5.0, 4.0)):
         t = np.linspace(0.0, t_end, 1001)
-        series = ConsensusSeries(times=t, velocity_diameter=np.exp(-rate * t),
-                                 position_diameter=np.ones_like(t))
+        series = ConsensusSeries(times=t, velocity_diameter=np.exp(-rate * t))
         fit = fit_decay_rate(series, window=(0.0, t_end))
         errors[rate] = abs(fit.rate - rate)
     ok = all(err <= 1e-6 for err in errors.values())

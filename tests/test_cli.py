@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +438,32 @@ class TestCheckCommand:
         report = json.loads((out / "check_report.json").read_text())
         assert report["n_scenarios"] == 3
         assert {r["rng_seed"] for r in report["runs"]} == {0, 1, 2}
+
+    def test_count_holds_one_group_of_draws(self, tmp_path, monkeypatch):
+        # every draw has 575 states of 4 agents, and a group holds four: twelve
+        # draws step in three groups, and a check holds one group's scenarios
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": {
+            "topology": "chain", "n_agents": 4, "dim": 1, "velocity_range": [0.0, 1.0],
+            "tau_range": [0.3, 0.3], "delay_steps": 40, "sim_span": 4.0}}))
+        monkeypatch.setattr(hlflock.integrator, "_GROUP_AGENT_ROWS", 4 * 4 * 575)
+        spec = hlflock.scenarios.load_generator(path)
+        draws = (generate(replace(spec, rng_seed=seed)) for seed in range(12))
+        assert [len(g) for g in hlflock.integrator._step_groups(draws)] == [4, 4, 4]
+
+        def peak(count):
+            argv = ["check", "--scenario", str(path), "--out", str(tmp_path / str(count)),
+                    "--count", str(count), "--probes", "positivity"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1] - start
+                finally:
+                    tracemalloc.stop()
+        peak(4)
+        assert peak(12) <= 1.1 * peak(4)
 
 
 class TestFitDecayCommand:

@@ -317,7 +317,7 @@ class TestFitDecayRate:
     def planted(self, rate, scale=1.0, t_end=3.0, n=301):
         t = np.linspace(0.0, t_end, n)
         dv = scale * np.exp(-rate * t)
-        return ConsensusSeries(times=t, velocity_diameter=dv, position_diameter=np.ones_like(t))
+        return ConsensusSeries(times=t, velocity_diameter=dv)
 
     def test_recovers_planted_rate(self):
         fit = fit_decay_rate(self.planted(2.0), window=(0.0, 3.0))
@@ -347,8 +347,7 @@ class TestFitDecayRate:
 
     def test_all_censored(self):
         t = np.linspace(0, 1, 50)
-        ser = ConsensusSeries(times=t, velocity_diameter=np.full(50, 1e-15),
-                              position_diameter=np.ones(50))
+        ser = ConsensusSeries(times=t, velocity_diameter=np.full(50, 1e-15))
         with pytest.raises(InsufficientDataError):
             fit_decay_rate(ser, window=(0.0, 1.0))
 
@@ -888,6 +887,32 @@ class TestRunProbes:
         assert [r.to_dict() for r in reports] == [
             r.to_dict() for r in run_probes(traj, ["ball", "positivity"])]
         assert [r.name for r in reports] == ["positivity", "ball_invariance"]
+
+    @pytest.mark.parametrize("probe", hlflock.diagnostics.PROBE_NAMES)
+    def test_a_run_without_prehistory_is_skipped_by_every_probe(self, probe):
+        # each probe runs on this run with its prehistory, and skips it without
+        scen = RICH if probe == "free-will" else make_scenario(t_end=1.0)
+        traj = simulate(scen)
+        assert not run_probes(traj, [probe])[0].skipped
+        none = np.empty((0, scen.n_agents, scen.dim))
+        bare = replace(traj, hist_times=np.empty(0), hist_x=none, hist_v=none)
+        report, = run_probes(bare, [probe])
+        assert report.details == {"status": "skipped: trajectory carries no prehistory samples"}
+        # a run without its scenario is told so first
+        report, = run_probes(replace(bare, scenario=None), [probe])
+        assert report.details == {"status": "skipped: this probe needs the trajectory's scenario"}
+
+    def test_every_detail_is_a_plain_value(self):
+        # over the golden runs and a two-agent unforced one each probe both runs
+        # and skips; check_report.json and the bundles write the details as built
+        paths = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+        outcomes = set()
+        for traj in [*map(simulate, map(load_scenario, paths)), simulate(make_scenario(t_end=1.0))]:
+            for report in run_probes(traj):
+                outcomes.add((report.name, report.skipped))
+                assert {type(v) for v in report.details.values()} <= {float, int, bool, str}
+                assert report.to_dict()["details"] == report.details
+        assert len(outcomes) == 2 * len(hlflock.diagnostics.PROBE_NAMES)
 
     def test_probes_are_looked_up_per_call(self, monkeypatch):
         # a wrapper set on the module attribute sees the call

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and imports
 nothing beyond the standard library, numpy and the package itself. Every
 private name a module binds at top level is read somewhere in the package.
+Only ``model`` compares a family's tag with the name of a member.
 Every source file parses as the oldest Python that pyproject.toml declares,
 and the CI workflow that runs this suite on it parses.
 
@@ -105,6 +106,41 @@ def test_unreferenced_private_name_is_found():
                "b.py": "from a import _Kept\ndef f(x):\n    return x._X\n"}
     assert _unreferenced_private_names(sources) == ["a.py: _SPARE (line 3)",
                                                     "a.py: _helper (line 4)"]
+
+
+FAMILY_TAGS = {"family", "shape", "kind"}
+
+
+def _family_tag_comparisons(source: str) -> list[str]:
+    """Comparisons of an attribute named like a model family's tag with a
+    string constant, or with a tuple, list or set of them: the knowledge of
+    a family's members that belongs in ``model``."""
+    def is_name(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    found = []
+    compares = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)]
+    for node in sorted(compares, key=lambda node: (node.lineno, node.col_offset)):
+        operands = [node.left, *node.comparators]
+        tags = [o.attr for o in operands if isinstance(o, ast.Attribute) and o.attr in FAMILY_TAGS]
+        if tags and any(is_name(o) or (isinstance(o, (ast.Tuple, ast.List, ast.Set)) and o.elts
+                                       and all(map(is_name, o.elts))) for o in operands):
+            found.append(f"{tags[0]} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "model.py"))
+def test_only_the_model_compares_family_tags(module):
+    assert _family_tag_comparisons((PACKAGE / module).read_text()) == []
+
+
+def test_family_tag_comparison_is_found():
+    source = ("if k.shape == 'uniform' or 'table' != scenario.potential.family:\n    pass\n"
+              "ok = h.kind in ('affine', 'table')\n"
+              "fine = block.shape != (rows, n) or a.shape == b.shape or a.name == 'x'\n")
+    assert _family_tag_comparisons(source) == ["shape (line 1)", "family (line 1)",
+                                               "kind (line 3)"]
 
 
 def test_imports_kept_on_purpose_are_the_ones_the_benchmark_tracer_wraps(monkeypatch):

@@ -261,6 +261,15 @@ class TestDelayKernel:
             vals = k(s)
             assert np.all(vals >= 0) and np.all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("shape", DelayKernel.BUILTIN_SHAPES)
+    @pytest.mark.parametrize("tau", [0.05, 0.37, 1.9])
+    @pytest.mark.parametrize("height", [None, 0.4, 2.5])
+    def test_builtin_mass_is_the_dense_trapezoid_and_no_grid_is_kept(self, shape, tau, height):
+        k = DelayKernel(shape, tau, **{"peak" if shape == "triangular" else "height": height})
+        grid = np.linspace(0.0, tau, 1025)
+        assert k.mu0.hex() == float(np.trapezoid(k(grid), grid)).hex()
+        assert k.times is None and k.values is None
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ScenarioError, match="mass must be positive"):
             DelayKernel.table([0.0, 0.1], [0.0, 0.0])

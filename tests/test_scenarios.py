@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,6 +52,19 @@ class TestGenerate:
                                           rng_seed=seed, edge_prob=0.4))
             assert validate_hierarchy(scen.dag).ok
             assert not scen.problems()
+
+    def test_a_hundred_draws_retain_under_half_a_mebibyte(self):
+        # a drawn scenario keeps its model's parameters, not sample grids
+        spec = load_generator(Path(__file__).resolve().parents[1]
+                              / "perfbench" / "specs" / "sweep_chain.json")
+        generate(spec)
+        tracemalloc.start()
+        try:
+            kept = [generate(replace(spec, rng_seed=seed)) for seed in range(100)]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 100 and retained <= 0.5 * 2**20
 
     def test_zero_edge_probability_rejected(self):
         with pytest.raises(ScenarioError, match="edge_prob"):
