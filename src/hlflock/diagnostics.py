@@ -98,10 +98,11 @@ def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
     measures every pair with the agent farthest from the centroid, and the
     sweep (:func:`_sweep`) then visits only the agents that can be an
     endpoint of a farther pair, or all of them where it cannot prune. Both
-    form every squared distance exactly as the all-pairs form, so the maximum
-    is the same bit for bit. The square root is taken once, of the
-    running maximum; sqrt is monotone and correctly rounded, so this equals
-    the maximum of the distances bit for bit.
+    form every squared distance with :func:`_squared_distances`, as the
+    all-pairs form does, so the maximum is the same bit for bit. The square
+    root is taken once, of the running maximum; sqrt is monotone and
+    correctly rounded, so this equals the maximum of the distances bit for
+    bit.
     """
     n_steps, n_agents, dim = arr.shape
     step = max(1, _BLOCK_VALUES // (n_agents * dim))
@@ -119,17 +120,14 @@ def _pairwise_diameter(arr: np.ndarray) -> np.ndarray:
 def _sweep(planes: np.ndarray, best: np.ndarray) -> None:
     """Raise ``best`` (steps,) to the largest squared distance between agents
     of the (d, n, steps) ``planes``: agent i against itself and every later
-    agent, squares summed coordinate by coordinate, so each pair is visited
-    once. The i == i term is 0, or NaN where agent i's state is not finite,
-    so non-finite input gives NaN as the all-pairs form does."""
-    for i in range(planes.shape[1]):
-        sq = planes[0, i:] - planes[0, i]
-        sq *= sq
-        for plane in planes[1:]:
-            diff = plane[i:] - plane[i]
-            diff *= diff
-            sq += diff
-        np.maximum(best, sq.max(axis=0), out=best)
+    agent, by :func:`_squared_distances` in two (n, steps) buffers, so each
+    pair is visited once. The i == i term is 0, or NaN where agent i's state
+    is not finite, so non-finite input gives NaN as the all-pairs form does."""
+    n = planes.shape[1]
+    out, scratch = np.empty(planes.shape[1:]), np.empty(planes.shape[1:])
+    for i in range(n):
+        _squared_distances(planes[:, i:], planes[:, i], out[: n - i], scratch[: n - i])
+        np.maximum(best, out[: n - i].max(axis=0), out=best)
 
 
 def _kept_agents(planes: np.ndarray, best: np.ndarray) -> np.ndarray | None:
@@ -149,30 +147,37 @@ def _kept_agents(planes: np.ndarray, best: np.ndarray) -> np.ndarray | None:
     is not finite or not within +-``_PRUNE_MAX``, a step whose LB is below
     ``_PRUNE_MIN_LB``, and a kept set so large that its planes and their sweep
     would take more memory than the whole sweep (it would save little time
-    either). Its two (N, steps) buffers match the whole sweep's two, so
-    pruning adds only a few (steps,) arrays to the working memory.
+    either). Its two (N, steps) buffers match the whole sweep's two, and its
+    other (N, steps) work is done in them, so pruning adds only a few
+    (steps,) arrays to the working memory.
     """
     dim, n, cols = planes.shape
     if n < _PRUNE_MIN_AGENTS or not (-_PRUNE_MAX <= planes.min() and planes.max() <= _PRUNE_MAX):
         return None                     # a NaN fails the bounds test too
     acc, scratch = np.empty((n, cols)), np.empty((n, cols))
-    steps = np.arange(cols)
-    centroid = planes.mean(axis=1)
-    _squared_distances(planes, centroid, acc, scratch)
-    far = acc.argmax(axis=0)
-    acc[far, steps] = 0.0
-    r_rest = np.sqrt(acc.max(axis=0))
-    _squared_distances(planes, planes[:, far, steps], acc, scratch)
+    _squared_distances(planes, planes.mean(axis=1), acc, scratch)
+    # p as a flat index into (N, steps); argmax down the columns of acc would
+    # copy all of acc, so it searches the rows of a transposed copy in scratch
+    by_step = scratch.reshape(cols, n)
+    np.copyto(by_step, acc.T)
+    far = by_step.argmax(axis=1) * cols + np.arange(cols)
+    _squared_distances(planes, planes.reshape(dim, -1)[:, far], acc, scratch)
     lb_sq = acc.max(axis=0)
     if lb_sq.min() < _PRUNE_MIN_LB ** 2:
         return None
     np.maximum(best, lb_sq, out=best)
-    threshold = np.sqrt(lb_sq) * (1.0 - _PRUNE_MARGIN * dim) - r_rest
+    # the distances from the centroid again, rather than a third buffer
+    _squared_distances(planes, planes.mean(axis=1), acc, scratch)
+    acc.reshape(-1)[far] = 0.0
+    threshold = np.sqrt(lb_sq, out=lb_sq)       # in place: lb_sq is read no more
+    threshold *= 1.0 - _PRUNE_MARGIN * dim
+    threshold -= np.sqrt(acc.max(axis=0))       # r_rest
     np.maximum(threshold, 0.0, out=threshold)
     threshold *= threshold              # compared with squared distances below
-    _squared_distances(planes, centroid, acc, scratch)
-    keep = np.greater_equal(acc, threshold, out=scratch.view(np.bool_)[:, :cols])
-    keep[far, steps] = False
+    # contiguous one-byte flags in scratch: numpy buffers a strided output
+    flags = scratch.view(np.bool_).reshape(-1)[: n * cols].reshape(n, cols)
+    keep = np.greater_equal(acc, threshold, out=flags)
+    keep.reshape(-1)[far] = False
     kept = np.flatnonzero(keep.any(axis=1))
     return kept if (dim + 2) * kept.size <= 2 * n else None
 
@@ -181,7 +186,9 @@ def _squared_distances(planes: np.ndarray, centre: np.ndarray, out: np.ndarray,
                        scratch: np.ndarray) -> None:
     """Squared distance from each agent of the (d, N, steps) ``planes`` to
     ``centre`` (d, steps), into ``out`` (N, steps), summed coordinate by
-    coordinate as :func:`_sweep` sums them; ``scratch`` is an (N, steps) buffer."""
+    coordinate; ``scratch`` is an (N, steps) buffer. Every squared distance
+    of :func:`_pairwise_diameter` is formed here, pruned or swept, which
+    keeps the pruning bit-exact."""
     np.subtract(planes[0], centre[0], out=out)
     out *= out
     for plane, c in zip(planes[1:], centre[1:]):

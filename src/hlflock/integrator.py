@@ -14,7 +14,8 @@ integer number of steps, so quadrature nodes coincide with stored samples).
 The integrand's history-only factors, the potential on every edge and the
 leaders' velocities, are evaluated once per stored node and kept in a ring
 of m+1 rows, one row per node: psi once per edge, the velocities once per
-edge and coordinate. A coupling stage is a few numpy calls (a difference, a
+edge and coordinate. The ring, laid out once per run, stores the nodes and
+sums the window: a coupling stage is a few numpy calls (a difference, a
 multiply fused into a sequential sum over the window, a scatter per
 follower; the window is weighted once per step), and the ring with its work
 buffers holds (m+1)(E+1)(2d+3) doubles for E edges in d dimensions, however
@@ -99,7 +100,8 @@ def _trapezoid_mu_weights(scenario: Scenario) -> np.ndarray:
 
 
 class _NodeRing:
-    """The history-only factors of the delay integrand at the last m+1 nodes.
+    """The delay window: the history-only factors of the delay integrand at
+    the last m+1 nodes, and their sum, :meth:`coupling`.
 
     The integrand at a stored node s is w(s) * psi(|x_i(s) - x_j(s)|) *
     (v_j(s) - v_i(now)): only the follower's current velocity changes between
@@ -109,31 +111,31 @@ class _NodeRing:
     [r, c, e] is coordinate c of edge e's leader. Column E is a spare that
     belongs to no edge: its psi and weight stay 0, so whatever velocity it
     gathers (coordinate 0 of the first agent) it only adds to a bin that is
-    dropped. It keeps every row at least two wide, which :func:`_coupling`
+    dropped. It keeps every row at least two wide, which :meth:`coupling`
     relies on, and lets each gather fill whole rows. The ring holds L = m+1
     rows: node r sits in row r % L, so the window of nodes r..r+m is rows
     r % L..L-1 followed by rows 0..r % L - 1.
 
-    ``potential`` is a list of (potential, stop) pairs: the edges from the
-    previous pair's stop up to ``stop`` use that potential, which is called
-    once per node on those edges only. ``weights`` (L, E+1) holds the
-    quadrature weight of each window position per edge. ``pair_cols`` holds
-    the flat indices fol*d + c and led*d + c of each edge's two agents,
-    edge-major, for the distances; ``fol_cols`` and ``lead_cols`` (d, E+1)
-    hold fol*d + c and led*d + c coordinate-major, for the gathers, and
-    ``bins`` is ``fol_cols`` flat with the spare column sent to an extra bin
-    N*d. ``dp``, ``vf``, ``rel`` and ``wpsi`` are work buffers. ``vl_rows``, ``rel_rows`` and ``vf_row`` view
+    ``fol`` and ``led`` hold each edge's follower and leader among
+    ``n_agents`` agents in ``dim`` dimensions. ``pieces`` lists (potential,
+    edges) pairs: the potential is called once per node on the slice
+    ``edges`` only. ``weights`` (L, E+1) holds the quadrature weight of each
+    window position per edge. ``pair_cols`` holds the flat indices fol*d + c
+    and led*d + c of each edge's two agents, edge-major, for the distances;
+    ``fol_cols`` and ``lead_cols`` (d, E+1) hold fol*d + c and led*d + c
+    coordinate-major, for the gathers, and ``bins`` is ``fol_cols`` flat with
+    the spare column sent to an extra bin N*d. ``dp``, ``vf``, ``rel`` and
+    ``wpsi`` are work buffers. ``vl_rows``, ``rel_rows`` and ``vf_row`` view
     ``vl``, ``rel`` and ``vf`` as one flat row per node for the elementwise
     difference, ``wpsi_rows`` views ``wpsi`` as (L, E+1), and ``psi_edges``
     is ``psi`` without its spare column.
 
     ``wpsi`` (L, 1, E+1) holds the weighted window w * psi of the window that
-    starts at node ``wpsi_first`` (see :meth:`weighted_psi`). A step's
-    corrector and the next step's predictor read the same window, in which
-    only the newest node is stored again (the predicted state, then the
-    corrected one), so each Heun step weights one whole window and one row.
-    Each entry is the same single product whenever it is computed, so reusing
-    it changes no bit.
+    starts at node ``wpsi_first``. A step's corrector and the next step's
+    predictor read the same window, in which only the newest node is stored
+    again (the predicted state, then the corrected one), so each Heun step
+    weights one whole window and one row. Each entry is the same single
+    product whenever it is computed, so reusing it changes no bit.
 
     No buffer that holds psi repeats it per coordinate: the ring and its work
     buffers take (m+1)(E+1)(2d+3) doubles (``psi``, ``weights``, ``wpsi``,
@@ -141,12 +143,10 @@ class _NodeRing:
     per edge.
     """
 
-    def __init__(self, xw: np.ndarray, vw: np.ndarray, fol: np.ndarray, led: np.ndarray,
-                 potential: list[tuple[Potential, int]], weights: np.ndarray):
-        self.size = size = xw.shape[0]
-        n_agents, dim = xw.shape[1:]
-        stops = [stop for _, stop in potential]
-        self.pieces = [(p, slice(start, stop)) for (p, stop), start in zip(potential, [0] + stops)]
+    def __init__(self, fol: np.ndarray, led: np.ndarray, n_agents: int, dim: int,
+                 pieces: list[tuple[Potential, slice]], weights: np.ndarray):
+        self.size = size = weights.shape[0]
+        self.pieces = pieces
         coords = np.arange(dim)
         self.pair_cols = np.stack([(fol[:, None] * dim + coords).ravel(),
                                    (led[:, None] * dim + coords).ravel()])
@@ -169,7 +169,10 @@ class _NodeRing:
         self.vl_rows, self.rel_rows = self.vl.reshape(size, -1), self.rel.reshape(size, -1)
         self.vf_row, self.wpsi_rows = self.vf.reshape(-1), self.wpsi[:, 0]
         self.wpsi_first: int | None = None
-        for node in range(size):
+
+    def fill(self, xw: np.ndarray, vw: np.ndarray) -> None:
+        """Store the window nodes 0..m from their states xw, vw (m+1, N, d)."""
+        for node in range(self.size):
             self.store(node, xw[node], vw[node])
 
     def store(self, node: int, x: np.ndarray, v: np.ndarray) -> None:
@@ -192,23 +195,59 @@ class _NodeRing:
         self.vl[:, :, edges] = 0.0
         self.wpsi_first = None
 
-    def weighted_psi(self, first: int) -> np.ndarray:
-        """``wpsi`` filled with weights * psi over the window of nodes
-        first..first+m. A call with the previous call's ``first`` recomputes
-        only the newest row: between two such calls the stepper stores no
-        node but the newest again."""
+    def coupling(self, first: int, v_now: np.ndarray) -> np.ndarray:
+        """Delay-coupling acceleration for every agent at once, over the window
+        of nodes first..first+m; v_now is the current-time velocity entering
+        the integrand. Positions inside the potential are both delayed,
+        velocities of the leaders are delayed, the follower's velocity is
+        current.
+
+        Each term is (w_k * psi_k) * (v_L,k - v_F) for window row k. The terms
+        are added over the window in node order, then per follower in edge
+        order starting from +0.0: the arithmetic of a direct sum over the
+        window, so the output is bit-identical to recomputing it. A stage
+        makes two passes over the (L, d, E+1) window: the difference to the
+        follower's velocity, into ``rel`` in node order (two slices when the
+        window wraps round the ring), then the multiply by the (L, 1, E+1)
+        weighted window ``wpsi``, broadcast over the coordinates and fused
+        into the row-ordered sum (:func:`_window_sum`). ``wpsi`` is weighted
+        in node order too, whole when ``first`` moves and only in its newest
+        row when ``first`` repeats the previous call's: between two such calls
+        the stepper stores no node but the newest again. Every rounding stays
+        where it was: each product is rounded, then added to its entry's
+        running sum, row by row.
+
+        The sum must stay sequential for that; a reassociated form such as
+        sum(w psi v_L) - sum(w psi) v_F, a BLAS dot or a pairwise sum rounds
+        differently. Over a C-contiguous window both the einsum and an axis-0
+        reduce step through whole rows in order, but over a single column
+        numpy iterates down the column and sums it pairwise (the reduce) or in
+        several accumulators (the einsum); the spare column rules that out. A
+        numpy whose einsum contracts the multiply-add to one FMA rounds once
+        instead of twice, so :func:`_checked_window_sum` falls back to the
+        explicit form there. ``bincount`` adds in input order, and each
+        coordinate's edges are in edge order, so each follower's terms are
+        too; the spare columns go to a spare bin, so its input is never empty
+        (on an empty input it returns integers).
+        """
         lo = first % self.size
+        n = self.size - lo
+        # in-range indices by construction; "clip" writes straight into the buffer
+        v_now.take(self.fol_cols, out=self.vf, mode="clip")
+        np.subtract(self.vl_rows[lo:], self.vf_row, out=self.rel_rows[:n])
+        if lo:
+            np.subtract(self.vl_rows[:lo], self.vf_row, out=self.rel_rows[n:])
         wpsi = self.wpsi_rows
         if first == self.wpsi_first:
             # the newest node, first+m, is in the row before lo
             np.multiply(self.weights[-1], self.psi[lo - 1], out=wpsi[-1])
         else:
-            n = self.size - lo
             np.multiply(self.weights[:n], self.psi[lo:], out=wpsi[:n])
             if lo:
                 np.multiply(self.weights[n:], self.psi[:lo], out=wpsi[n:])
             self.wpsi_first = first
-        return self.wpsi
+        sums = _window_sum(self.rel, self.wpsi)
+        return np.bincount(self.bins, weights=sums.ravel())[:-1].reshape(v_now.shape)
 
 
 def _explicit_window_sum(rel: np.ndarray, wpsi: np.ndarray) -> np.ndarray:
@@ -267,58 +306,16 @@ def _checked_window_sum(candidate: Callable[[np.ndarray, np.ndarray], np.ndarray
 _window_sum = _checked_window_sum(_fused_window_sum)
 
 
-def _coupling(ring: _NodeRing, first: int, v_now: np.ndarray) -> np.ndarray:
-    """Delay-coupling acceleration for every agent at once, over the window of
-    nodes first..first+m held in ``ring``; v_now is the current-time velocity
-    entering the integrand. Positions inside the potential are both delayed,
-    velocities of the leaders are delayed, the follower's velocity is current.
-
-    Each term is (w_k * psi_k) * (v_L,k - v_F) for window row k. The terms
-    are added over the window in node order, then per follower in edge order
-    starting from +0.0: the arithmetic of a direct sum over the window, so
-    the output is bit-identical to recomputing it. A stage makes two passes
-    over the (L, d, E+1) window: the difference to the follower's velocity,
-    into ``rel`` in node order (two slices when the window wraps round the
-    ring), then the multiply by the (L, 1, E+1) weighted window, broadcast
-    over the coordinates and fused into the row-ordered sum
-    (:func:`_window_sum`); the weights w_k * psi_k come from
-    :meth:`_NodeRing.weighted_psi`, one whole window per step. Every rounding
-    stays where it was: each product is rounded, then added to its entry's
-    running sum, row by row.
-
-    The sum must stay sequential for that; a reassociated form such as
-    sum(w psi v_L) - sum(w psi) v_F, a BLAS dot or a pairwise sum rounds
-    differently. Over a C-contiguous window both the einsum and an axis-0
-    reduce step through whole rows in order, but over a single column numpy
-    iterates down the column and sums it pairwise (the reduce) or in several
-    accumulators (the einsum); the spare column rules that out. A numpy
-    whose einsum contracts the multiply-add to one FMA rounds once instead of
-    twice, so :func:`_checked_window_sum` falls back to the explicit form
-    there. ``bincount`` adds in input order, and each coordinate's edges are
-    in edge order, so each follower's terms are too; the spare columns go to
-    a spare bin, so its input is never empty (on an empty input it returns
-    integers).
-    """
-    lo = first % ring.size
-    n = ring.size - lo
-    # in-range indices by construction; "clip" writes straight into the buffer
-    v_now.take(ring.fol_cols, out=ring.vf, mode="clip")
-    np.subtract(ring.vl_rows[lo:], ring.vf_row, out=ring.rel_rows[:n])
-    if lo:
-        np.subtract(ring.vl_rows[:lo], ring.vf_row, out=ring.rel_rows[n:])
-    sums = _window_sum(ring.rel, ring.weighted_psi(first))
-    return np.bincount(ring.bins, weights=sums.ravel())[:-1].reshape(v_now.shape)
-
-
 # ---------------------------------------------------------------------------
 # Heun stepping
 # ---------------------------------------------------------------------------
 
 def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: np.ndarray,
-               k: int, ring: _NodeRing, group: _Group) -> None:
+               k: int, group: _Group) -> None:
     """Step k of every scenario in ``group``, from the window of nodes
     k..k+m, whose newest node x_cur, v_cur is the state after k steps; writes
-    the new state into x_new, v_new and stores it in ``ring`` as node k+m+1.
+    the new state into x_new, v_new and stores it in the group's ring as node
+    k+m+1.
 
     The predictor is an Euler step; the corrector re-evaluates the coupling at
     t+h against the window extended by the predictor, whose row holds node
@@ -330,11 +327,11 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: n
     each agent's own step. A forced root takes its forcing at its
     scenario's own times k*h and k*h + h.
     """
-    h = group.h
-    dim = group.dim
+    h, dim, ring = group.h, group.dim, group.ring
+    newest = k + group.m + 1
 
     # a root has no leaders: its coupling row is already the +0.0 a zero forcing sets
-    a0 = _coupling(ring, k, v_cur)
+    a0 = ring.coupling(k, v_cur)
     for root, forcing, h_s in group.forced:
         a0[root] = forcing.eval(k * h_s, dim)
     vp = np.multiply(h, a0, out=v_new)
@@ -342,8 +339,8 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: n
     xp = np.multiply(h, v_cur, out=x_new)
     xp += x_cur
 
-    ring.store(k + ring.size, xp, vp)
-    a1 = _coupling(ring, k + 1, vp)
+    ring.store(newest, xp, vp)
+    a1 = ring.coupling(k + 1, vp)
     for root, forcing, h_s in group.forced:
         a1[root] = forcing.eval(k * h_s + h_s, dim)
 
@@ -355,8 +352,8 @@ def _heun_step(x_cur: np.ndarray, v_cur: np.ndarray, x_new: np.ndarray, v_new: n
     a1 *= half_h
     np.add(v_cur, a1, out=v_new)
     if not (np.isfinite(v_new).all() and np.isfinite(x_new).all()):
-        group.blow_up(k, x_new, v_new, ring)
-    ring.store(k + ring.size, x_new, v_new)
+        group.blow_up(k, x_new, v_new)
+    ring.store(newest, x_new, v_new)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +465,10 @@ class _Group:
     Scenario i owns the agents ``bounds[i]`` of the union and, since edges
     follow agents, the edges ``edge_bounds[i]``. The scenarios are kept
     ordered by potential, so that each distinct potential's edges are one
-    run. ``h`` (agents, d) holds each agent's step in every coordinate.
+    run. ``ring`` is the union's :class:`_NodeRing`: one piece of edges per
+    distinct potential, and each edge weighted by its own scenario's
+    quadrature weights. ``h`` (agents, d) holds each agent's step in every
+    coordinate.
     ``forced`` lists (union row of the root, forcing, step) per forced
     scenario. ``results[i]`` is scenario i's :class:`BlowUpError` once it has
     failed; ``n_live`` is the longest horizon of the scenarios still running.
@@ -497,29 +497,27 @@ class _Group:
                        if not s.forcing.is_zero]
         self.results: list[BlowUpError | None] = [None] * len(scenarios)
         self.n_live = max(self.steps)
+        fol, led, pieces, mu, counts = [], [], [], [], []
+        self.edge_bounds, stop = [], 0
+        for s, (lo, _) in zip(self.scenarios, self.bounds):
+            f, l = s.dag.edge_arrays()
+            fol.append(f + lo)
+            led.append(l + lo)
+            start, stop = stop, stop + f.size
+            self.edge_bounds.append((start, stop))
+            if not f.size:
+                continue
+            if pieces and pieces[-1][0] == s.potential:
+                start = pieces.pop()[1].start
+            pieces.append((s.potential, slice(start, stop)))
+            mu.append(_trapezoid_mu_weights(s))
+            counts.append(f.size)
+        # each edge's column of its scenario's weights, then the spare's zeros
+        weights = np.repeat(np.stack(mu + [np.zeros(self.m + 1)], axis=1), counts + [1], axis=1)
+        self.ring = _NodeRing(np.concatenate(fol), np.concatenate(led), self.bounds[-1][1],
+                              self.dim, pieces, weights)
 
-    def ring(self, xw: np.ndarray, vw: np.ndarray) -> _NodeRing:
-        """The union's :class:`_NodeRing` over the window states xw, vw
-        (m+1, agents, d): one run of edges per distinct potential, and each
-        edge weighted by its own scenario's quadrature weights."""
-        edges = [s.dag.edge_arrays() for s in self.scenarios]
-        counts = [f.size for f, _ in edges]
-        stops = list(itertools.accumulate(counts))
-        self.edge_bounds = list(zip([0] + stops, stops))
-        fol = np.concatenate([f + lo for (f, _), (lo, _) in zip(edges, self.bounds)])
-        led = np.concatenate([l + lo for (_, l), (lo, _) in zip(edges, self.bounds)])
-        pieces = []
-        for s, stop, count in zip(self.scenarios, stops, counts):
-            if count and pieces and pieces[-1][0] == s.potential:
-                pieces[-1] = (s.potential, stop)
-            elif count:
-                pieces.append((s.potential, stop))
-        weights = np.zeros((self.m + 1, fol.size + 1))
-        for s, (lo, hi) in zip(self.scenarios, self.edge_bounds):
-            weights[:, lo:hi] = _trapezoid_mu_weights(s)[:, None]
-        return _NodeRing(xw, vw, fol, led, pieces, weights)
-
-    def blow_up(self, k: int, x_new: np.ndarray, v_new: np.ndarray, ring: _NodeRing) -> None:
+    def blow_up(self, k: int, x_new: np.ndarray, v_new: np.ndarray) -> None:
         """Handle a non-finite state after step k. A scenario inside its
         horizon fails with its own agent and times. It, and any scenario past
         its horizon, restarts from rest on edges that add 0, so the union is
@@ -533,7 +531,7 @@ class _Group:
                 self.results[i] = _blow_up(t + self.dts[i], t, x_new[lo:hi], v_new[lo:hi])
             x_new[lo:hi] = 0.0
             v_new[lo:hi] = 0.0
-            ring.clear(slice(*self.edge_bounds[i]))
+            self.ring.clear(slice(*self.edge_bounds[i]))
         self.n_live = max((n for n, err in zip(self.steps, self.results) if err is None),
                           default=0)
 
@@ -555,9 +553,9 @@ class _Group:
             X[: m + 1, lo:hi], V[: m + 1, lo:hi] = s.history.sample((np.arange(m + 1) - m) * s.dt)
         # the ring evaluates psi on the prehistory, which may overflow too
         with np.errstate(over="ignore", invalid="ignore"):
-            ring = self.ring(X[: m + 1], V[: m + 1])
+            self.ring.fill(X[: m + 1], V[: m + 1])
             for k in range(self.n_live):
-                _heun_step(X[m + k], V[m + k], X[m + k + 1], V[m + k + 1], k, ring, self)
+                _heun_step(X[m + k], V[m + k], X[m + k + 1], V[m + k + 1], k, self)
                 if self.n_live <= k:
                     break
                 if on_step is not None:

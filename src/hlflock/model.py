@@ -21,7 +21,7 @@ import math
 import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,12 +83,17 @@ def _samples(times, t_name: str, values, v_name: str, row: tuple = ()):
 
 
 @contextmanager
-def _fields_of(d, where: str):
-    """Read the JSON object ``d``, named ``where``: a missing key, or a
-    ScenarioError that starts with a field's name, names ``where.field``."""
+def _fields_of(d, where: str, known: Container[str] | None = None):
+    """Read the JSON object ``d``, named ``where``: a missing key, the first
+    key outside ``known`` when that is given, or a ScenarioError that starts
+    with a field's name, names ``where.field``."""
     if not isinstance(d, dict):
         raise ScenarioError(f"{where} must be a JSON object, got {reprlib.repr(d)}")
     try:
+        if known is not None:
+            for key in d:
+                if key not in known:
+                    raise ScenarioError(f"{key} is an unknown key")
         yield
     except KeyError as e:
         raise ScenarioError(f"{where}.{e.args[0]} is missing") from None
@@ -140,7 +145,7 @@ class _JsonFamily:
         with _fields_of(d, where):      # d must be an object before its name is read
             name = d.get(cls._TAG, cls._DEFAULT)
         name = cls._member(name, where)
-        with _fields_of(d, where):
+        with _fields_of(d, where, (cls._TAG, *cls._FIELDS[name])):
             return cls(name, **{k: d[k] for k in cls._FIELDS[name]})
 
 

@@ -346,11 +346,19 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
-    def test_every_golden_scenario_checks_clean(self, tmp_path, golden, capsys):
+    def test_every_golden_scenario_checks_clean(self, tmp_path, golden, capsys, monkeypatch):
         # rich.json's forced root widened its flock, which the free-will
         # probe's old tail test failed
         assert main(["check", "--scenario", str(golden), "--out", str(tmp_path / "chk")]) == 0
         assert "FAIL" not in capsys.readouterr().out
+        # the report matches its reference: numbers within the benchmark
+        # gate's 1e-14, everything else exactly
+        monkeypatch.syspath_prepend(str(REPO))
+        from perfbench.gate import differences
+
+        got = json.loads((tmp_path / "chk" / "check_report.json").read_text())
+        want = json.loads((GOLDEN / "reports" / f"{golden.stem}.check_report.json").read_text())
+        assert differences(got, want) == []
 
     @pytest.mark.parametrize("name", ["table-table-table", "truncated_bump-log_damped"])
     def test_single_forced_agent_skips_free_will(self, tmp_path, name):
@@ -833,6 +841,18 @@ def test_unreadable_json_is_usage_error(tmp_path, capsys, content):
     path.write_bytes(content)
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "bad.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ('"forcing"', '"forcng"', "rich.json.forcng"),
+    ('"peak"', '"height"', "rich.json.kernel.height"),
+], ids=["scenario", "kernel"])
+def test_check_rejects_a_misspelt_key(tmp_path, capsys, old, new, key):
+    # before, the unforced model or a unit-mass triangle ran and passed
+    path = tmp_path / "rich.json"
+    path.write_text((GOLDEN / "rich.json").read_text().replace(old, new))
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} is an unknown key" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

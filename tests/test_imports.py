@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports, and imports
 nothing beyond the standard library, numpy and the package itself. Every
 private name a module binds at top level is read somewhere in the package.
-Only ``model`` compares a family's tag with the name of a member.
+Only ``model`` compares a family's tag with the name of a member. Outside
+the delay window's class, ``integrator`` calls the window's methods and reads
+none of its buffers.
 Every source file parses as the oldest Python that pyproject.toml declares,
 and the CI workflow that runs this suite on it parses.
 
@@ -141,6 +143,41 @@ def test_family_tag_comparison_is_found():
               "fine = block.shape != (rows, n) or a.shape == b.shape or a.name == 'x'\n")
     assert _family_tag_comparisons(source) == ["shape (line 1)", "family (line 1)",
                                                "kind (line 3)"]
+
+
+RING_METHODS = {"fill", "store", "clear", "coupling"}
+
+
+def _ring_attributes(source: str) -> list[str]:
+    """Attributes other than the delay window's methods that the code outside
+    ``class _NodeRing`` takes from a ring, named ``ring``, ``self.ring`` or
+    ``group.ring``: the window's layout and buffers belong to the class."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "_NodeRing"
+              for node in ast.walk(cls)}
+
+    def is_ring(node):
+        return (isinstance(node, ast.Name) and node.id == "ring"
+                or isinstance(node, ast.Attribute) and node.attr == "ring"
+                and isinstance(node.value, ast.Name) and node.value.id in ("self", "group"))
+
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and id(node) not in inside
+             and is_ring(node.value) and node.attr not in RING_METHODS]
+    return [f"{node.attr} (line {node.lineno})"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_only_the_window_reads_its_buffers():
+    assert _ring_attributes((PACKAGE / "integrator.py").read_text()) == []
+
+
+def test_a_read_of_the_window_buffers_is_found():
+    source = ("class _NodeRing:\n    def coupling(self):\n        return self.psi\n"
+              "def step(group, ring):\n    ring.store(0)\n    a = ring.psi[0]\n"
+              "    group.ring.coupling(0)\n    return group.ring.weights, self.ring.size\n")
+    assert _ring_attributes(source) == ["psi (line 6)", "weights (line 8)", "size (line 8)"]
 
 
 def test_imports_kept_on_purpose_are_the_ones_the_benchmark_tracer_wraps(monkeypatch):

@@ -20,7 +20,7 @@ import hlflock.integrator
 import hlflock.oracle
 from hlflock.csvio import (_decimal17, _format_rows, read_trajectory_csv, trajectory_columns,
                            write_trajectory_csv)
-from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum, _coupling,
+from hlflock.integrator import (BlowUpError, Trajectory, _checked_window_sum,
                                 _explicit_window_sum, _Group, _heun_step, _step_groups,
                                 _window_sum_probes, simulate, simulate_many)
 from hlflock.oracle import simulate_oracle
@@ -42,8 +42,9 @@ def two_agent(dim=1, x0=((0.0,), (1.0,)), v0=((1.0,), (0.0,)), beta=0.0,
 def window_coupling(scen, xw, vw, v_now):
     """The delay coupling simulate applies to every agent over the window of
     stored states xw, vw (m+1, N, d), oldest first; v_now (N, d) is current."""
-    ring = _Group([scen]).ring(xw, vw)
-    return _coupling(ring, 0, v_now)
+    ring = _Group([scen]).ring
+    ring.fill(xw, vw)
+    return ring.coupling(0, v_now)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +530,14 @@ class TestNodeCacheMatchesWindowRecompute:
                         t_end=m * dt, dt=dt)
         n_edges = scen.dag.edge_arrays()[0].size
         assert n_edges == 2016
-        group = _Group([scen])
         x = np.empty((m + 2, n_agents, dim))
         v = np.empty_like(x)
         x[: m + 1], v[: m + 1] = scen.history.sample((np.arange(m + 1) - m) * dt)
         tracemalloc.start()
         try:
-            ring = group.ring(x[: m + 1], v[: m + 1])
-            _heun_step(x[m], v[m], x[m + 1], v[m + 1], 0, ring, group)
+            group = _Group([scen])
+            group.ring.fill(x[: m + 1], v[: m + 1])
+            _heun_step(x[m], v[m], x[m + 1], v[m + 1], 0, group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -929,7 +930,7 @@ class TestSimulateMany:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        alone = max(peak(_Group(group).run) for group in groups)
+        alone = max(peak(lambda: _Group(group).run()) for group in groups)
         streamed = peak(lambda: collections.deque(simulate_many(batch), maxlen=0))
         assert streamed <= 1.1 * alone
 

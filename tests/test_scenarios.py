@@ -270,6 +270,49 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioError, match="colour"):
             load_scenario(path)
 
+    def test_misspelt_scenario_key_is_named(self, tmp_path):
+        # a misspelt forcing would load as the unforced model
+        text = (Path(__file__).parent / "golden" / "rich.json").read_text()
+        path = tmp_path / "rich.json"
+        path.write_text(text.replace('"forcing"', '"forcng"'))
+        with pytest.raises(ScenarioError, match=r"rich\.json\.forcng is an unknown key"):
+            load_scenario(path)
+
+    def test_unknown_history_entry_key_is_named(self, tmp_path):
+        data = scenario_to_dict(rich_scenario())
+        data["history"][1]["slope"] = [0.0, 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError,
+                           match=r"bad\.json\.history\[1\]\.slope is an unknown key"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("where,key", [
+        ("potential", "height"),
+        # height is the field of the uniform kernel and the bump, not of the
+        # triangle, which would load as a unit-mass triangle
+        ("kernel", "height"),
+        ("history[0].velocity", "slope"),
+        ("forcing", "decay_power"),
+    ])
+    def test_unknown_family_field_is_named(self, tmp_path, where, key):
+        data = scenario_to_dict(rich_scenario())
+        node = data["history"][0]["velocity"] if where.startswith("history") else data[where]
+        assert key not in node
+        node[key] = 10.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=re.escape(f"bad.json.{where}.{key} is an "
+                                                          f"unknown key")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("load", [load_scenario, load_generator])
+    def test_generator_file_ignores_other_top_level_keys(self, tmp_path, load):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"why": "a note", "generator": {"topology": "chain",
+                                                                   "n_agents": 3}}))
+        assert load(path) is not None
+
     @pytest.mark.parametrize("load", [load_scenario, load_generator])
     def test_duplicate_generator_key_rejected(self, tmp_path, load):
         path = tmp_path / "gen.json"
